@@ -61,7 +61,7 @@ from .properties import (
     min_dominating_set_size,
     parse_property,
 )
-from .rngstreams import derive_rng
+from .rngstreams import check_seed, derive_rng
 
 CLIQUE_CLI_MAX_N = 512
 
@@ -91,13 +91,14 @@ def _dumps(obj) -> str:
 
 def _resolve_seed(args) -> int:
     if getattr(args, "seed", None) is not None:
-        return args.seed
+        return check_seed(args.seed)
     env = os.environ.get("PROBUST_SEED")
     if env is not None:
         try:
-            return int(env)
+            seed = int(env)
         except ValueError as exc:
             raise DomainError(f"PROBUST_SEED must be an integer, got {env!r}") from exc
+        return check_seed(seed)
     seed = secrets.randbits(63)
     print(f"master seed: {seed}", file=sys.stderr)
     return seed
@@ -144,6 +145,8 @@ class _Output:
 
 
 def cmd_generate(args) -> int:
+    if args.samples < 0:
+        raise DomainError(f"count must be >= 0, got {args.samples}")
     seed = _resolve_seed(args)
     model = _build_model(args)
     out = _Output(args.output)
@@ -254,7 +257,7 @@ def cmd_verify(args) -> int:
     seed = _resolve_seed(args)
     model = _build_model(args)
     oracle = parse_property(args.property)
-    _reject_over_cli_caps(oracle, args.n)
+    _reject_over_cli_caps(oracle.name, args.n)
     cert = certify_monotone(oracle, args.n, args.certify_trials, derive_rng(seed, 0, 0))
     if not cert.ok:
         g_before, g_after, edge = cert.counterexample
@@ -315,8 +318,9 @@ def _estimate_json(est) -> dict:
     }
 
 
-def _reject_over_cli_caps(oracle, n: int) -> None:
-    if oracle.name.startswith("clique") and n > CLIQUE_CLI_MAX_N:
+def _reject_over_cli_caps(name: str, n: int) -> None:
+    """The exact clique search is exponential; refuse it above the CLI cap."""
+    if name.startswith("clique") and n > CLIQUE_CLI_MAX_N:
         raise UnsupportedScaleError(
             f"clique oracle capped at n={CLIQUE_CLI_MAX_N} in the cli, got {n}"
         )
@@ -370,6 +374,8 @@ def cmd_report(args) -> int:
             f"{sorted(FORMULAS) + ['degree-count']}"
         )
     ns = _parse_n_list(args.n)
+    for n in ns:
+        _reject_over_cli_caps(formula.name, n)
     rows = asymptotic_report(
         formula,
         statistic,
@@ -416,6 +422,8 @@ def _preset_adjacency_bounds(args, seed: int) -> list[dict]:
     stand-ins, labeled as such, never as ground truth.
     """
     ns = _parse_n_list(args.n)
+    for n in ns:
+        _reject_over_cli_caps("clique", n)  # the preset decides max_clique_size
     p = 0.3
     b = 1.0 / (1.0 - p)
     model_rows = []

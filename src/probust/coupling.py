@@ -125,13 +125,7 @@ def generate_coupled(
     g1_bits = 0
     g2_bits = 0
     for j, i in enumerate(range(m, 0, -1)):
-        q = _checked(conditional(i, history), i, model.name)
-        if q < base:
-            raise RobustnessViolationError(
-                f"conditional {q} for edge {i} fell below base {base}",
-                edge=i,
-                history=history,
-            )
+        q = _checked(conditional(i, history), i, model.name, base, history)
         residual = q - p_prime(base, q)
         in_g1 = coins[2 * j] < base
         in_g2 = coins[2 * j + 1] < residual

@@ -15,9 +15,9 @@ from typing import TYPE_CHECKING, Optional, Union
 import numpy as np
 
 from .coupling import CouplingParams, p_prime
-from .errors import DomainError, RobustnessViolationError, UnsupportedScaleError
-from .graphs import EdgeSpace, Realization, SuffixHistory
-from .models import EdgeModel, _checked, er_model, satisfies_min_adjacent
+from .errors import DomainError, UnsupportedScaleError
+from .graphs import EdgeSpace, Realization
+from .models import EdgeModel, _level_conditionals, er_model, satisfies_min_adjacent
 
 if TYPE_CHECKING:
     from .properties import PropertyOracle
@@ -76,17 +76,13 @@ def exact_joint(model: EdgeModel) -> ExactDistribution:
         raise UnsupportedScaleError(
             f"exact joint caps at m={MAX_JOINT_M} (n=7), got m={m}"
         )
-    conditional = model.conditional
     table = np.ones(1, dtype=np.float64)
     for i in range(m, 0, -1):
-        parents = table
-        table = np.empty(parents.size * 2, dtype=np.float64)
-        for s in range(parents.size):
-            w = parents[s]
-            history = SuffixHistory(space, i + 1, s << i)
-            q = _checked(conditional(i, history), i, model.name)
-            table[(s << 1) | 1] = w * q
-            table[s << 1] = w * (1.0 - q)
+        q = _level_conditionals(model, i, table.size)
+        new = np.empty(table.size * 2, dtype=np.float64)
+        new[1::2] = table * q
+        new[0::2] = table * (1.0 - q)
+        table = new
     return ExactDistribution(space, table)
 
 
@@ -113,8 +109,7 @@ class ExactCouplingJoint:
         size = self.table.shape[0]
         s1 = np.arange(size, dtype=np.int64)
         or_index = np.bitwise_or.outer(s1, s1)
-        out = np.zeros(size, dtype=np.float64)
-        np.add.at(out, or_index, self.table)
+        out = np.bincount(or_index.ravel(), weights=self.table.ravel(), minlength=size)
         return ExactDistribution(self.space, out)
 
 
@@ -133,22 +128,11 @@ def exact_coupling_joint(params: CouplingParams) -> ExactCouplingJoint:
         raise UnsupportedScaleError(
             f"exact coupling joint caps at m={MAX_COUPLING_M} (n=5), got m={m}"
         )
-    conditional = model.conditional
     table = np.ones((1, 1), dtype=np.float64)
     for i in range(m, 0, -1):
         size = table.shape[0]
         unions = np.arange(size, dtype=np.int64)
-        q_by_union = np.empty(size, dtype=np.float64)
-        for s in range(size):
-            history = SuffixHistory(space, i + 1, s << i)
-            q = _checked(conditional(i, history), i, model.name)
-            if q < base:
-                raise RobustnessViolationError(
-                    f"conditional {q} for edge {i} fell below base {base}",
-                    edge=i,
-                    history=history,
-                )
-            q_by_union[s] = q
+        q_by_union = _level_conditionals(model, i, size, base)
         pprime = np.array([p_prime(base, float(q)) for q in q_by_union])
         residual = q_by_union - pprime
         or_index = np.bitwise_or.outer(unions, unions)
@@ -162,16 +146,27 @@ def exact_coupling_joint(params: CouplingParams) -> ExactCouplingJoint:
     return ExactCouplingJoint(space, base, table)
 
 
+def _event_indicator(
+    space: EdgeSpace, oracle: "PropertyOracle", support: np.ndarray
+) -> np.ndarray:
+    """The oracle's decision on every realization in ``support``; False elsewhere."""
+    decide = oracle.decide
+    indicator = np.zeros(support.size, dtype=bool)
+    for bits in np.flatnonzero(support).tolist():
+        indicator[bits] = bool(decide(Realization(space, bits)))
+    return indicator
+
+
+def _event_mass(probs: np.ndarray, indicator: np.ndarray) -> float:
+    """Sum of probs over the indicator, added one entry at a time in bitmask
+    order; np.sum would add pairwise and change the last bits."""
+    return float(np.cumsum(np.where(indicator, probs, 0.0))[-1])
+
+
 def exact_probability(dist: ExactDistribution, oracle: "PropertyOracle") -> float:
     """Probability of the oracle's event: sum over qualifying realizations."""
-    space = dist.space
-    total = 0.0
-    probs = dist.probs
-    decide = oracle.decide
-    for bits in range(probs.size):
-        if probs[bits] and decide(Realization(space, bits)):
-            total += float(probs[bits])
-    return total
+    indicator = _event_indicator(dist.space, oracle, dist.probs != 0)
+    return _event_mass(dist.probs, indicator)
 
 
 def tv_distance(d1: ExactDistribution, d2: ExactDistribution) -> float:
@@ -298,8 +293,10 @@ def exact_domination_check(
     if space.m > MAX_JOINT_M:
         raise UnsupportedScaleError(f"domination check caps at m={MAX_JOINT_M}")
     er_dist = exact_joint(er_model(space.n, base))
-    prob_er = exact_probability(er_dist, oracle)
-    prob_model = exact_probability(dist, oracle)
+    # one decision per realization serves both tables
+    indicator = _event_indicator(space, oracle, (er_dist.probs != 0) | (dist.probs != 0))
+    prob_er = _event_mass(er_dist.probs, indicator)
+    prob_model = _event_mass(dist.probs, indicator)
     return DominationCheckResult(
         prob_er=prob_er,
         prob_model=prob_model,

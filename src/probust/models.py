@@ -31,6 +31,7 @@ import numpy as np
 from .errors import (
     DomainError,
     ModelContractError,
+    RobustnessViolationError,
     SamplingFailureError,
     UnsupportedScaleError,
 )
@@ -94,12 +95,19 @@ class EdgeModel:
     ``conditional(i, history)`` must be pure and return a probability in
     [0, 1] that is never below ``floor``, for every edge index i and every
     suffix history with start == i+1.
+
+    ``conditionals(i, suffixes)``, when given, is the same conditional for a
+    whole int64 array of suffix bitmasks at once (each aligned like
+    ``SuffixHistory.bits``), returning float64 values bit-identical to the
+    scalar ones. The exact engine uses it in place of one ``conditional``
+    call per suffix; models without it take the scalar path.
     """
 
     space: EdgeSpace
     floor: float
     conditional: Callable[[int, SuffixHistory], float]
     descriptor: Optional[ModelDescriptor] = None
+    conditionals: Optional[Callable[[int, np.ndarray], np.ndarray]] = None
 
     @property
     def name(self) -> str:
@@ -118,7 +126,12 @@ def er_model(n: int, p: float) -> EdgeModel:
     def conditional(i: int, history: SuffixHistory) -> float:
         return p
 
-    return EdgeModel(space, p, conditional, ModelDescriptor("er", n, {"p": p}))
+    def conditionals(i: int, suffixes: np.ndarray) -> np.ndarray:
+        return np.full(suffixes.size, p, dtype=np.float64)
+
+    return EdgeModel(
+        space, p, conditional, ModelDescriptor("er", n, {"p": p}), conditionals
+    )
 
 
 def global_count_model(n: int) -> EdgeModel:
@@ -136,7 +149,12 @@ def global_count_model(n: int) -> EdgeModel:
         k = history.bits.bit_count()
         return 1.0 - (k + 1) / nsq
 
-    return EdgeModel(space, 0.5, conditional, ModelDescriptor("global-count", n))
+    def conditionals(i: int, suffixes: np.ndarray) -> np.ndarray:
+        return 1.0 - (np.bitwise_count(suffixes) + 1) / nsq
+
+    return EdgeModel(
+        space, 0.5, conditional, ModelDescriptor("global-count", n), conditionals
+    )
 
 
 def adjacency_count_model(n: int) -> EdgeModel:
@@ -154,7 +172,14 @@ def adjacency_count_model(n: int) -> EdgeModel:
         k = (history.bits & adj[i - 1]).bit_count()
         return 0.5 - 1.0 / (k + 5)
 
-    return EdgeModel(space, 0.3, conditional, ModelDescriptor("adjacency-count", n))
+    def conditionals(i: int, suffixes: np.ndarray) -> np.ndarray:
+        # adj[i - 1] is a Python int; it fits int64 for every m the exact
+        # engine accepts (m <= 24), so no adjacency array is built up front
+        return 0.5 - 1.0 / (np.bitwise_count(suffixes & adj[i - 1]) + 5)
+
+    return EdgeModel(
+        space, 0.3, conditional, ModelDescriptor("adjacency-count", n), conditionals
+    )
 
 
 DEFAULT_REJECTION_BUDGET = 10**6
@@ -225,11 +250,50 @@ def conditioned_adjacency_model(
     )
 
 
-def _checked(q: float, i: int, model_name: str) -> float:
+def _checked(
+    q: float,
+    i: int,
+    model_name: str,
+    base: float = 0.0,
+    history: Optional[SuffixHistory] = None,
+) -> float:
+    """q itself, once it is a probability and no lower than the coupling's base."""
     if not 0.0 <= q <= 1.0:
         raise ModelContractError(
             f"model {model_name!r} returned conditional {q} for edge {i}; must be in [0, 1]"
         )
+    if q < base:
+        raise RobustnessViolationError(
+            f"conditional {q} for edge {i} fell below base {base}",
+            edge=i,
+            history=history,
+        )
+    return q
+
+
+def _level_conditionals(
+    model: EdgeModel, i: int, size: int, base: float = 0.0
+) -> np.ndarray:
+    """Conditionals of edge i after each decided suffix ``s << i``, s < size.
+
+    One batched call when the model has ``conditionals``, else one scalar
+    ``conditional`` call per suffix, which stays the reference path. Either
+    way the first suffix, in ascending order, whose conditional leaves [0, 1]
+    or falls below ``base`` raises as :func:`_checked` does for it.
+    """
+    space = model.space
+    if model.conditionals is None:
+        conditional = model.conditional
+        q = np.empty(size, dtype=np.float64)
+        for s in range(size):
+            history = SuffixHistory(space, i + 1, s << i)
+            q[s] = _checked(conditional(i, history), i, model.name, base, history)
+        return q
+    q = model.conditionals(i, np.arange(size, dtype=np.int64) << i)
+    bad = ~((q >= base) & (q <= 1.0))  # NaN counts as out of range
+    if bad.any():
+        s = int(np.argmax(bad))
+        _checked(float(q[s]), i, model.name, base, SuffixHistory(space, i + 1, s << i))
     return q
 
 
@@ -285,14 +349,12 @@ def robustness_floor_check(
                 f"got m={m}; use exhaustive=False for randomized checking"
             )
         for i in range(m, 0, -1):
-            width = m - i  # number of decided edges
-            for s in range(1 << width):
-                history = SuffixHistory(space, i + 1, s << i)
-                q = _checked(model.conditional(i, history), i, model.name)
-                evaluations += 1
-                if q < best:
-                    best = q
-                    witness = (i, history)
+            q = _level_conditionals(model, i, 1 << (m - i))
+            evaluations += q.size
+            s = int(np.argmin(q))  # first minimum, as a strict-< scan would keep
+            if q[s] < best:
+                best = float(q[s])
+                witness = (i, SuffixHistory(space, i + 1, s << i))
     else:
         if rng is None:
             rng = np.random.default_rng(0)

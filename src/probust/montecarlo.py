@@ -397,9 +397,17 @@ def asymptotic_report(
         raise DomainError(f"samples must be >= 1, got {samples}")
     rows = []
     for n in n_list:
+        if p is None and n < 2:
+            raise DomainError(f"a fixed average degree needs n >= 2, got n={n}")
         pn = p if p is not None else degree / (n - 1)
         if not 0.0 <= pn <= 1.0:
             raise DomainError(f"derived edge probability {pn} outside [0, 1] at n={n}")
+        try:
+            predicted = float(formula.predict(n, pn))
+        except (ArithmeticError, ValueError) as exc:  # a pole, or the log of 0
+            raise DomainError(
+                f"formula {formula.name!r} is undefined at n={n}, p={pn}: {exc}"
+            ) from exc
         space = EdgeSpace(n)
         values = np.empty(samples, dtype=np.float64)
         for idx in range(samples):
@@ -409,7 +417,7 @@ def asymptotic_report(
             ReportRow(
                 n=n,
                 p=pn,
-                predicted=float(formula.predict(n, pn)),
+                predicted=predicted,
                 observed_mean=float(values.mean()),
                 observed_sd=float(values.std(ddof=1)) if samples > 1 else 0.0,
                 samples=samples,

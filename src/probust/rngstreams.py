@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import DomainError
+
 MAX_SEED = 2**64 - 1
 
 
 def check_seed(seed: int) -> int:
     if not isinstance(seed, (int, np.integer)) or not 0 <= seed <= MAX_SEED:
-        raise ValueError(f"master seed must be a 64-bit unsigned integer, got {seed!r}")
+        raise DomainError(f"master seed must be a 64-bit unsigned integer, got {seed!r}")
     return int(seed)
 
 

@@ -337,3 +337,26 @@ class TestUsage:
             "--base", "0.5", "--property", "clique>=3", "--samples", "10", "--seed", "1",
         )
         assert code == 4
+
+    @pytest.mark.parametrize(
+        "argv,env_seed,code,message",
+        [
+            ("generate --model er --n 3 --p 0.5 --samples 1 --seed -1", None, 2, "master seed"),
+            ("generate --model er --n 3 --p 0.5 --samples 1", str(2**64), 2, "master seed"),
+            ("report --formula clique --n 8 --p 1 --samples 2 --seed 1", None, 2, "undefined"),
+            ("report --formula dominating-set --n 8 --p 0 --samples 2 --seed 1", None, 2,
+             "undefined"),
+            ("report --formula diameter --n 1 --d 2 --samples 2 --seed 1", None, 2, "n >= 2"),
+            ("generate --model er --n 4 --p 0.5 --samples -2 --seed 1", None, 2,
+             "count must be >= 0"),
+            ("report --formula clique --n 16,600 --p 0.5 --samples 1 --seed 1", None, 4,
+             "capped at n=512"),
+        ],
+    )
+    def test_bad_input_exit_codes(self, argv, env_seed, code, message, monkeypatch, capsys):
+        if env_seed is not None:
+            monkeypatch.setenv("PROBUST_SEED", env_seed)
+        assert cli.main(argv.split()) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err and "Traceback" not in captured.err

@@ -1,3 +1,6 @@
+import dataclasses
+from itertools import repeat
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -5,10 +8,13 @@ from scipy import stats
 from probust import (
     CouplingParams,
     DomainError,
+    EdgeModel,
     EdgeSpace,
     ExactDistribution,
+    ModelContractError,
     PropertyOracle,
     Realization,
+    RobustnessViolationError,
     SuffixHistory,
     UnsupportedScaleError,
     adjacency_count_model,
@@ -21,6 +27,7 @@ from probust import (
     global_count_model,
     min_full_conditional,
     parse_property,
+    robustness_floor_check,
     sample_direct,
     sequential_conditional,
     tv_distance,
@@ -28,6 +35,97 @@ from probust import (
 from probust.models import satisfies_min_adjacent
 
 ALWAYS = PropertyOracle("always", lambda g: True)
+BUILTINS = [lambda n: er_model(n, 0.37), global_count_model, adjacency_count_model]
+
+
+def scalar_path(model):
+    """The same model without its batched conditionals: the reference path."""
+    return dataclasses.replace(model, conditionals=None)
+
+
+def dented_model(n, batched, overshoot=True):
+    """Declares floor 0.5, but edge 2 gets 0.1 after exactly three present
+    higher edges and, if ``overshoot``, 1.5 after four."""
+    space = EdgeSpace(n)
+
+    def conditional(i, history):
+        k = history.bits.bit_count()
+        if i == 2 and k == 3:
+            return 0.1
+        if i == 2 and k == 4 and overshoot:
+            return 1.5
+        return 0.5
+
+    def conditionals(i, suffixes):
+        k = np.bitwise_count(suffixes)
+        q = np.full(suffixes.size, 0.5)
+        if i == 2:
+            q[k == 3] = 0.1
+            if overshoot:
+                q[k == 4] = 1.5
+        return q
+
+    return EdgeModel(space, 0.5, conditional, None, conditionals if batched else None)
+
+
+class TestBatchedConditionals:
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_equal_to_scalar_bit_for_bit(self, n):
+        models = [build(n) for build in BUILTINS if n >= 2] or [er_model(n, 0.37)]
+        space = models[0].space
+        for i in range(1, space.m + 1):
+            size = 1 << (space.m - i)
+            suffixes = np.arange(size, dtype=np.int64) << i
+            for model in models:
+                bits = range(0, size << i, 1 << i)
+                histories = map(SuffixHistory, repeat(space), repeat(i + 1), bits)
+                want = np.fromiter(map(model.conditional, repeat(i), histories), np.float64, size)
+                got = model.conditionals(i, suffixes)
+                assert got.dtype == np.float64
+                assert got.tobytes() == want.tobytes(), (model.name, n, i)
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    @pytest.mark.parametrize("build", BUILTINS)
+    def test_exact_joint_table_matches_scalar_path(self, build, n):
+        model = build(n)
+        batched = exact_joint(model).probs
+        scalar = exact_joint(scalar_path(model)).probs
+        assert batched.tobytes() == scalar.tobytes()
+
+    def test_custom_closure_above_one_is_contract_error(self):
+        bad = EdgeModel(EdgeSpace(3), 0.0, lambda i, h: 1.5)
+        assert bad.conditionals is None
+        with pytest.raises(ModelContractError, match="returned conditional 1.5 for edge 3"):
+            exact_joint(bad)
+
+    @pytest.mark.parametrize("batched", [True, False])
+    def test_first_bad_suffix_decides_the_error(self, batched):
+        # at edge 2 the dip (suffix 0b0111) comes before the overshoot (0b1111)
+        model = dented_model(4, batched)
+        with pytest.raises(RobustnessViolationError) as err:
+            exact_coupling_joint(CouplingParams(0.5, model))
+        assert str(err.value) == "conditional 0.1 for edge 2 fell below base 0.5"
+        assert err.value.edge == 2
+        assert err.value.history == SuffixHistory(model.space, 3, 0b0111 << 2)
+        with pytest.raises(ModelContractError, match="conditional 1.5 for edge 2;"):
+            exact_joint(model)
+        with pytest.raises(ModelContractError, match="conditional 1.5 for edge 2;"):
+            robustness_floor_check(model)
+
+    @pytest.mark.parametrize("batched", [True, False])
+    def test_floor_check_witness_and_evaluations(self, batched):
+        model = dented_model(4, batched, overshoot=False)
+        result = robustness_floor_check(model)
+        assert not result.confirmed
+        assert result.min_conditional == 0.1
+        assert result.witness_edge == 2
+        assert result.witness_history == SuffixHistory(model.space, 3, 0b0111 << 2)
+        assert result.evaluations == 2**6 - 1
+
+    @pytest.mark.parametrize("build", BUILTINS)
+    def test_floor_check_matches_scalar_path(self, build):
+        model = build(5)
+        assert robustness_floor_check(model) == robustness_floor_check(scalar_path(model))
 
 
 class TestExactJoint:
@@ -109,6 +207,19 @@ class TestExactCouplingJoint:
         assert joint.table.sum() == pytest.approx(1.0, abs=1e-12)
         assert joint.table.min() >= 0.0
 
+    @pytest.mark.parametrize("base", [0.0, 0.1, 0.3])
+    def test_table_and_union_marginal_bit_for_bit(self, base):
+        model = adjacency_count_model(5)
+        joint = exact_coupling_joint(CouplingParams(base, model))
+        scalar = exact_coupling_joint(CouplingParams(base, scalar_path(model)))
+        assert joint.table.tobytes() == scalar.table.tobytes()
+        # reference: unbuffered in-place accumulation in row-major order
+        size = joint.table.shape[0]
+        s1 = np.arange(size)
+        want = np.zeros(size)
+        np.add.at(want, np.bitwise_or.outer(s1, s1), joint.table)
+        assert joint.union_marginal().probs.tobytes() == want.tobytes()
+
 
 class TestExactProbability:
     def test_triangle_probability(self):
@@ -166,6 +277,23 @@ class TestDomination:
     def test_base_above_floor_rejected(self):
         with pytest.raises(DomainError):
             exact_domination_check(adjacency_count_model(4), 0.31, parse_property("connected"))
+
+    @pytest.mark.parametrize("base", [0.0, 0.3])
+    @pytest.mark.parametrize("prop", ["clique>=3", "connected", "match>=2", "domset<=2"])
+    def test_probabilities_are_sequential_sums(self, base, prop):
+        model = adjacency_count_model(5)
+        oracle = parse_property(prop)
+        res = exact_domination_check(model, base, oracle)
+        for prob, dist in (
+            (res.prob_er, exact_joint(er_model(5, base))),
+            (res.prob_model, exact_joint(model)),
+        ):
+            want = 0.0  # one entry at a time, in bitmask order
+            for g, w in dist.entries():
+                if w and oracle.decide(g):
+                    want += w
+            assert prob == want
+            assert exact_probability(dist, oracle) == want
 
 
 class TestConditioning:
