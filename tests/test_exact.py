@@ -69,9 +69,9 @@ def dented_model(n, batched, overshoot=True):
 
 
 class TestBatchedConditionals:
-    @pytest.mark.parametrize("n", range(1, 8))
+    @pytest.mark.parametrize("n", range(2, 8))
     def test_equal_to_scalar_bit_for_bit(self, n):
-        models = [build(n) for build in BUILTINS if n >= 2] or [er_model(n, 0.37)]
+        models = [build(n) for build in BUILTINS]
         space = models[0].space
         for i in range(1, space.m + 1):
             size = 1 << (space.m - i)
