@@ -29,8 +29,8 @@ import numpy as np
 
 from .errors import DomainError, RobustnessViolationError
 from .graphs import Realization, SuffixHistory, union
-from .models import EdgeModel, _checked
-from .rngstreams import derive_rng
+from .models import EdgeModel, _checked, _decide_block, batchable
+from .rngstreams import coin_rows, derive_rng, index_blocks
 
 
 def p_prime(p: float, q: float) -> float:
@@ -74,6 +74,16 @@ def _check_pq(p: float, q: float) -> None:
         raise DomainError("p = 1 requires q = 1 (a floor-1 model forces every edge)")
 
 
+def _require_floor(model) -> None:
+    """Only an EdgeModel carries the sequential conditionals and the floor
+    the embedding is built from; the rejection sampler has neither."""
+    if not isinstance(model, EdgeModel):
+        raise DomainError(
+            f"model {model.name!r} has no sequential conditionals or floor to "
+            "embed an independent layer under"
+        )
+
+
 @dataclass(frozen=True)
 class CouplingParams:
     """Base edge probability plus the model whose floor must cover it."""
@@ -82,6 +92,7 @@ class CouplingParams:
     model: EdgeModel
 
     def __post_init__(self):
+        _require_floor(self.model)
         if not 0.0 <= self.base <= 1.0:
             raise DomainError(f"base probability must be in [0, 1], got {self.base}")
         if self.base > self.model.floor:
@@ -154,5 +165,28 @@ def coupled_stream(
     """
     if count < 0:
         raise DomainError(f"count must be >= 0, got {count}")
-    for idx in range(start_index, start_index + count):
-        yield idx, generate_coupled(params, derive_rng(master_seed, idx))
+    for lo, hi in index_blocks(count, start_index):
+        yield from zip(range(lo, hi), coupled_block(params, master_seed, lo, hi))
+
+
+def coupled_block(params: CouplingParams, master_seed: int, lo: int, hi: int):
+    """``generate_coupled(params, derive_rng(master_seed, idx))`` for each idx
+    in lo..hi-1, in order.
+
+    A model with batched ``conditionals`` and m <= 63 decides the whole
+    block at once and gives the same triples. Other models, and any block in
+    which a conditional leaves [0, 1] or falls below the base, take the
+    scalar path lazily, so errors are raised where and as the scalar path
+    raises them.
+    """
+    model = params.model
+    if batchable(model):
+        coins = coin_rows(master_seed, (), lo, hi, 2 * model.space.m)
+        decided = _decide_block(model, coins, params.base)
+        if decided is not None:
+            space = model.space
+            return [
+                CouplingTriple(Realization(space, a), Realization(space, b), Realization(space, c))
+                for a, b, c in zip(*(masks.tolist() for masks in decided))
+            ]
+    return (generate_coupled(params, derive_rng(master_seed, idx)) for idx in range(lo, hi))

@@ -39,6 +39,9 @@ class SamplingFailureError(ProbustError):
         super().__init__(message)
         self.attempts = attempts
 
+    def __reduce__(self):  # attempts is required, so the default pickling fails
+        return type(self), (self.args[0], self.attempts)
+
 
 class PairedViolationError(ProbustError):
     """A coupled sample had the property on the embedded layer but not on the union.

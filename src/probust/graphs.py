@@ -110,10 +110,6 @@ class Realization:
             yield low.bit_length()
             b ^= low
 
-    def with_edge(self, i: int) -> "Realization":
-        self.space._check_index(i)
-        return Realization(self.space, self.bits | (1 << (i - 1)))
-
     def complement(self) -> "Realization":
         return Realization(self.space, self.bits ^ self.space.full_mask)
 
@@ -186,9 +182,6 @@ class SuffixHistory(NamedTuple):
 
     def is_empty(self) -> bool:
         return self.start == self.space.m + 1
-
-    def num_decided(self) -> int:
-        return self.space.m - self.start + 1
 
     def present_count(self) -> int:
         return self.bits.bit_count()

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NoReturn, Optional
 
 import numpy as np
 
@@ -36,8 +36,10 @@ from .errors import (
     UnsupportedScaleError,
 )
 from .graphs import EdgeSpace, Realization, SuffixHistory
+from .rngstreams import coin_rows, derive_rng
 
 EXHAUSTIVE_FLOOR_CHECK_MAX_M = 24
+BATCH_MAX_M = 63  # batched sampling keeps suffixes in int64 masks
 
 MODEL_KINDS = (
     "er",
@@ -218,6 +220,14 @@ class ConditionedAdjacencyModel:
         return "adjacency-count-conditioned"
 
     def sample(self, rng: np.random.Generator) -> Realization:
+        self._check_event()
+        for attempt in range(1, self.budget + 1):
+            g = sample_direct(self.base_model, rng)
+            if satisfies_min_adjacent(g, self.min_adjacent):
+                return g
+        self._exhausted()
+
+    def _check_event(self) -> None:
         n = self.space.n
         if 2 * (n - 2) < self.min_adjacent:
             # the adjacent count cannot reach the threshold: event provably empty
@@ -226,16 +236,43 @@ class ConditionedAdjacencyModel:
                 f"{2 * (n - 2)} < {self.min_adjacent}",
                 attempts=0,
             )
-        for attempt in range(1, self.budget + 1):
-            g = sample_direct(self.base_model, rng)
-            if satisfies_min_adjacent(g, self.min_adjacent):
-                return g
+
+    def _exhausted(self) -> NoReturn:
         raise SamplingFailureError(
             f"no accepted realization in {self.budget} attempts "
             f"(n={self.space.n}, min adjacent {self.min_adjacent}); "
             "the conditioning event may be empty or tiny",
             attempts=self.budget,
         )
+
+    def _sample_rows(self, rngs: list) -> Optional[np.ndarray]:
+        """Masks of ``sample(rng)`` for each stream, all rejection rounds
+        batched: every still-pending stream draws its next m coins, the base
+        model decides them as a block, and acceptance is checked against the
+        edge adjacency at once. None when the base model's block sampler
+        refuses a round (see :func:`_decide_block`)."""
+        self._check_event()
+        m = self.space.m
+        adj = np.array(self.space._edge_adjacency, dtype=np.int64)
+        out = np.zeros(len(rngs), dtype=np.int64)
+        pending = np.arange(len(rngs))
+        coins = np.empty((len(rngs), m))
+        for _ in range(self.budget):
+            if not pending.size:
+                break
+            for r in pending.tolist():
+                rngs[r].random(out=coins[r])
+            decided = _decide_block(self.base_model, coins[pending])
+            if decided is None:
+                return None
+            bits = decided[0]
+            counts = np.bitwise_count(bits[:, None] & adj[None, :])
+            accepted = (counts >= self.min_adjacent).all(axis=1)
+            out[pending[accepted]] = bits[accepted]
+            pending = pending[~accepted]
+        if pending.size:
+            self._exhausted()
+        return out
 
 
 def conditioned_adjacency_model(
@@ -295,6 +332,72 @@ def _level_conditionals(
         s = int(np.argmax(bad))
         _checked(float(q[s]), i, model.name, base, SuffixHistory(space, i + 1, s << i))
     return q
+
+
+def _decide_block(
+    model: EdgeModel, coins: np.ndarray, base: Optional[float] = None
+) -> Optional[tuple[np.ndarray, ...]]:
+    """Decide edges m down to 1 for a block of samples, one batched
+    ``conditionals`` call per edge.
+
+    Row r of ``coins`` holds the uniforms one sample's scalar path draws: m
+    of them for :func:`sample_direct` (coin j decides edge m-j), or 2m for
+    :func:`~probust.coupling.generate_coupled` when ``base`` is given (the g1
+    coin, then the patch coin, per edge). Returns the int64 masks ``(u,)``,
+    or ``(g1, g2, u)`` for a coupling, bit for bit those of the scalar
+    samplers; the same strict ``<`` tests and the same float operations are
+    applied. Returns None as soon as a conditional leaves [0, 1] or falls
+    below ``base``: the caller re-runs the block on the scalar path, which
+    raises the reference error for the first offending sample.
+    """
+    m = model.space.m
+    floor = 0.0 if base is None else base
+    u = np.zeros(coins.shape[0], dtype=np.int64)
+    if base is not None:
+        g1, g2 = np.zeros_like(u), np.zeros_like(u)
+        in_g1 = coins[:, 0::2] < base
+    for j, i in enumerate(range(m, 0, -1)):
+        q = model.conditionals(i, u)
+        if q.size and not (q.min() >= floor and q.max() <= 1.0):  # NaN fails too
+            return None
+        bit = 1 << (i - 1)
+        if base is None:
+            np.bitwise_or(u, bit, out=u, where=coins[:, j] < q)
+            continue
+        # q - p_prime(base, q), elementwise
+        residual = q if base == 1.0 else q - np.minimum(q, base * (1.0 - q) / (1.0 - base))
+        in_g2 = coins[:, 2 * j + 1] < residual
+        np.bitwise_or(g1, bit, out=g1, where=in_g1[:, j])
+        np.bitwise_or(g2, bit, out=g2, where=in_g2)
+        np.bitwise_or(u, bit, out=u, where=in_g1[:, j] | in_g2)
+    return (u,) if base is None else (g1, g2, u)
+
+
+def batchable(model: EdgeModel) -> bool:
+    """True when ``model`` can go through the block samplers."""
+    return model.conditionals is not None and model.space.m <= BATCH_MAX_M
+
+
+def sample_block(source, master_seed: int, branch: tuple, lo: int, hi: int):
+    """``source.sample(derive_rng(master_seed, *branch, idx))`` for each idx
+    in lo..hi-1, in order.
+
+    Built-in models (and the rejection sampler over one) with m <= 63 decide
+    the whole block at once; the results are the same realizations. Any
+    other source, and any block the batched path refuses, takes the scalar
+    path lazily, so it raises exactly where and what the scalar path does.
+    """
+    space = source.space
+    bits = None
+    if isinstance(source, EdgeModel) and batchable(source):
+        decided = _decide_block(source, coin_rows(master_seed, branch, lo, hi, space.m))
+        bits = None if decided is None else decided[0]
+    elif isinstance(source, ConditionedAdjacencyModel) and batchable(source.base_model):
+        rngs = [derive_rng(master_seed, *branch, idx) for idx in range(lo, hi)]
+        bits = source._sample_rows(rngs)
+    if bits is not None:
+        return [Realization(space, b) for b in bits.tolist()]
+    return (source.sample(derive_rng(master_seed, *branch, idx)) for idx in range(lo, hi))
 
 
 def sample_direct(model: EdgeModel, rng: np.random.Generator) -> Realization:

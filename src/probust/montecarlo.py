@@ -23,12 +23,12 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 from scipy import stats as _stats
 
-from .coupling import CouplingParams, generate_coupled
+from .coupling import CouplingParams, _require_floor, coupled_block
 from .errors import DomainError, PairedViolationError, RobustnessViolationError
 from .graphs import EdgeSpace, Realization, degree_histogram
-from .models import EdgeModel, er_model
+from .models import EdgeModel, er_model, sample_block
 from .properties import PropertyOracle
-from .rngstreams import derive_rng
+from .rngstreams import derive_rng, index_blocks
 
 DEFAULT_CONFIDENCE = 0.99
 
@@ -87,35 +87,58 @@ def hoeffding_interval(successes: int, samples: int, confidence: float = DEFAULT
 _INTERVALS = {"wilson": wilson_interval, "hoeffding": hoeffding_interval}
 
 
-# Parallel workers inherit their task via fork, so arbitrary sources and
-# oracles work without being picklable; per-index streams make the counts
-# identical for any worker count or chunking.
-_FORK_STATE: Optional[tuple] = None
-_CHUNK = 2048
+def _map_blocks(work: Callable[[int, int], object], count: int, workers: int = 1) -> list:
+    """``[work(lo, hi) for (lo, hi) in index_blocks(count)]``, in block order.
 
-
-def _index_chunks(samples: int):
-    return [(lo, min(lo + _CHUNK, samples)) for lo in range(0, samples, _CHUNK)]
-
-
-def _estimate_chunk(bounds: tuple[int, int]) -> int:
-    source, oracle, master_seed, branch = _FORK_STATE
-    hits = 0
-    for idx in range(*bounds):
-        if oracle.decide(source.sample(derive_rng(master_seed, *branch, idx))):
-            hits += 1
-    return hits
-
-
-def _run_forked(worker, chunks, state, workers: int) -> list:
-    global _FORK_STATE
-    _FORK_STATE = state
+    With workers > 1 the blocks are dealt round-robin to forked processes,
+    which inherit ``work`` instead of receiving it pickled, so arbitrary
+    sources and oracles work. The blocks never depend on ``workers`` and
+    per-index streams make each block's result independent of who computes
+    it. If blocks fail, the error of the first failing block is raised, as
+    the serial loop would raise it.
+    """
+    blocks = index_blocks(count)
+    workers = min(workers, len(blocks))
+    if workers <= 1:
+        return [work(lo, hi) for lo, hi in blocks]
+    ctx = multiprocessing.get_context("fork")
+    conns, procs = [], []
     try:
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(workers) as pool:
-            return pool.map(worker, chunks)
+        for w in range(workers):
+            recv, send = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=_serve_blocks, args=(work, blocks[w::workers], send))
+            proc.start()
+            send.close()
+            conns.append(recv)
+            procs.append(proc)
+        outcomes = [None] * len(blocks)
+        for w, conn in enumerate(conns):
+            for k, outcome in enumerate(conn.recv()):
+                outcomes[w + k * workers] = outcome
     finally:
-        _FORK_STATE = None
+        for conn in conns:
+            conn.close()
+        for proc in procs:
+            proc.join()
+    results = []
+    for ok, value in outcomes:  # a worker stops at its first failing block
+        if not ok:
+            raise value
+        results.append(value)
+    return results
+
+
+def _serve_blocks(work, blocks, conn) -> None:
+    """Forked worker body: send [(True, result) ..., (False, error)?] back."""
+    outcomes = []
+    for lo, hi in blocks:
+        try:
+            outcomes.append((True, work(lo, hi)))
+        except Exception as exc:  # handed to the parent, which raises it
+            outcomes.append((False, exc))
+            break
+    conn.send(outcomes)
+    conn.close()
 
 
 def estimate_property(
@@ -138,14 +161,11 @@ def estimate_property(
         raise DomainError(f"samples must be >= 1, got {samples}")
     if method not in _INTERVALS:
         raise DomainError(f"unknown interval method {method!r}")
-    if workers > 1:
-        state = (source, oracle, master_seed, branch)
-        hits = sum(_run_forked(_estimate_chunk, _index_chunks(samples), state, workers))
-    else:
-        hits = 0
-        for idx in range(samples):
-            if oracle.decide(source.sample(derive_rng(master_seed, *branch, idx))):
-                hits += 1
+
+    def count_hits(lo: int, hi: int) -> int:
+        return sum(1 for g in sample_block(source, master_seed, branch, lo, hi) if oracle.decide(g))
+
+    hits = sum(_map_blocks(count_hits, samples, workers))
     low, high = _INTERVALS[method](hits, samples, confidence)
     return EstimateResult(
         estimate=hits / samples,
@@ -190,6 +210,7 @@ def domination_test(
     not a proof; "refuted" means the one-sided contradiction holds at the
     interval confidence on each side.
     """
+    _require_floor(model)
     if base > model.floor:
         raise RobustnessViolationError(
             f"base {base} exceeds the model floor {model.floor}"
@@ -224,24 +245,6 @@ class PairedReport:
         return self.count_union / self.samples
 
 
-def _paired_chunk(bounds: tuple[int, int]):
-    params, oracle_list, master_seed = _FORK_STATE
-    g1_counts = [0] * len(oracle_list)
-    u_counts = [0] * len(oracle_list)
-    for idx in range(*bounds):
-        triple = generate_coupled(params, derive_rng(master_seed, idx))
-        for j, oracle in enumerate(oracle_list):
-            on_g1 = oracle.decide(triple.g1)
-            on_union = oracle.decide(triple.u)
-            if on_g1:
-                g1_counts[j] += 1
-                if not on_union:
-                    return g1_counts, u_counts, (idx, j, triple)
-            if on_union:
-                u_counts[j] += 1
-    return g1_counts, u_counts, None
-
-
 def coupled_domination_test(
     params: CouplingParams,
     oracles: Union[PropertyOracle, Sequence[PropertyOracle]],
@@ -260,27 +263,29 @@ def coupled_domination_test(
     oracle_list = [oracles] if single else list(oracles)
     if samples < 1:
         raise DomainError(f"samples must be >= 1, got {samples}")
-    state = (params, oracle_list, master_seed)
-    if workers > 1:
-        results = _run_forked(_paired_chunk, _index_chunks(samples), state, workers)
-    else:
-        global _FORK_STATE
-        _FORK_STATE = state
-        try:
-            results = [_paired_chunk(bounds) for bounds in _index_chunks(samples)]
-        finally:
-            _FORK_STATE = None
+
+    def count_pairs(lo: int, hi: int) -> tuple[list[int], list[int]]:
+        g1_counts = [0] * len(oracle_list)
+        u_counts = [0] * len(oracle_list)
+        for idx, triple in zip(range(lo, hi), coupled_block(params, master_seed, lo, hi)):
+            for j, oracle in enumerate(oracle_list):
+                on_g1 = oracle.decide(triple.g1)
+                on_union = oracle.decide(triple.u)
+                if on_g1:
+                    g1_counts[j] += 1
+                    if not on_union:
+                        raise PairedViolationError(
+                            f"sample {idx}: embedded layer has {oracle.name!r} but the "
+                            f"union does not (g1={triple.g1.to_hex()}, u={triple.u.to_hex()})",
+                            triple=triple,
+                        )
+                if on_union:
+                    u_counts[j] += 1
+        return g1_counts, u_counts
+
     g1_counts = [0] * len(oracle_list)
     u_counts = [0] * len(oracle_list)
-    for part_g1, part_u, violation in results:
-        if violation is not None:
-            idx, j, triple = violation
-            oracle = oracle_list[j]
-            raise PairedViolationError(
-                f"sample {idx}: embedded layer has {oracle.name!r} but the "
-                f"union does not (g1={triple.g1.to_hex()}, u={triple.u.to_hex()})",
-                triple=triple,
-            )
+    for part_g1, part_u in _map_blocks(count_pairs, samples, workers):
         for j in range(len(oracle_list)):
             g1_counts[j] += part_g1[j]
             u_counts[j] += part_u[j]

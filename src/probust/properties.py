@@ -29,7 +29,6 @@ CHROMATIC_MAX_N = 20
 DOMSET_MAX_N = 26
 HAMILTONIAN_MAX_N = 20
 MATCHING_MAX_N = 26
-MATCHING_DP_MAX_N = 20
 LONGEST_CYCLE_MAX_N = 16
 _DIAMETER_MASK_MAX_N = 64
 
@@ -486,33 +485,40 @@ def _greedy_matching(n: int, adj: tuple[int, ...]) -> int:
     return size
 
 
-def _matching_subset_dp(n: int, adj: tuple[int, ...]) -> int:
-    """f[S] = maximum matching inside vertex set S; exact, O(2^n * deg)."""
-    size = 1 << n
-    f = bytearray(size)
-    for S in range(1, size):
+def _max_matching(n: int, adj: tuple[int, ...]) -> int:
+    """Maximum matching by search over vertex subsets, memoised on the subsets
+    actually reached.
+
+    The lowest vertex v of S is either isolated in S, and then dropped, or
+    covered by some maximum matching of S (if one misses v, a neighbor u of v
+    is matched, and trading u's edge for uv keeps the size), so only the
+    edges at v are branched on. A branch that reaches |S|//2 ends the search
+    at S.
+    """
+    memo: dict[int, int] = {}
+
+    def best(S: int) -> int:
+        found = memo.get(S)
+        if found is not None:
+            return found
         low = S & -S
         rest = S ^ low
-        best = f[rest]
         cand = adj[low.bit_length() - 1] & rest
-        while cand:
-            ulow = cand & -cand
-            cand ^= ulow
-            val = 1 + f[rest ^ ulow]
-            if val > best:
-                best = val
-        f[S] = best
-    return f[size - 1]
+        if not cand:
+            result = best(rest) if rest else 0
+        else:
+            target = S.bit_count() // 2
+            result = 0
+            while cand:
+                u = cand & -cand
+                cand ^= u
+                result = max(result, 1 + best(rest ^ u))
+                if result == target:
+                    break
+        memo[S] = result
+        return result
 
-
-def _matching_blossom(g: Realization) -> int:
-    import networkx as nx
-
-    graph = nx.Graph()
-    graph.add_nodes_from(range(g.space.n))
-    pairs = g.space.pairs
-    graph.add_edges_from(pairs[i - 1] for i in g.present_edges())
-    return len(nx.max_weight_matching(graph, maxcardinality=True))
+    return best((1 << n) - 1)
 
 
 def max_matching_size(g: Realization) -> int:
@@ -520,9 +526,7 @@ def max_matching_size(g: Realization) -> int:
     n = g.space.n
     if n > MATCHING_MAX_N:
         raise UnsupportedScaleError(f"exact matching caps at n={MATCHING_MAX_N}, got {n}")
-    if n > MATCHING_DP_MAX_N:
-        return _matching_blossom(g)
-    return _matching_subset_dp(n, g.neighbor_masks)
+    return _max_matching(n, g.neighbor_masks)
 
 
 def has_matching_at_least(g: Realization, k: int) -> bool:

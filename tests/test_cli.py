@@ -1,10 +1,28 @@
+import contextlib
+import io
 import json
 from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from probust import cli
+from probust import (
+    CouplingParams,
+    ModelDescriptor,
+    SamplingFailureError,
+    adjacency_count_model,
+    cli,
+    conditioned_adjacency_model,
+    derive_rng,
+    er_model,
+    generate_coupled,
+    is_connected,
+    models,
+    sample_direct,
+)
+from probust.cli import _MODEL_ALIASES
 
 SCHEMA_DIR = Path(cli.__file__).parent / "schemas"
 
@@ -360,3 +378,145 @@ class TestUsage:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert message in captured.err and "Traceback" not in captured.err
+
+
+def scalar_records(model, seed, count):
+    """The generate records built one scalar sample at a time."""
+    return "".join(
+        json.dumps(
+            {"index": idx, "n": model.space.n, "seed": seed,
+             "g": model.sample(derive_rng(seed, idx)).to_hex()},
+            sort_keys=True, separators=(",", ":"),
+        ) + "\n"
+        for idx in range(count)
+    )
+
+
+class TestBlockSampledOutput:
+    """CLI bytes from the block samplers equal the scalar reference path."""
+
+    @pytest.mark.parametrize("count", [0, 1, 257])
+    @pytest.mark.parametrize("model", ["adjcount", "globalcount", "adjcount-cond"])
+    def test_generate_equals_scalar_records(self, tmp_path, model, count):
+        code, text = run(
+            tmp_path, "generate", "--model", model, "--n", "6", "--samples", str(count),
+            "--seed", "51",
+        )
+        assert code == 0
+        assert text == scalar_records(ModelDescriptor(_MODEL_ALIASES[model], 6).build(), 51, count)
+
+    def test_couple_equals_scalar_triples(self, tmp_path):
+        code, text = run(
+            tmp_path, "couple", "--model", "adjcount", "--n", "10", "--base", "0.3",
+            "--samples", "300", "--seed", "52",
+        )
+        assert code == 0
+        params = CouplingParams(0.3, adjacency_count_model(10))
+        for idx, line in enumerate(text.splitlines()):
+            t = generate_coupled(params, derive_rng(52, idx))
+            record = json.loads(line)
+            assert (record["g1"], record["g2"], record["u"]) == (
+                t.g1.to_hex(), t.g2.to_hex(), t.u.to_hex()
+            )
+        assert idx == 299
+
+    @pytest.mark.parametrize("n", [7, 30])  # m = 21 takes the block path, m = 435 the scalar one
+    def test_verify_coupled_counts_and_threads(self, tmp_path, n):
+        samples = 600 if n == 7 else 40
+        outputs = []
+        for threads in ("1", "2", "3"):
+            code, text = run(
+                tmp_path, "verify", "--model", "adjcount", "--n", str(n), "--base", "0.3",
+                "--property", "connected", "--samples", str(samples), "--seed", "53",
+                "--threads", threads, name=f"t{threads}.json",
+            )
+            assert code == 0
+            outputs.append(text)
+        assert outputs[0] == outputs[1] == outputs[2]
+        params = CouplingParams(0.3, adjacency_count_model(n))
+        triples = [generate_coupled(params, derive_rng(53, i)) for i in range(samples)]
+        report = json.loads(outputs[0])
+        assert report["count_g1"] == sum(is_connected(t.g1) for t in triples)
+        assert report["count_union"] == sum(is_connected(t.u) for t in triples)
+
+    def test_verify_independent_counts(self, tmp_path):
+        code, text = run(
+            tmp_path, "verify", "--model", "adjcount", "--n", "8", "--base", "0.3",
+            "--property", "connected", "--samples", "300", "--seed", "54",
+            "--mode", "independent",
+        )
+        assert code == 0
+        report = json.loads(text)
+        for key, model, branch in (
+            ("est_er", er_model(8, 0.3), 0),
+            ("est_model", adjacency_count_model(8), 1),
+        ):
+            hits = sum(
+                is_connected(sample_direct(model, derive_rng(54, branch, i))) for i in range(300)
+            )
+            assert report[key]["successes"] == hits
+
+    def test_conditioned_tiny_budget_exits_2_with_scalar_message(self, monkeypatch, capsys):
+        monkeypatch.setattr(models, "DEFAULT_REJECTION_BUDGET", 2)
+        argv = "generate --model adjcount-cond --n 5 --samples 300 --seed 55".split()
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        model = conditioned_adjacency_model(5, budget=2)
+        with pytest.raises(SamplingFailureError) as err:
+            for idx in range(300):
+                model.sample(derive_rng(55, idx))
+        assert captured.err == f"error: {err.value}\n"
+
+    @pytest.mark.parametrize("command", ["couple", "verify"])
+    def test_conditioned_model_cannot_be_coupled(self, command, capsys):
+        argv = f"{command} --model adjcount-cond --n 6 --base 0.3 --samples 5 --seed 56"
+        if command == "verify":
+            argv += " --property connected --mode independent"
+        assert cli.main(argv.split()) == 2
+        assert "no sequential conditionals" in capsys.readouterr().err
+
+
+_FUZZ_PROPERTIES = ["connected", "match>=2", "clique>=3", "diam<=2", "domset<=2", "ham", "chrom>=3"]
+
+
+@st.composite
+def _fuzz_argv(draw):
+    """One CLI call; most are valid, the rest break one argument."""
+    broken = draw(st.sampled_from(
+        [None] * 6 + ["model", "n", "p", "base", "samples", "seed", "property", "trials"]
+    ))
+
+    def pick(name, valid, invalid):
+        return draw(st.sampled_from(invalid)) if name == broken else draw(valid)
+
+    command = draw(st.sampled_from(["generate", "couple", "verify"]))
+    model = pick("model", st.sampled_from(["er", "globalcount", "adjcount", "adjcount-cond"]),
+                 ["nosuch"])
+    probability = st.sampled_from(["0", "0.2", "0.3", "0.5", "1"])
+    bad_probability = ["-0.1", "1.5", "nan", "0.6"]
+    argv = [command, "--model", model, "--n", str(pick("n", st.integers(2, 8), [-1, 0, 1]))]
+    if model == "er" or broken == "p":
+        argv += ["--p", pick("p", probability, bad_probability)]
+    if command != "generate":
+        argv += ["--base", pick("base", probability, bad_probability)]
+    argv += ["--samples", str(pick("samples", st.integers(0, 50), [-2, -1])),
+             "--seed", str(pick("seed", st.integers(0, 2**64 - 1), [-1, 2**64]))]
+    if command == "verify":
+        argv += ["--property", pick("property", st.sampled_from(_FUZZ_PROPERTIES),
+                                    ["exactly-3-edges", "frobnicated", "match>=0"]),
+                 "--mode", draw(st.sampled_from(["coupled", "independent"])),
+                 "--threads", str(draw(st.integers(1, 3))),
+                 "--certify-trials", str(pick("trials", st.integers(0, 30), [-1]))]
+    return argv
+
+
+class TestFuzz:
+    @settings(max_examples=300)
+    @given(_fuzz_argv())
+    def test_exit_code_contract(self, argv):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        assert code in (0, 2, 3, 4, 5, 6)
+        assert "Traceback" not in err.getvalue()

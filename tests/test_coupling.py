@@ -13,12 +13,16 @@ from probust import (
     RobustnessViolationError,
     adjacency_count_model,
     coupled_stream,
+    derive_rng,
     er_model,
     generate_coupled,
+    global_count_model,
     p_prime,
     patch_probability,
     union_probability_identity,
 )
+from probust import coupling
+from probust.coupling import coupled_block
 
 probs = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
@@ -170,3 +174,90 @@ class TestCoupledStream:
         params = CouplingParams(0.3, adjacency_count_model(4))
         with pytest.raises(DomainError):
             list(coupled_stream(params, 5, -1))
+
+
+def triples_bits(triples):
+    return [(t.g1.bits, t.g2.bits, t.u.bits) for t in triples]
+
+
+def scalar_triples(params, seed, lo, hi):
+    return triples_bits(generate_coupled(params, derive_rng(seed, idx)) for idx in range(lo, hi))
+
+
+class TestCoupledBlock:
+    """coupled_stream's block path against generate_coupled, bit for bit."""
+
+    @pytest.mark.parametrize("n", range(1, 12))
+    def test_builtins_equal_scalar_path(self, n):
+        models = [er_model(n, 0.3), er_model(n, 1.0)]
+        if n >= 2:
+            models += [global_count_model(n), adjacency_count_model(n)]
+        for model in models:
+            for base in (0.0, 0.3, 1.0):
+                if base > model.floor:
+                    continue
+                params = CouplingParams(base, model)
+                got = triples_bits(t for _, t in coupled_stream(params, 41, 257))
+                assert got == scalar_triples(params, 41, 0, 257), (model.name, base)
+
+    @pytest.mark.parametrize("count", [0, 1, 255, 256, 257, 4097])
+    def test_sample_counts(self, count):
+        params = CouplingParams(0.3, adjacency_count_model(5))
+        got = list(coupled_stream(params, 42, count, start_index=3))
+        assert [idx for idx, _ in got] == list(range(3, 3 + count))
+        assert triples_bits(t for _, t in got) == scalar_triples(params, 42, 3, 3 + count)
+
+    def test_closure_model_takes_scalar_path(self):
+        space = EdgeSpace(5)
+        model = EdgeModel(space, 0.3, lambda i, h: 0.3 + 0.005 * h.present_count())
+        params = CouplingParams(0.3, model)
+        assert triples_bits(coupled_block(params, 43, 0, 300)) == scalar_triples(
+            params, 43, 0, 300
+        )
+
+    def test_m_above_63_takes_scalar_path(self, monkeypatch):
+        params = CouplingParams(0.3, adjacency_count_model(12))  # m = 66
+        monkeypatch.setattr(coupling, "_decide_block", None)  # any batched call fails
+        assert triples_bits(coupled_block(params, 44, 0, 10)) == scalar_triples(
+            params, 44, 0, 10
+        )
+
+    def test_batched_undershoot_raises_the_scalar_error(self):
+        space = EdgeSpace(5)
+        dent = 0b1011 << 6  # edges 7, 8 and 10 present, 9 absent, when edge 6 is decided
+
+        def conditional(i, history):
+            return 0.25 if i == 6 and history.bits == dent else 0.6
+
+        def conditionals(i, suffixes):
+            return np.where((i == 6) & (suffixes == dent), 0.25, 0.6)
+
+        params = CouplingParams(0.5, EdgeModel(space, 0.5, conditional, conditionals=conditionals))
+        with pytest.raises(RobustnessViolationError) as block_err:
+            list(coupled_stream(params, 45, 300))
+        with pytest.raises(RobustnessViolationError) as scalar_err:
+            scalar_triples(params, 45, 0, 300)
+        assert block_err.value.edge == scalar_err.value.edge == 6
+        assert block_err.value.history == scalar_err.value.history
+        assert str(block_err.value) == str(scalar_err.value)
+
+    def test_lazy_scalar_fallback_yields_up_to_the_error(self):
+        space = EdgeSpace(4)
+
+        def conditional(i, history):
+            return 0.2 if i == 1 and history.bits.bit_count() == 5 else 0.6
+
+        def conditionals(i, suffixes):
+            return np.where((i == 1) & (np.bitwise_count(suffixes) == 5), 0.2, 0.6)
+
+        params = CouplingParams(0.5, EdgeModel(space, 0.5, conditional, conditionals=conditionals))
+        stream = coupled_stream(params, 46, 300)
+        seen = []
+        with pytest.raises(RobustnessViolationError):
+            for idx, triple in stream:
+                seen.append(triple)
+        first_bad = len(seen)
+        assert 0 < first_bad < 256  # the error falls inside the first block
+        assert triples_bits(seen) == scalar_triples(params, 46, 0, first_bad)
+        with pytest.raises(RobustnessViolationError):
+            generate_coupled(params, derive_rng(46, first_bad))

@@ -13,12 +13,15 @@ from probust import (
     UnsupportedScaleError,
     adjacency_count_model,
     conditioned_adjacency_model,
+    derive_rng,
     er_model,
     global_count_model,
     robustness_floor_check,
     sample_direct,
 )
-from probust.models import satisfies_min_adjacent
+from probust import models
+from probust.models import batchable, sample_block, satisfies_min_adjacent
+from probust.rngstreams import index_blocks
 
 
 def history_with_count(space, i, k):
@@ -246,3 +249,91 @@ class TestModelDescriptor:
             ModelDescriptor.from_json("{not json")
         with pytest.raises(DomainError):
             ModelDescriptor.from_json('{"kind": "er", "n": 3, "extra": 1}')
+
+
+def builtin_models(n):
+    models = [er_model(n, 0.3), er_model(n, 1.0)]
+    if n >= 2:
+        models += [global_count_model(n), adjacency_count_model(n)]
+    return models
+
+
+def blocked(source, seed, branch, count):
+    """Every sample of 0..count-1 through the block sampler, block by block."""
+    return [
+        g.bits
+        for lo, hi in index_blocks(count)
+        for g in sample_block(source, seed, branch, lo, hi)
+    ]
+
+
+def scalar(source, seed, branch, count):
+    return [source.sample(derive_rng(seed, *branch, idx)).bits for idx in range(count)]
+
+
+class TestSampleBlock:
+    """The block sampler against the scalar reference, bit for bit."""
+
+    @pytest.mark.parametrize("n", range(1, 12))
+    def test_builtins_equal_scalar_path(self, n):
+        for model in builtin_models(n):
+            assert batchable(model)
+            assert blocked(model, 31, (1,), 257) == scalar(model, 31, (1,), 257)
+
+    @pytest.mark.parametrize("count", [0, 1, 255, 256, 257, 4097])
+    def test_sample_counts(self, count):
+        model = adjacency_count_model(6)
+        assert blocked(model, 32, (), count) == scalar(model, 32, (), count)
+
+    def test_blocks_are_index_ranges(self):
+        model = global_count_model(7)
+        block = sample_block(model, 33, (4,), 300, 310)
+        assert [g.bits for g in block] == scalar(model, 33, (4,), 310)[300:]
+
+    def test_closure_model_takes_scalar_path(self):
+        space = EdgeSpace(5)
+        model = EdgeModel(space, 0.2, lambda i, h: 0.2 + 0.05 * h.present_count())
+        assert not batchable(model)
+        assert blocked(model, 34, (), 300) == scalar(model, 34, (), 300)
+
+    def test_m_above_63_takes_scalar_path(self, monkeypatch):
+        model = adjacency_count_model(12)  # m = 66
+        assert not batchable(model)
+        monkeypatch.setattr(models, "_decide_block", None)  # any batched call fails
+        assert blocked(model, 35, (), 20) == scalar(model, 35, (), 20)
+
+    def test_out_of_range_conditional_raises_the_scalar_error(self):
+        space = EdgeSpace(5)
+
+        def conditional(i, h):
+            return 1.5 if i == 4 and h.present_count() == 3 else 0.5
+
+        def conditionals(i, suffixes):
+            return np.where((i == 4) & (np.bitwise_count(suffixes) == 3), 1.5, 0.5)
+
+        batched = EdgeModel(space, 0.5, conditional, conditionals=conditionals)
+        with pytest.raises(ModelContractError) as block_err:
+            blocked(batched, 36, (), 300)
+        with pytest.raises(ModelContractError) as scalar_err:
+            scalar(batched, 36, (), 300)
+        assert str(block_err.value) == str(scalar_err.value)
+
+    def test_conditioned_model_equals_scalar_path(self):
+        for n in (4, 5, 6, 10):
+            model = conditioned_adjacency_model(n)
+            assert blocked(model, 37, (), 257) == scalar(model, 37, (), 257)
+
+    @pytest.mark.parametrize("budget", [0, 1, 3])
+    def test_conditioned_budget_exhaustion_matches_scalar(self, budget):
+        model = conditioned_adjacency_model(5, budget=budget)
+        with pytest.raises(SamplingFailureError) as block_err:
+            blocked(model, 38, (), 300)
+        with pytest.raises(SamplingFailureError) as scalar_err:
+            scalar(model, 38, (), 300)
+        assert str(block_err.value) == str(scalar_err.value)
+        assert block_err.value.attempts == scalar_err.value.attempts == budget
+
+    def test_conditioned_empty_event(self):
+        with pytest.raises(SamplingFailureError) as err:
+            blocked(conditioned_adjacency_model(3), 39, (), 5)
+        assert err.value.attempts == 0

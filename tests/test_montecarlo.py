@@ -6,6 +6,7 @@ import pytest
 from probust import (
     CouplingParams,
     DomainError,
+    EdgeModel,
     EdgeSpace,
     FORMULAS,
     PairedViolationError,
@@ -18,11 +19,14 @@ from probust import (
     degree_distribution_test,
     domination_test,
     er_model,
+    derive_rng,
     er_realization,
     estimate_property,
     exact_joint,
+    generate_coupled,
     exact_probability,
     parse_property,
+    sample_direct,
 )
 from probust.montecarlo import (
     compare_estimates,
@@ -87,6 +91,17 @@ class TestEstimateProperty:
         par = estimate_property(model, oracle, 3000, 5, workers=3)
         assert seq == par
 
+    @pytest.mark.parametrize("samples", [1, 255, 256, 257, 4097])
+    def test_counts_equal_scalar_loop_for_any_worker_count(self, samples):
+        model = adjacency_count_model(5)
+        oracle = parse_property("connected")
+        hits = sum(
+            oracle.decide(sample_direct(model, derive_rng(6, 1, idx))) for idx in range(samples)
+        )
+        for workers in (1, 2, 3):
+            est = estimate_property(model, oracle, samples, 6, branch=(1,), workers=workers)
+            assert est.successes == hits
+
     def test_hoeffding_method(self):
         est = estimate_property(er_model(3, 0.5), ALWAYS, 100, 1, method="hoeffding")
         assert est.method == "hoeffding" and est.ci_high == 1.0
@@ -143,6 +158,40 @@ class TestCoupledDominationTest:
         seq = coupled_domination_test(params, oracle, 2500, 14)
         par = coupled_domination_test(params, oracle, 2500, 14, workers=4)
         assert seq == par
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_first_violation_is_reported_for_any_worker_count(self, workers):
+        params = CouplingParams(0.3, adjacency_count_model(6))
+        oracle = exactly_edges_oracle(3)
+
+        def violates(idx):
+            t = generate_coupled(params, derive_rng(13, idx))
+            return oracle.decide(t.g1) and not oracle.decide(t.u)
+
+        first = next(idx for idx in range(2000) if violates(idx))
+        with pytest.raises(PairedViolationError) as err:
+            coupled_domination_test(params, oracle, 2000, 13, workers=workers)
+        assert str(err.value).startswith(f"sample {first}:")
+        assert err.value.triple == generate_coupled(params, derive_rng(13, first))
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_model_errors_cross_the_fork(self, workers):
+        space = EdgeSpace(5)
+
+        def conditional(i, history):
+            return 0.2 if i == 2 and history.present_count() == 8 else 0.6
+
+        def conditionals(i, suffixes):
+            return np.where((i == 2) & (np.bitwise_count(suffixes) == 8), 0.2, 0.6)
+
+        params = CouplingParams(0.5, EdgeModel(space, 0.5, conditional, conditionals=conditionals))
+        with pytest.raises(RobustnessViolationError) as scalar_err:
+            for idx in range(1000):
+                generate_coupled(params, derive_rng(16, idx))
+        with pytest.raises(RobustnessViolationError) as err:
+            coupled_domination_test(params, ALWAYS, 1000, 16, workers=workers)
+        assert str(err.value) == str(scalar_err.value)
+        assert (err.value.edge, err.value.history) == (2, scalar_err.value.history)
 
     def test_frequencies_near_exact_values(self):
         model = adjacency_count_model(4)

@@ -38,8 +38,6 @@ from probust.properties import (
     has_clique_at_least,
     has_diameter_at_most,
     matching_oracle,
-    _matching_blossom,
-    _matching_subset_dp,
 )
 
 
@@ -176,16 +174,36 @@ class TestMatching:
         assert max_matching_size(star(5)) == 1
         assert max_matching_size(cycle(5)) == 2
 
-    def test_dp_vs_blossom_vs_brute(self, rng):
+    def test_search_vs_brute_force(self, rng):
         for _ in range(60):
             g = random_graph(9, rng)
-            dp = _matching_subset_dp(g.space.n, g.neighbor_masks)
-            assert dp == _matching_blossom(g) == bf.brute_max_matching(g)
+            assert max_matching_size(g) == bf.brute_max_matching(g)
 
-    def test_blossom_route_at_large_n(self, rng):
-        g = random_graph(24, rng, p=0.2)
-        size = max_matching_size(g)
-        assert 0 <= size <= 12
+    def test_search_vs_networkx_up_to_the_cap(self, rng):
+        import time
+
+        import networkx as nx
+
+        def blossom(g):
+            graph = nx.Graph()
+            graph.add_nodes_from(range(g.space.n))
+            graph.add_edges_from(g.space.pairs[i - 1] for i in g.present_edges())
+            return len(nx.max_weight_matching(graph, maxcardinality=True))
+
+        graphs = [random_graph(n, rng, p) for n in range(20, 27) for p in (0.05, 0.1, 0.3)]
+        # unbalanced complete bipartite graphs never reach |S|//2, so the
+        # search visits the most subsets on them
+        for side in (set(range(5)), set(range(0, 24, 2))):  # K5,21 and K12,14
+            graphs.append(
+                graph(26, [(u, v) for u in range(26) for v in range(u + 1, 26)
+                           if (u in side) != (v in side)])
+            )
+        for g in graphs:
+            start = time.perf_counter()
+            size = max_matching_size(g)
+            assert time.perf_counter() - start < 5.0
+            assert size == blossom(g)
+        assert [max_matching_size(g) for g in graphs[-2:]] == [5, 12]
 
     def test_scale_cap(self):
         with pytest.raises(UnsupportedScaleError):
