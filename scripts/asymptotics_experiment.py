@@ -16,18 +16,12 @@ import argparse
 import os
 
 from probust import FORMULAS, asymptotic_report
-from probust.properties import (
-    diameter,
-    max_clique_size,
-    max_independent_set_size,
-    min_dominating_set_size,
-)
 
 SWEEPS = [
-    ("clique", max_clique_size, [32, 64, 128, 256], 0.5, None),
-    ("dominating-set", min_dominating_set_size, [12, 16, 20, 26], 0.5, None),
-    ("independent-set", max_independent_set_size, [20, 30, 40], None, 4.0),
-    ("diameter", diameter, [100, 300, 1000], None, 10.0),
+    ("clique", [32, 64, 128, 256], 0.5, None),
+    ("dominating-set", [12, 16, 20, 26], 0.5, None),
+    ("independent-set", [20, 30, 40], None, 4.0),
+    ("diameter", [100, 300, 1000], None, 10.0),
 ]
 
 
@@ -41,9 +35,10 @@ def main() -> None:
     if args.outdir:
         os.makedirs(args.outdir, exist_ok=True)
 
-    for name, statistic, ns, p, degree in SWEEPS:
+    for name, ns, p, degree in SWEEPS:
+        formula = FORMULAS[name]
         rows = asymptotic_report(
-            FORMULAS[name], statistic, ns, p, args.samples, args.seed, degree=degree
+            formula, formula.statistic, ns, p, args.samples, args.seed, degree=degree
         )
         print(f"\n{name}  ({FORMULAS[name].note})")
         print(f"{'n':>6} {'p':>9} {'predicted':>10} {'observed':>9} {'sd':>7}")

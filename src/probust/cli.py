@@ -46,7 +46,6 @@ from .montecarlo import (
     asymptotic_report,
     coupled_domination_test,
     degree_count_formula,
-    degree_count_statistic,
     domination_test,
 )
 from .properties import (
@@ -54,11 +53,7 @@ from .properties import (
     diameter,
     greedy_coloring_size,
     greedy_dominating_set_size,
-    longest_cycle_length,
     max_clique_size,
-    max_independent_set_size,
-    chromatic_number,
-    min_dominating_set_size,
     parse_property,
 )
 from .rngstreams import check_seed, derive_rng, index_blocks
@@ -73,15 +68,6 @@ _MODEL_ALIASES = {
     "adjacency-count": "adjacency-count",
     "adjcount-cond": "adjacency-count-conditioned",
     "adjacency-count-conditioned": "adjacency-count-conditioned",
-}
-
-_FORMULA_STATISTICS = {
-    "clique": (max_clique_size, "exact"),
-    "independent-set": (max_independent_set_size, "exact"),
-    "chromatic": (chromatic_number, "exact"),
-    "dominating-set": (min_dominating_set_size, "exact"),
-    "longest-cycle": (longest_cycle_length, "exact"),
-    "diameter": (diameter, "exact"),
 }
 
 
@@ -286,7 +272,9 @@ def cmd_verify(args) -> int:
         }
         code = 0
     else:
-        report = domination_test(model, args.base, oracle, args.samples, seed)
+        report = domination_test(
+            model, args.base, oracle, args.samples, seed, workers=args.threads
+        )
         payload = {
             "mode": "independent",
             "model": _descriptor_json(model),
@@ -362,10 +350,8 @@ def cmd_report(args) -> int:
         if args.k is None:
             raise DomainError("--formula degree-count needs --k")
         formula = degree_count_formula(args.k)
-        statistic, label = degree_count_statistic(args.k), "exact"
     elif args.formula in FORMULAS:
         formula = FORMULAS[args.formula]
-        statistic, label = _FORMULA_STATISTICS[args.formula]
     else:
         raise DomainError(
             f"unknown formula {args.formula!r}; options: "
@@ -375,14 +361,7 @@ def cmd_report(args) -> int:
     for n in ns:
         _reject_over_cli_caps(formula.name, n)
     rows = asymptotic_report(
-        formula,
-        statistic,
-        ns,
-        args.p,
-        args.samples,
-        seed,
-        degree=args.d,
-        statistic_label=label,
+        formula, formula.statistic, ns, args.p, args.samples, seed, degree=args.d
     )
     dict_rows = [
         {
@@ -405,9 +384,12 @@ def cmd_report(args) -> int:
 
 def _parse_n_list(text: str) -> list[int]:
     try:
-        return [int(part) for part in text.split(",") if part]
+        ns = [int(part) for part in text.split(",") if part]
     except ValueError as exc:
         raise DomainError(f"--n must be comma-separated integers, got {text!r}") from exc
+    if not ns:
+        raise DomainError(f"--n needs at least one vertex count, got {text!r}")
+    return ns
 
 
 def _preset_adjacency_bounds(args, seed: int) -> list[dict]:
@@ -419,6 +401,8 @@ def _preset_adjacency_bounds(args, seed: int) -> list[dict]:
     bounds. Quantities beyond their exact caps are reported with greedy
     stand-ins, labeled as such, never as ground truth.
     """
+    if args.samples < 1:
+        raise DomainError(f"samples must be >= 1, got {args.samples}")
     ns = _parse_n_list(args.n)
     for n in ns:
         _reject_over_cli_caps("clique", n)  # the preset decides max_clique_size

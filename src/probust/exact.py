@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING, Optional, Union
 
 import numpy as np
 
-from .coupling import CouplingParams, p_prime
+from .coupling import CouplingParams, _require_floor, p_prime
 from .errors import DomainError, UnsupportedScaleError
 from .graphs import EdgeSpace, Realization
 from .models import EdgeModel, _level_conditionals, er_model, satisfies_min_adjacent
@@ -25,6 +25,7 @@ if TYPE_CHECKING:
 MAX_JOINT_M = 21  # n = 7
 MAX_COUPLING_M = 10  # n = 5
 PROB_TOL = 1e-12
+SWEEP_BLOCK = 4096  # realizations whose neighbour masks are built at once
 
 
 @dataclass(frozen=True)
@@ -70,6 +71,7 @@ def exact_joint(model: EdgeModel) -> ExactDistribution:
     is the low bit; descending from i = m to 1 lands on the full table
     indexed by the realization bitmask.
     """
+    _require_floor(model)
     space = model.space
     m = space.m
     if m > MAX_JOINT_M:
@@ -149,11 +151,25 @@ def exact_coupling_joint(params: CouplingParams) -> ExactCouplingJoint:
 def _event_indicator(
     space: EdgeSpace, oracle: "PropertyOracle", support: np.ndarray
 ) -> np.ndarray:
-    """The oracle's decision on every realization in ``support``; False elsewhere."""
+    """The oracle's decision on every realization in ``support``; False elsewhere.
+
+    The neighbour masks of each block of realizations are built together,
+    one pass over the edges, and handed to the realizations the oracle sees.
+    """
     decide = oracle.decide
+    u, v = (e.tolist() for e in space.endpoints)
     indicator = np.zeros(support.size, dtype=bool)
-    for bits in np.flatnonzero(support).tolist():
-        indicator[bits] = bool(decide(Realization(space, bits)))
+    todo = np.flatnonzero(support)
+    for lo in range(0, todo.size, SWEEP_BLOCK):
+        block = todo[lo : lo + SWEEP_BLOCK].astype(np.int64)
+        masks = np.zeros((block.size, space.n), dtype=np.int64)
+        for i in range(space.m):
+            present = (block >> i) & 1
+            masks[:, u[i]] |= present << v[i]
+            masks[:, v[i]] |= present << u[i]
+        for bits, row in zip(block.tolist(), masks.tolist()):
+            g = Realization._with_neighbor_masks(space, bits, tuple(row))
+            indicator[bits] = bool(decide(g))
     return indicator
 
 
@@ -280,15 +296,16 @@ def exact_domination_check(
     that ``base`` does not exceed the model's floor; for a raw distribution
     table the floor is whatever :func:`min_full_conditional` says.
     """
-    if isinstance(model, EdgeModel):
+    if isinstance(model, ExactDistribution):
+        dist = model
+    else:
+        _require_floor(model)
         if base > model.floor:
             raise DomainError(
                 f"base {base} exceeds model floor {model.floor}; the comparison "
                 "is only guaranteed up to the floor"
             )
         dist = exact_joint(model)
-    else:
-        dist = model
     space = dist.space
     if space.m > MAX_JOINT_M:
         raise UnsupportedScaleError(f"domination check caps at m={MAX_JOINT_M}")

@@ -6,6 +6,11 @@ order of the vertex pair (u, v) with 0 <= u < v < n; bit ``i-1`` of the mask
 is set iff edge ``i`` is present. The index order is a frozen convention:
 history-dependent edge models are *defined* relative to it, and the coupled
 generator decides edges from index m down to 1.
+
+Conversions from a mask to structure go through numpy, starting from
+:meth:`Realization.present_positions`. Neighbor masks of a mask of at most
+``WORD_BITS`` edges (n <= 11, one signed 64-bit word) are the exception:
+there a Python bit loop beats numpy's per-call overhead.
 """
 
 from __future__ import annotations
@@ -14,7 +19,11 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, NamedTuple
 
+import numpy as np
+
 from .errors import DomainError
+
+WORD_BITS = 63  # edges in one int64 mask; m <= 63 means n <= 11
 
 
 @dataclass(frozen=True)
@@ -36,9 +45,20 @@ class EdgeSpace:
         return (1 << self.m) - 1
 
     @cached_property
+    def endpoints(self) -> tuple[np.ndarray, np.ndarray]:
+        """Endpoint arrays (u, v) of every edge; position i-1 holds edge i's.
+
+        Built on first use and cached on this instance only.
+        """
+        u, v = np.triu_indices(self.n, 1)
+        dtype = np.int16 if self.n <= np.iinfo(np.int16).max else np.int32
+        return u.astype(dtype), v.astype(dtype)
+
+    @cached_property
     def pairs(self) -> tuple[tuple[int, int], ...]:
         """Vertex pair of each edge, position i-1 holds edge i's pair."""
-        return tuple((u, v) for u in range(self.n) for v in range(u + 1, self.n))
+        u, v = self.endpoints
+        return tuple(zip(u.tolist(), v.tolist()))
 
     @cached_property
     def _edge_adjacency(self) -> tuple[int, ...]:
@@ -102,13 +122,15 @@ class Realization:
     def edge_count(self) -> int:
         return self.bits.bit_count()
 
+    def present_positions(self) -> np.ndarray:
+        """Bit positions (edge index - 1) of the present edges, ascending."""
+        m = self.space.m
+        raw = np.frombuffer(self.bits.to_bytes((m + 7) // 8, "little"), dtype=np.uint8)
+        return np.flatnonzero(np.unpackbits(raw, count=m, bitorder="little"))
+
     def present_edges(self) -> Iterator[int]:
         """Edge indices present, ascending."""
-        b = self.bits
-        while b:
-            low = b & -b
-            yield low.bit_length()
-            b ^= low
+        return iter((self.present_positions() + 1).tolist())
 
     def complement(self) -> "Realization":
         return Realization(self.space, self.bits ^ self.space.full_mask)
@@ -123,8 +145,18 @@ class Realization:
     @cached_property
     def neighbor_masks(self) -> tuple[int, ...]:
         """Per-vertex bitmask of neighbors; cached, the realization is immutable."""
-        masks = [0] * self.space.n
-        pairs = self.space.pairs
+        space = self.space
+        n = space.n
+        if space.m > WORD_BITS:
+            pos = self.present_positions()
+            u, v = space.endpoints
+            adj = np.zeros((n, n), dtype=bool)
+            adj[u[pos], v[pos]] = True
+            adj[v[pos], u[pos]] = True
+            rows = np.packbits(adj, axis=1, bitorder="little")
+            return tuple(int.from_bytes(row.tobytes(), "little") for row in rows)
+        masks = [0] * n
+        pairs = space.pairs
         b = self.bits
         while b:
             low = b & -b
@@ -133,6 +165,16 @@ class Realization:
             masks[v] |= 1 << u
             b ^= low
         return tuple(masks)
+
+    @classmethod
+    def _with_neighbor_masks(
+        cls, space: EdgeSpace, bits: int, masks: tuple[int, ...]
+    ) -> "Realization":
+        """A realization whose neighbor masks were built elsewhere, in bulk;
+        ``masks`` must be what :attr:`neighbor_masks` would compute."""
+        g = cls(space, bits)
+        g.__dict__["neighbor_masks"] = masks  # the cached_property's slot
+        return g
 
     def to_hex(self) -> str:
         """Lowercase fixed-width hex, least-significant bit = edge index 1."""
@@ -227,17 +269,15 @@ def adjacent_present_count(g: Realization, i: int) -> int:
 
 
 def degree_histogram(g: Realization) -> dict[int, int]:
-    """Map degree -> number of vertices with that degree (zero counts omitted)."""
-    degs = [0] * g.space.n
-    pairs = g.space.pairs
-    b = g.bits
-    while b:
-        low = b & -b
-        u, v = pairs[low.bit_length() - 1]
-        degs[u] += 1
-        degs[v] += 1
-        b ^= low
+    """Map degree -> number of vertices with that degree (zero counts omitted).
+
+    Keys are in order of the first vertex with that degree.
+    """
+    n = g.space.n
+    pos = g.present_positions()
+    u, v = g.space.endpoints
+    degs = np.bincount(u[pos], minlength=n) + np.bincount(v[pos], minlength=n)
     hist: dict[int, int] = {}
-    for d in degs:
+    for d in degs.tolist():
         hist[d] = hist.get(d, 0) + 1
     return hist

@@ -35,11 +35,11 @@ from .errors import (
     SamplingFailureError,
     UnsupportedScaleError,
 )
-from .graphs import EdgeSpace, Realization, SuffixHistory
+from .graphs import WORD_BITS, EdgeSpace, Realization, SuffixHistory
 from .rngstreams import coin_rows, derive_rng
 
 EXHAUSTIVE_FLOOR_CHECK_MAX_M = 24
-BATCH_MAX_M = 63  # batched sampling keeps suffixes in int64 masks
+BATCH_MAX_M = WORD_BITS  # batched sampling keeps suffixes in int64 masks
 
 MODEL_KINDS = (
     "er",

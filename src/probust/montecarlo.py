@@ -27,7 +27,15 @@ from .coupling import CouplingParams, _require_floor, coupled_block
 from .errors import DomainError, PairedViolationError, RobustnessViolationError
 from .graphs import EdgeSpace, Realization, degree_histogram
 from .models import EdgeModel, er_model, sample_block
-from .properties import PropertyOracle
+from .properties import (
+    PropertyOracle,
+    chromatic_number,
+    diameter,
+    longest_cycle_length,
+    max_clique_size,
+    max_independent_set_size,
+    min_dominating_set_size,
+)
 from .rngstreams import derive_rng, index_blocks
 
 DEFAULT_CONFIDENCE = 0.99
@@ -203,12 +211,13 @@ def domination_test(
     samples: int,
     master_seed: int,
     method: str = "wilson",
+    workers: int = 1,
 ) -> DominationReport:
     """Independent two-sample consistency check of the domination inequality.
 
     Caller certifies the oracle monotone first. A "consistent" verdict is
     not a proof; "refuted" means the one-sided contradiction holds at the
-    interval confidence on each side.
+    interval confidence on each side. ``workers`` never changes the result.
     """
     _require_floor(model)
     if base > model.floor:
@@ -216,8 +225,12 @@ def domination_test(
             f"base {base} exceeds the model floor {model.floor}"
         )
     reference = er_model(model.space.n, base)
-    est_er = estimate_property(reference, oracle, samples, master_seed, branch=(0,), method=method)
-    est_model = estimate_property(model, oracle, samples, master_seed, branch=(1,), method=method)
+    est_er = estimate_property(
+        reference, oracle, samples, master_seed, branch=(0,), method=method, workers=workers
+    )
+    est_model = estimate_property(
+        model, oracle, samples, master_seed, branch=(1,), method=method, workers=workers
+    )
     return DominationReport(
         oracle_name=oracle.name,
         est_er=est_er,
@@ -309,11 +322,13 @@ def coupled_domination_test(
 
 @dataclass(frozen=True)
 class AsymptoticFormula:
-    """A named prediction f(n, p) with a validity note; no verdicts here."""
+    """A named prediction f(n, p) with a validity note, and the exact
+    statistic of a realization it predicts; no verdicts here."""
 
     name: str
     predict: Callable[[int, float], float]
     note: str
+    statistic: Callable[[Realization], float]
 
 
 def _avg_degree(n: int, p: float) -> float:
@@ -325,31 +340,37 @@ FORMULAS: dict[str, AsymptoticFormula] = {
         "clique",
         lambda n, p: 2.0 * math.log(n) / math.log(1.0 / p),
         "max clique ~ 2 log_{1/p} n; first-order, needs 0 < p < 1",
+        max_clique_size,
     ),
     "independent-set": AsymptoticFormula(
         "independent-set",
         lambda n, p: 2.0 * n * math.log(_avg_degree(n, p)) / _avg_degree(n, p),
         "max independent set ~ 2n ln(d)/d with d = p(n-1); sparse regime",
+        max_independent_set_size,
     ),
     "chromatic": AsymptoticFormula(
         "chromatic",
         lambda n, p: n / (math.log(n) / math.log(1.0 / (1.0 - p))),
         "chromatic number ~ n / log_b n with b = 1/(1-p)",
+        chromatic_number,
     ),
     "dominating-set": AsymptoticFormula(
         "dominating-set",
         lambda n, p: math.log(n) / math.log(1.0 / (1.0 - p)),
         "min dominating set ~ log_b n with b = 1/(1-p); first-moment value",
+        min_dominating_set_size,
     ),
     "longest-cycle": AsymptoticFormula(
         "longest-cycle",
         lambda n, p: n * (1.0 - _avg_degree(n, p) * math.exp(-_avg_degree(n, p))),
         "longest cycle ~ n(1 - d e^{-d}) at constant average degree d",
+        longest_cycle_length,
     ),
     "diameter": AsymptoticFormula(
         "diameter",
         lambda n, p: math.log(n) / math.log(n * p),
         "diameter ~ log n / log(np) for np -> infinity; components convention",
+        diameter,
     ),
 }
 
@@ -359,6 +380,7 @@ def degree_count_formula(k: int) -> AsymptoticFormula:
         f"degree-count-{k}",
         lambda n, p: n * _avg_degree(n, p) ** k * math.exp(-_avg_degree(n, p)) / math.factorial(k),
         f"nodes of degree {k} ~ n d^k e^(-d) / k!; Poisson form of the binomial",
+        degree_count_statistic(k),
     )
 
 

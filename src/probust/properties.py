@@ -23,14 +23,14 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DomainError, UnsupportedScaleError
-from .graphs import EdgeSpace, Realization
+from .graphs import WORD_BITS, EdgeSpace, Realization
 
 CHROMATIC_MAX_N = 20
 DOMSET_MAX_N = 26
 HAMILTONIAN_MAX_N = 20
 MATCHING_MAX_N = 26
 LONGEST_CYCLE_MAX_N = 16
-_DIAMETER_MASK_MAX_N = 64
+_DIAMETER_GATHER_WORDS = 1 << 20  # uint64 words of neighbour rows gathered at once
 
 
 # ---------------------------------------------------------------------------
@@ -353,8 +353,8 @@ def _eccentricity(n: int, adj: tuple[int, ...], s: int, cutoff: Optional[int] = 
 def diameter(g: Realization) -> int:
     """Largest diameter among connected components; 0 for a single vertex."""
     n = g.space.n
-    if n > _DIAMETER_MASK_MAX_N:
-        return _diameter_large(g)
+    if g.space.m > WORD_BITS:
+        return _diameter_bit_parallel(g)
     adj = g.neighbor_masks
     best = 0
     for s in range(n):
@@ -364,24 +364,49 @@ def diameter(g: Realization) -> int:
     return best
 
 
-def _diameter_large(g: Realization) -> int:
-    from scipy import sparse
-    from scipy.sparse.csgraph import shortest_path
+def _diameter_bit_parallel(g: Realization) -> int:
+    """Breadth-first search from every vertex at once, one bit per source.
 
+    Row v of ``reach`` packs the vertices within distance d of v into uint64
+    words; a level ORs each vertex's neighbours' rows into its own. The first
+    level that adds no vertex anywhere ends the search, and the levels that
+    did add one count the largest eccentricity, i.e. the largest component
+    diameter (Then et al., "The More the Merrier", PVLDB 2014).
+    """
     n = g.space.n
-    pairs = g.space.pairs
-    rows, cols = [], []
-    for i in g.present_edges():
-        u, v = pairs[i - 1]
-        rows.append(u)
-        cols.append(v)
-    a = sparse.csr_matrix(
-        (np.ones(len(rows)), (np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64))),
-        shape=(n, n),
-    )
-    dist = shortest_path(a + a.T, method="D", unweighted=True, directed=False)
-    finite = dist[np.isfinite(dist)]
-    return int(finite.max()) if finite.size else 0
+    pos = g.present_positions()
+    u, v = g.space.endpoints
+    src = np.concatenate([u[pos], v[pos]])
+    nbrs = np.concatenate([v[pos], u[pos]])[np.argsort(src, kind="stable")]
+    deg = np.bincount(src, minlength=n)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(deg, out=indptr[1:])
+    words = (n + 63) // 64
+    ids = np.arange(n)
+    reach = np.zeros((n, words), dtype=np.uint64)
+    reach[ids, ids >> 6] = np.left_shift(np.uint64(1), (ids & 63).astype(np.uint64))
+    # vertex ranges whose neighbour rows fill at most the gather budget (a
+    # range is one vertex when that vertex alone exceeds it); isolated
+    # vertices have empty reduceat segments and are left out of each range
+    cap = max(1, _DIAMETER_GATHER_WORDS // words)
+    chunks = []
+    lo = 0
+    while lo < n:
+        hi = max(lo + 1, int(np.searchsorted(indptr, indptr[lo] + cap, side="right")) - 1)
+        has = np.flatnonzero(deg[lo:hi]) + lo
+        if has.size:
+            chunks.append((has, indptr[lo], indptr[hi]))
+        lo = hi
+    levels = 0
+    while True:
+        grown = reach.copy()
+        for has, a, b in chunks:
+            rows = reach[nbrs[a:b]]
+            grown[has] |= np.bitwise_or.reduceat(rows, indptr[has] - a, axis=0)
+        if np.array_equal(grown, reach):
+            return levels
+        reach = grown
+        levels += 1
 
 
 def has_diameter_at_most(g: Realization, k: int) -> bool:

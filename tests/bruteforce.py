@@ -20,6 +20,53 @@ from probust import Realization
 INF = float("inf")
 
 
+# ---------------------------------------------------------------------------
+# low-bit loop references for the bitmask-to-structure conversions
+
+
+def ref_pairs(n: int) -> tuple[tuple[int, int], ...]:
+    return tuple((u, v) for u in range(n) for v in range(u + 1, n))
+
+
+def ref_present_edges(g: Realization) -> list[int]:
+    out = []
+    b = g.bits
+    while b:
+        low = b & -b
+        out.append(low.bit_length())
+        b ^= low
+    return out
+
+
+def ref_neighbor_masks(g: Realization) -> tuple[int, ...]:
+    masks = [0] * g.space.n
+    pairs = ref_pairs(g.space.n)
+    b = g.bits
+    while b:
+        low = b & -b
+        u, v = pairs[low.bit_length() - 1]
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+        b ^= low
+    return tuple(masks)
+
+
+def ref_degree_histogram(g: Realization) -> dict[int, int]:
+    degs = [0] * g.space.n
+    pairs = ref_pairs(g.space.n)
+    b = g.bits
+    while b:
+        low = b & -b
+        u, v = pairs[low.bit_length() - 1]
+        degs[u] += 1
+        degs[v] += 1
+        b ^= low
+    hist: dict[int, int] = {}
+    for d in degs:
+        hist[d] = hist.get(d, 0) + 1
+    return hist
+
+
 def _adj_sets(g: Realization) -> list[set[int]]:
     n = g.space.n
     adj: list[set[int]] = [set() for _ in range(n)]

@@ -27,6 +27,7 @@ seeds against networkx and a scipy set-cover ILP in test_properties.py,
 and against brute force at n <= 8 by criterion 8.
 """
 
+import hashlib
 import json
 import math
 import time
@@ -629,3 +630,25 @@ def test_criterion_10_determinism(tmp_path):
     )
     assert not missing, f"non-deterministic criterion artifacts: {missing}"
     assert not unstable, f"non-deterministic cli outputs: {unstable}"
+
+
+@pytest.fixture(scope="module", autouse=True)
+def write_store_to_cache(pytestconfig):
+    """After the gate's tests, store each criterion's record in the pytest
+    cache under ``probust/acceptance`` (``pytest --cache-show
+    'probust/*'`` prints it): passed, first-run duration in seconds, double-
+    run identity and the SHA-256 of the artifact bytes, null where a
+    criterion has no such field."""
+    yield
+    cache = getattr(pytestconfig, "cache", None)  # None under -p no:cacheprovider
+    if cache is None:
+        return
+    cache.set("probust/acceptance", {
+        crit: {
+            "passed": rec.get("passed"),
+            "duration": rec.get("duration"),
+            "identical": rec.get("identical"),
+            "sha256": hashlib.sha256(rec["bytes"].encode()).hexdigest() if "bytes" in rec else None,
+        }
+        for crit, rec in STORE.items()
+    })

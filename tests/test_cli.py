@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from probust import (
+    FORMULAS,
     CouplingParams,
     ModelDescriptor,
     SamplingFailureError,
@@ -369,6 +370,10 @@ class TestUsage:
              "count must be >= 0"),
             ("report --formula clique --n 16,600 --p 0.5 --samples 1 --seed 1", None, 4,
              "capped at n=512"),
+            ("report --preset adjacency-bounds --n 8 --samples 0 --seed 1", None, 2,
+             "samples must be >= 1"),
+            ("report --formula clique --n , --p 0.5 --format csv --seed 1", None, 2,
+             "at least one vertex count"),
         ],
     )
     def test_bad_input_exit_codes(self, argv, env_seed, code, message, monkeypatch, capsys):
@@ -439,6 +444,29 @@ class TestBlockSampledOutput:
         assert report["count_g1"] == sum(is_connected(t.g1) for t in triples)
         assert report["count_union"] == sum(is_connected(t.u) for t in triples)
 
+    def test_verify_independent_threads(self, tmp_path, monkeypatch):
+        from probust import montecarlo
+
+        seen = []
+        map_blocks = montecarlo._map_blocks
+
+        def spy(work, count, workers=1):
+            seen.append(workers)
+            return map_blocks(work, count, workers)
+
+        monkeypatch.setattr(montecarlo, "_map_blocks", spy)
+        outputs = []
+        for threads in ("1", "2", "3"):
+            code, text = run(
+                tmp_path, "verify", "--model", "adjcount", "--n", "7", "--base", "0.3",
+                "--property", "connected", "--samples", "700", "--seed", "57",
+                "--mode", "independent", "--threads", threads, name=f"i{threads}.json",
+            )
+            assert code == 0
+            outputs.append(text)
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert seen == [1, 1, 2, 2, 3, 3]  # the er and the model estimate of each run
+
     def test_verify_independent_counts(self, tmp_path):
         code, text = run(
             tmp_path, "verify", "--model", "adjcount", "--n", "8", "--base", "0.3",
@@ -468,11 +496,16 @@ class TestBlockSampledOutput:
                 model.sample(derive_rng(55, idx))
         assert captured.err == f"error: {err.value}\n"
 
-    @pytest.mark.parametrize("command", ["couple", "verify"])
-    def test_conditioned_model_cannot_be_coupled(self, command, capsys):
-        argv = f"{command} --model adjcount-cond --n 6 --base 0.3 --samples 5 --seed 56"
-        if command == "verify":
-            argv += " --property connected --mode independent"
+    @pytest.mark.parametrize("argv", [
+        "couple --model adjcount-cond --n 6 --base 0.3 --samples 5 --seed 56",
+        "verify --model adjcount-cond --n 6 --base 0.3 --samples 5 --seed 56 "
+        "--property connected --mode independent",
+        "exact --model adjcount-cond --n 4 --check joint",
+        "exact --model adjcount-cond --n 4 --check domination --base 0.3 --property connected "
+        "--seed 56",
+        "exact --model adjcount-cond --n 4 --check coupling --base 0.3",
+    ], ids=["couple", "verify", "exact-joint", "exact-domination", "exact-coupling"])
+    def test_conditioned_model_cannot_be_coupled(self, argv, capsys):
         assert cli.main(argv.split()) == 2
         assert "no sequential conditionals" in capsys.readouterr().err
 
@@ -490,29 +523,52 @@ def _fuzz_argv(draw):
     def pick(name, valid, invalid):
         return draw(st.sampled_from(invalid)) if name == broken else draw(valid)
 
-    command = draw(st.sampled_from(["generate", "couple", "verify"]))
-    model = pick("model", st.sampled_from(["er", "globalcount", "adjcount", "adjcount-cond"]),
-                 ["nosuch"])
+    command = draw(st.sampled_from(["generate", "couple", "verify", "exact", "report"]))
     probability = st.sampled_from(["0", "0.2", "0.3", "0.5", "1"])
     bad_probability = ["-0.1", "1.5", "nan", "0.6"]
-    argv = [command, "--model", model, "--n", str(pick("n", st.integers(2, 8), [-1, 0, 1]))]
+    seed = ["--seed", str(pick("seed", st.integers(0, 2**64 - 1), [-1, 2**64]))]
+    if command == "report":
+        kind = draw(st.sampled_from(sorted(FORMULAS) + ["degree-count", "preset"]))
+        if kind == "preset":
+            argv = [command, "--preset", "adjacency-bounds"]
+        else:
+            argv = [command, "--formula", pick("model", st.just(kind), ["nosuch"])]
+        if kind == "degree-count":
+            argv += ["--k", str(draw(st.integers(0, 6)))]
+        argv += ["--n", pick("n", st.integers(2, 64).map(str), ["-1", "0", "1", "4,x", ","])]
+        if draw(st.booleans()):
+            argv += ["--p", pick("p", probability, bad_probability)]
+        else:
+            argv += ["--d", pick("p", st.sampled_from(["0", "1", "3", "10"]), ["-1", "nan", "100"])]
+        return argv + ["--samples", str(pick("samples", st.integers(1, 5), [-1, 0])),
+                       "--format", draw(st.sampled_from(["json", "csv", "text"]))] + seed
+    model = pick("model", st.sampled_from(["er", "globalcount", "adjcount", "adjcount-cond"]),
+                 ["nosuch"])
+    if command == "exact":
+        check = draw(st.sampled_from(["joint", "coupling", "domination"]))
+        n = pick("n", st.integers(2, 5), [-1, 0, 1, 8])
+        argv = [command, "--model", model, "--n", str(n), "--check", check]
+    else:
+        argv = [command, "--model", model, "--n", str(pick("n", st.integers(2, 8), [-1, 0, 1]))]
     if model == "er" or broken == "p":
         argv += ["--p", pick("p", probability, bad_probability)]
-    if command != "generate":
+    if command in ("couple", "verify") or (command == "exact" and check != "joint"):
         argv += ["--base", pick("base", probability, bad_probability)]
-    argv += ["--samples", str(pick("samples", st.integers(0, 50), [-2, -1])),
-             "--seed", str(pick("seed", st.integers(0, 2**64 - 1), [-1, 2**64]))]
-    if command == "verify":
+    if command != "exact":
+        argv += ["--samples", str(pick("samples", st.integers(0, 50), [-2, -1]))]
+    argv += seed
+    if command == "verify" or (command == "exact" and check == "domination"):
         argv += ["--property", pick("property", st.sampled_from(_FUZZ_PROPERTIES),
                                     ["exactly-3-edges", "frobnicated", "match>=0"]),
-                 "--mode", draw(st.sampled_from(["coupled", "independent"])),
-                 "--threads", str(draw(st.integers(1, 3))),
                  "--certify-trials", str(pick("trials", st.integers(0, 30), [-1]))]
+    if command == "verify":
+        argv += ["--mode", draw(st.sampled_from(["coupled", "independent"])),
+                 "--threads", str(draw(st.integers(1, 3)))]
     return argv
 
 
 class TestFuzz:
-    @settings(max_examples=300)
+    @settings(max_examples=500)
     @given(_fuzz_argv())
     def test_exit_code_contract(self, argv):
         err = io.StringIO()

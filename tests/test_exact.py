@@ -32,6 +32,7 @@ from probust import (
     sequential_conditional,
     tv_distance,
 )
+from probust import exact as exact_module
 from probust.models import satisfies_min_adjacent
 
 ALWAYS = PropertyOracle("always", lambda g: True)
@@ -294,6 +295,53 @@ class TestDomination:
                     want += w
             assert prob == want
             assert exact_probability(dist, oracle) == want
+
+
+SHIPPED_PROPERTIES = [
+    "clique>=3", "chrom>=3", "match>=2", "diam<=2", "domset<=2", "ham", "connected",
+    "exactly-3-edges",
+]
+
+
+class TestEventIndicator:
+    """The sweep hands each realization neighbour masks built for its whole
+    block; decisions must equal a per-realization scalar loop."""
+
+    @staticmethod
+    def support(n, seed):
+        size = 1 << EdgeSpace(n).m
+        if n < 6:
+            return np.ones(size, dtype=bool)
+        return np.random.default_rng(seed).random(size) < 0.1  # a subset at n = 6
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("block", [7, exact_module.SWEEP_BLOCK])
+    def test_matches_scalar_loop_for_every_shipped_oracle(self, n, block, monkeypatch):
+        monkeypatch.setattr(exact_module, "SWEEP_BLOCK", block)
+        space = EdgeSpace(n)
+        support = self.support(n, seed=n)
+        for prop in SHIPPED_PROPERTIES:
+            oracle = parse_property(prop)
+            want = np.zeros(support.size, dtype=bool)
+            for bits in np.flatnonzero(support).tolist():
+                want[bits] = bool(oracle.decide(Realization(space, bits)))
+            got = exact_module._event_indicator(space, oracle, support)
+            assert np.array_equal(got, want), prop
+
+    @pytest.mark.parametrize("n", [2, 5, 7])
+    def test_handed_masks_are_the_computed_ones(self, n):
+        space = EdgeSpace(n)
+        support = np.zeros(1 << space.m, dtype=bool)
+        support[np.random.default_rng(n).integers(0, support.size, 3000)] = True
+        support[[0, -1]] = True
+        seen = []
+
+        def record(g):
+            seen.append(g.neighbor_masks == Realization(space, g.bits).neighbor_masks)
+            return True
+
+        got = exact_module._event_indicator(space, PropertyOracle("all", record), support)
+        assert np.array_equal(got, support) and all(seen) and len(seen) == support.sum()
 
 
 class TestConditioning:

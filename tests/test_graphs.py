@@ -1,7 +1,9 @@
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bruteforce as bf
 from probust import (
     DomainError,
     EdgeSpace,
@@ -131,6 +133,47 @@ class TestDegreeHistogram:
         hist = degree_histogram(g)
         assert sum(hist.values()) == n
         assert sum(d * c for d, c in hist.items()) == 2 * g.edge_count()
+
+
+@st.composite
+def realizations(draw, n, max_density=1.0):
+    """Any bitmask, or one drawn at a density (empty and complete included);
+    with ``max_density`` < 1, only the latter, which bounds the edge count."""
+    space = EdgeSpace(n)
+    if max_density == 1.0 and draw(st.booleans()):
+        return Realization(space, draw(bits_strategy(space.m)))
+    density = draw(st.sampled_from([d for d in (0.0, 0.01, 0.1, 0.5, 1.0) if d <= max_density]))
+    present = np.random.default_rng(draw(st.integers(0, 2**32))).random(space.m) < density
+    packed = np.packbits(present, bitorder="little").tobytes()
+    return Realization(space, int.from_bytes(packed, "little"))
+
+
+class TestConversionsMatchLowBitLoops:
+    """The numpy conversions against the low-bit loops they replaced, on
+    both sides of the one-word limit (m = 55, 66, 78) and well past it."""
+
+    @staticmethod
+    def check(g):
+        assert g.space.pairs == bf.ref_pairs(g.space.n)
+        assert list(g.present_edges()) == bf.ref_present_edges(g)
+        assert g.neighbor_masks == bf.ref_neighbor_masks(g)
+        # same counts and the same key order
+        assert list(degree_histogram(g).items()) == list(bf.ref_degree_histogram(g).items())
+
+    @given(st.sampled_from([1, 2, 11, 12, 13, 64, 65]).flatmap(realizations))
+    def test_word_boundary_and_n_64_65(self, g):
+        self.check(g)
+
+    @settings(max_examples=5)
+    @given(realizations(1000, max_density=0.01))
+    def test_n_1000(self, g):
+        self.check(g)
+
+    def test_endpoints_are_cached_and_narrow(self):
+        space = EdgeSpace(30)
+        u, v = space.endpoints
+        assert space.endpoints[0] is u and u.dtype == np.int16
+        assert list(zip(u.tolist(), v.tolist())) == list(bf.ref_pairs(30))
 
 
 class TestRealizationSerialization:

@@ -140,12 +140,44 @@ class TestDiameter:
         assert diameter(empty(6)) == 0
 
     def test_large_n_route_agrees(self, rng):
-        # the scipy path (n > 64) against the bitmask path on the same graph
-        from probust.properties import _diameter_large
-
+        # past one word of edges (n >= 12) diameter takes the bit-parallel route
         for _ in range(10):
             g = random_graph(40, rng, p=0.15)
-            assert _diameter_large(g) == diameter(g)
+            assert diameter(g) == bf.nx_diameter(g)
+
+    @staticmethod
+    def components(n, sizes, density, seed):
+        """Disjoint random graphs on consecutive vertex blocks of the given
+        sizes; the vertices after the last block stay isolated."""
+        rng = np.random.default_rng(seed)
+        edges, start = [], 0
+        for size in sizes:
+            block = range(start, min(start + size, n))
+            edges += [(u, v) for u in block for v in block if u < v and rng.random() < density]
+            start += size
+        return graph(n, edges)
+
+    @given(
+        st.integers(12, 200),
+        st.lists(st.integers(1, 80), max_size=4),
+        st.sampled_from([0.0, 0.02, 0.1, 0.5, 1.0]),
+        st.integers(0, 2**32),
+    )
+    def test_bit_parallel_vs_networkx(self, n, sizes, density, seed):
+        g = self.components(n, sizes or [n], density, seed)
+        assert diameter(g) == bf.nx_diameter(g)
+
+    @pytest.mark.parametrize("budget", [1, 5, 64])
+    def test_gather_chunks(self, monkeypatch, budget):
+        # budgets below one vertex's neighbour rows, and a few vertices per chunk
+        import probust.properties as props
+
+        rng = np.random.default_rng(5)
+        graphs = [self.components(130, [40, 3, 60], 0.1, 1), complete(70), empty(90)]
+        graphs += [random_graph(150, rng, p) for p in (0.01, 0.05, 0.3)]
+        want = [diameter(g) for g in graphs]
+        monkeypatch.setattr(props, "_DIAMETER_GATHER_WORDS", budget)
+        assert [diameter(g) for g in graphs] == want == [bf.nx_diameter(g) for g in graphs]
 
     def test_thresholded_requires_connectivity(self):
         two_edges = graph(4, [(0, 1), (2, 3)])
