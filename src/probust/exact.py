@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Optional, Union
 import numpy as np
 
 from .coupling import CouplingParams, _require_floor, p_prime
-from .errors import DomainError, UnsupportedScaleError
+from .errors import CertificationError, DomainError, UnsupportedScaleError
 from .graphs import EdgeSpace, Realization
 from .models import EdgeModel, _level_conditionals, er_model, satisfies_min_adjacent
 
@@ -148,29 +148,69 @@ def exact_coupling_joint(params: CouplingParams) -> ExactCouplingJoint:
     return ExactCouplingJoint(space, base, table)
 
 
+def _byte_neighbor_masks(space: EdgeSpace) -> list[np.ndarray]:
+    """Table j, row x: the (n,) neighbour masks of the graph whose only edges
+    are those of byte value x at bits 8j..8j+7 of the realization; a
+    realization's masks are the OR of its bytes' rows."""
+    u, v = (e.tolist() for e in space.endpoints)
+    values = np.arange(256, dtype=np.int64)
+    tables = []
+    for start in range(0, space.m, 8):
+        table = np.zeros((256, space.n), dtype=np.int64)
+        for i in range(start, min(start + 8, space.m)):
+            present = (values >> (i - start)) & 1
+            table[:, u[i]] |= present << v[i]
+            table[:, v[i]] |= present << u[i]
+        tables.append(table)
+    return tables
+
+
 def _event_indicator(
     space: EdgeSpace, oracle: "PropertyOracle", support: np.ndarray
 ) -> np.ndarray:
     """The oracle's decision on every realization in ``support``; False elsewhere.
 
     The neighbour masks of each block of realizations are built together,
-    one pass over the edges, and handed to the realizations the oracle sees.
+    one table lookup per byte of the bitmask. An oracle with
+    ``decide_block`` decides the block in one call; otherwise the masks are
+    handed to one realization at a time for ``decide``, the reference path.
     """
-    decide = oracle.decide
-    u, v = (e.tolist() for e in space.endpoints)
+    decide, decide_block = oracle.decide, oracle.decide_block
+    byte_masks = _byte_neighbor_masks(space)
     indicator = np.zeros(support.size, dtype=bool)
     todo = np.flatnonzero(support)
     for lo in range(0, todo.size, SWEEP_BLOCK):
         block = todo[lo : lo + SWEEP_BLOCK].astype(np.int64)
         masks = np.zeros((block.size, space.n), dtype=np.int64)
-        for i in range(space.m):
-            present = (block >> i) & 1
-            masks[:, u[i]] |= present << v[i]
-            masks[:, v[i]] |= present << u[i]
+        for j, table in enumerate(byte_masks):
+            masks |= table[(block >> (8 * j)) & 0xFF]
+        if decide_block is not None:
+            indicator[block] = decide_block(masks)
+            continue
         for bits, row in zip(block.tolist(), masks.tolist()):
             g = Realization._with_neighbor_masks(space, bits, tuple(row))
             indicator[bits] = bool(decide(g))
     return indicator
+
+
+def _monotonicity_violation(indicator: np.ndarray, m: int) -> Optional[tuple[int, int]]:
+    """The lowest (s, edge) with the event at s and not at s plus that edge,
+    smallest s first and then the lowest edge; None if the event is monotone.
+
+    ``indicator`` covers all 2^m realizations. Edge i splits the table into
+    (edge absent, edge present) pairs, so each edge is one comparison.
+    """
+    found = None
+    for i in range(1, m + 1):
+        b = i - 1
+        pairs = indicator.reshape(1 << (m - i), 2, 1 << b)
+        lost = np.flatnonzero(pairs[:, 0, :] & ~pairs[:, 1, :])
+        if lost.size:
+            hi, lo = divmod(int(lost[0]), 1 << b)
+            s = (hi << i) | lo
+            if found is None or s < found[0]:
+                found = (s, i)
+    return found
 
 
 def _event_mass(probs: np.ndarray, indicator: np.ndarray) -> float:
@@ -292,9 +332,15 @@ def exact_domination_check(
 ) -> DominationCheckResult:
     """Compare Pr(Q) under independent Bernoulli(base) edges vs under the model.
 
-    The caller vouches that the oracle is monotone (certify it first) and
-    that ``base`` does not exceed the model's floor; for a raw distribution
-    table the floor is whatever :func:`min_full_conditional` says.
+    The oracle decides every one of the 2^m realizations, not only those
+    either table can produce, which proves the theorem's hypothesis outright:
+    Q is monotone iff no realization has Q and loses it when an edge is
+    added. A non-monotone oracle raises :class:`CertificationError` whose
+    ``counterexample`` is (before, after, added edge index) for the lowest
+    such pair, smallest ``before`` first and then the lowest edge. The caller
+    vouches that ``base`` does not exceed the model's floor; for a raw
+    distribution table the floor is whatever :func:`min_full_conditional`
+    says.
     """
     if isinstance(model, ExactDistribution):
         dist = model
@@ -310,8 +356,19 @@ def exact_domination_check(
     if space.m > MAX_JOINT_M:
         raise UnsupportedScaleError(f"domination check caps at m={MAX_JOINT_M}")
     er_dist = exact_joint(er_model(space.n, base))
-    # one decision per realization serves both tables
-    indicator = _event_indicator(space, oracle, (er_dist.probs != 0) | (dist.probs != 0))
+    # one decision per realization serves the proof and both tables
+    indicator = _event_indicator(space, oracle, np.ones(1 << space.m, dtype=bool))
+    violation = _monotonicity_violation(indicator, space.m)
+    if violation is not None:
+        s, edge = violation
+        raise CertificationError(
+            f"property {oracle.name!r} failed monotonicity certification",
+            counterexample=(
+                Realization(space, s),
+                Realization(space, s | 1 << (edge - 1)),
+                edge,
+            ),
+        )
     prob_er = _event_mass(er_dist.probs, indicator)
     prob_model = _event_mass(dist.probs, indicator)
     return DominationCheckResult(

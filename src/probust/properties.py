@@ -30,6 +30,7 @@ DOMSET_MAX_N = 26
 HAMILTONIAN_MAX_N = 20
 MATCHING_MAX_N = 26
 LONGEST_CYCLE_MAX_N = 16
+BLOCK_MAX_N = 8  # block deciders build tables of 2^n rows per graph
 _DIAMETER_GATHER_WORDS = 1 << 20  # uint64 words of neighbour rows gathered at once
 
 
@@ -569,6 +570,172 @@ def has_matching_at_least(g: Realization, k: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# block deciders
+#
+# Each takes a (B, n) int64 array whose row b holds graph b's neighbour masks
+# and returns the B decisions of the matching scalar decider. The work runs
+# down tables indexed [vertex subset, row]: one numpy operation serves every
+# row of the block, and one Python step serves a whole family of subsets.
+
+
+def _columns(masks: np.ndarray) -> np.ndarray:
+    """The block's neighbour masks as (n, B) rows; refuses n > BLOCK_MAX_N,
+    where the 2^n-row tables would stop fitting a block."""
+    n = masks.shape[1]
+    if n > BLOCK_MAX_N:
+        raise UnsupportedScaleError(f"block deciders cap at n={BLOCK_MAX_N}, got {n}")
+    return np.ascontiguousarray(masks.T, dtype=np.int64)
+
+
+def _subset_sizes(n: int) -> np.ndarray:
+    return np.bitwise_count(np.arange(1 << n, dtype=np.int64))
+
+
+def _union_table(cols: np.ndarray) -> np.ndarray:
+    """Row S holds the OR of cols[v] over the vertices v in S.
+
+    Rows [2^v, 2^(v+1)) add vertex v to rows [0, 2^v): one vertex at a time.
+    """
+    n, b = cols.shape
+    table = np.zeros((1 << n, b), dtype=np.int64)
+    for v in range(n):
+        half = 1 << v
+        np.bitwise_or(table[:half], cols[v], out=table[half : 2 * half])
+    return table
+
+
+def _clique_table(cols: np.ndarray) -> np.ndarray:
+    """Row S says whether S is a clique: S plus a new highest vertex v is one
+    iff S is and v sees all of S."""
+    n, b = cols.shape
+    table = np.ones((1 << n, b), dtype=bool)
+    for v in range(n):
+        half = 1 << v
+        below = np.arange(half, dtype=np.int64)[:, None]
+        np.logical_and(table[:half], (cols[v] & below) == below, out=table[half : 2 * half])
+    return table
+
+
+def _complement(cols: np.ndarray) -> np.ndarray:
+    n = cols.shape[0]
+    others = ((1 << n) - 1) ^ (1 << np.arange(n, dtype=np.int64))
+    return ~cols & others[:, None]
+
+
+def _grow(table: np.ndarray, reach: np.ndarray, steps: int) -> np.ndarray:
+    """Replace each reach mask by its union with its members' table rows,
+    ``steps`` times or until nothing grows: reach within that many hops."""
+    rows = np.arange(table.shape[1])
+    for _ in range(steps):
+        grown = reach | table[reach, rows]
+        if np.array_equal(grown, reach):
+            break
+        reach = grown
+    return reach
+
+
+def _connected_block(masks: np.ndarray) -> np.ndarray:
+    cols = _columns(masks)
+    n, b = cols.shape
+    if n <= 1:
+        return np.ones(b, dtype=bool)
+    reach = _grow(_union_table(cols), np.ones(b, dtype=np.int64), n - 1)
+    return reach == (1 << n) - 1
+
+
+def _diameter_at_most_block(masks: np.ndarray, k: int) -> np.ndarray:
+    """Every vertex's ball of radius k is the whole vertex set."""
+    cols = _columns(masks)
+    n, b = cols.shape
+    if k < 0:
+        return np.zeros(b, dtype=bool)
+    start = np.repeat(1 << np.arange(n, dtype=np.int64)[:, None], b, axis=1)
+    balls = _grow(_union_table(cols), start, min(k, n - 1))
+    return (balls == (1 << n) - 1).all(axis=0)
+
+
+def _clique_at_least_block(masks: np.ndarray, k: int) -> np.ndarray:
+    cols = _columns(masks)
+    n, b = cols.shape
+    if k <= 1 or k > n:
+        return np.full(b, k <= n)
+    return _clique_table(cols)[_subset_sizes(n) == k].any(axis=0)
+
+
+def _chromatic_at_least_block(masks: np.ndarray, k: int) -> np.ndarray:
+    """Not (k-1)-colourable, by counting (k-1)-tuples of independent sets
+    that cover the vertices: sum over S of (-1)^(n-|S|) i(S)^(k-1), where
+    i(S) counts the independent subsets of S (Bjorklund, Husfeldt and
+    Koivisto, SIAM J. Comput. 2009). At n <= BLOCK_MAX_N the terms' absolute
+    values sum to at most (1 + 2^(n-1))^n < 2^57, so int64 is exact."""
+    cols = _columns(masks)
+    n, b = cols.shape
+    if k <= 1 or k > n:
+        return np.full(b, k <= 1)
+    counts = _clique_table(_complement(cols)).astype(np.int64)
+    for v in range(n):  # sum each row into the rows of its supersets
+        pairs = counts.reshape(1 << (n - 1 - v), 2, 1 << v, b)
+        pairs[:, 1] += pairs[:, 0]
+    sign = np.where(_subset_sizes(n) % 2 == n % 2, 1, -1)
+    covers = (sign[:, None] * counts ** (k - 1)).sum(axis=0)
+    return covers == 0
+
+
+def _matching_at_least_block(masks: np.ndarray, k: int) -> np.ndarray:
+    """Some 2k vertices have a perfect matching. Row S of ``perfect`` is
+    filled from the partners of S's lowest vertex, lowest vertex descending."""
+    cols = _columns(masks)
+    n, b = cols.shape
+    if k <= 0 or 2 * k > n:
+        return np.full(b, k <= 0)
+    perfect = np.zeros((1 << n, b), dtype=bool)
+    perfect[0] = True
+    for low in range(n - 2, -1, -1):
+        above = np.arange(1 << (n - 1 - low), dtype=np.int64) << (low + 1)
+        for u in range(low + 1, n):
+            rest = above[(above >> u) & 1 == 1]
+            edge = (cols[low] >> u) & 1 == 1
+            perfect[rest | (1 << low)] |= edge & perfect[rest ^ (1 << u)]
+    return perfect[_subset_sizes(n) == 2 * k].any(axis=0)
+
+
+def _hamiltonian_block(masks: np.ndarray) -> np.ndarray:
+    """Held-Karp over end-vertex masks: row S (S holding vertex 0) of ``ends``
+    marks the vertices at which a path from 0 through exactly S can end;
+    a Hamilton cycle closes such a path on all n vertices back to 0."""
+    cols = _columns(masks)
+    n, b = cols.shape
+    if n < 3:
+        return np.zeros(b, dtype=bool)
+    subsets = np.arange(1 << n, dtype=np.int64)
+    sizes = _subset_sizes(n)
+    ends = np.zeros((1 << n, b), dtype=np.int64)
+    ends[1] = 1
+    for size in range(2, n + 1):
+        layer = subsets[(sizes == size) & (subsets & 1 == 1)]
+        for v in range(1, n):
+            into = layer[(layer >> v) & 1 == 1]
+            reached = (ends[into ^ (1 << v)] & cols[v]) != 0
+            ends[into] |= reached.astype(np.int64) << v
+    return (ends[-1] & cols[0]) != 0
+
+
+def _dominating_at_most_block(masks: np.ndarray, k: int) -> np.ndarray:
+    """Some k vertices' closed neighbourhoods cover every vertex."""
+    cols = _columns(masks)
+    n, b = cols.shape
+    if k >= n or k <= 0:
+        return np.full(b, k >= n)
+    closed = cols | (1 << np.arange(n, dtype=np.int64))[:, None]
+    cover = _union_table(closed)[_subset_sizes(n) == k]
+    return (cover == (1 << n) - 1).any(axis=0)
+
+
+def _edge_count_block(masks: np.ndarray) -> np.ndarray:
+    return np.bitwise_count(_columns(masks)).sum(axis=0, dtype=np.int64) // 2
+
+
+# ---------------------------------------------------------------------------
 # oracles
 
 
@@ -579,40 +746,73 @@ class PropertyOracle:
     ``name`` doubles as the CLI spec string; shipped oracles are monotone
     increasing except the deliberately non-monotone ``exactly-k-edges``
     plant used to exercise certification failure paths.
+
+    ``decide_block``, when set, decides many graphs in one call: it takes a
+    (B, n) int64 array whose row b holds graph b's neighbour masks (bit u of
+    entry v set iff uv is an edge) and returns B booleans, each equal to
+    ``decide`` on that graph. The exact sweep uses it and builds no
+    :class:`Realization`; oracles without one are decided one graph at a
+    time. The shipped ones refuse n > ``BLOCK_MAX_N``.
     """
 
     name: str
     decide: Callable[[Realization], bool]
     threshold: Optional[int] = None
     direction: str = "increasing"
+    decide_block: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
 
 def clique_oracle(k: int) -> PropertyOracle:
-    return PropertyOracle(f"clique>={k}", lambda g: has_clique_at_least(g, k), k)
+    return PropertyOracle(
+        f"clique>={k}",
+        lambda g: has_clique_at_least(g, k),
+        k,
+        decide_block=lambda masks: _clique_at_least_block(masks, k),
+    )
 
 
 def chromatic_oracle(k: int) -> PropertyOracle:
-    return PropertyOracle(f"chrom>={k}", lambda g: has_chromatic_at_least(g, k), k)
+    return PropertyOracle(
+        f"chrom>={k}",
+        lambda g: has_chromatic_at_least(g, k),
+        k,
+        decide_block=lambda masks: _chromatic_at_least_block(masks, k),
+    )
 
 
 def matching_oracle(k: int) -> PropertyOracle:
-    return PropertyOracle(f"match>={k}", lambda g: has_matching_at_least(g, k), k)
+    return PropertyOracle(
+        f"match>={k}",
+        lambda g: has_matching_at_least(g, k),
+        k,
+        decide_block=lambda masks: _matching_at_least_block(masks, k),
+    )
 
 
 def diameter_oracle(k: int) -> PropertyOracle:
-    return PropertyOracle(f"diam<={k}", lambda g: has_diameter_at_most(g, k), k)
+    return PropertyOracle(
+        f"diam<={k}",
+        lambda g: has_diameter_at_most(g, k),
+        k,
+        decide_block=lambda masks: _diameter_at_most_block(masks, k),
+    )
 
 
 def dominating_oracle(k: int) -> PropertyOracle:
-    return PropertyOracle(f"domset<={k}", lambda g: has_dominating_at_most(g, k), k)
+    return PropertyOracle(
+        f"domset<={k}",
+        lambda g: has_dominating_at_most(g, k),
+        k,
+        decide_block=lambda masks: _dominating_at_most_block(masks, k),
+    )
 
 
 def hamiltonian_oracle() -> PropertyOracle:
-    return PropertyOracle("ham", has_hamiltonian_cycle)
+    return PropertyOracle("ham", has_hamiltonian_cycle, decide_block=_hamiltonian_block)
 
 
 def connected_oracle() -> PropertyOracle:
-    return PropertyOracle("connected", is_connected)
+    return PropertyOracle("connected", is_connected, decide_block=_connected_block)
 
 
 def exactly_edges_oracle(k: int) -> PropertyOracle:
@@ -622,6 +822,7 @@ def exactly_edges_oracle(k: int) -> PropertyOracle:
         lambda g: g.edge_count() == k,
         k,
         direction="none",
+        decide_block=lambda masks: _edge_count_block(masks) == k,
     )
 
 
@@ -679,6 +880,8 @@ def certify_monotone(
     and the property is re-checked. The first violation is returned as
     (before, after, added edge index). Passing is evidence, not proof.
     """
+    if trials < 0:
+        raise DomainError(f"trials must be >= 0, got {trials}")
     space = EdgeSpace(n)
     m = space.m
     productive = 0

@@ -49,6 +49,7 @@ from probust import (
     er_model,
     er_realization,
     exact_coupling_joint,
+    exact_domination_check,
     exact_joint,
     exact_probability,
     global_count_model,
@@ -61,7 +62,7 @@ from probust import (
     tv_distance,
 )
 from probust import cli
-from probust.errors import DomainError
+from probust.errors import CertificationError, DomainError
 from probust.properties import (
     certify_monotone,
     chromatic_oracle,
@@ -499,6 +500,28 @@ def test_criterion_7_monotonicity_certification():
     assert shipped_ok
     assert not plant["ok"] and plant["trials"] <= 10_000
     assert duration < 60.0
+
+
+def test_criterion_7_exact_companion():
+    """Beside C7's random trials: the exact domination check decides the whole
+    lattice and proves monotonicity, so every C7 oracle must pass it at
+    n = 2..6 and the plant must fail it from n = 4 (at n <= 3 three edges
+    are only reachable on the full graph, which cannot lose them)."""
+    shipped = [clique_oracle(3), chromatic_oracle(3), matching_oracle(2), diameter_oracle(2),
+               dominating_oracle(2), hamiltonian_oracle(), connected_oracle()]
+    for n in range(2, 7):
+        model = adjacency_count_model(n)
+        for oracle in shipped:
+            assert exact_domination_check(model, 0.3, oracle).holds, (n, oracle.name)
+        plant = exactly_edges_oracle(3)
+        if n >= 4:
+            with pytest.raises(CertificationError):
+                exact_domination_check(model, 0.3, plant)
+            argv = ["exact", "--model", "adjcount", "--n", str(n), "--check", "domination",
+                    "--base", "0.3", "--property", plant.name]
+            assert cli.main(argv) == 6
+        else:
+            exact_domination_check(model, 0.3, plant)
 
 
 # -------------------------------------------------------------------- 8

@@ -26,6 +26,11 @@ from probust import (
 from probust.cli import _MODEL_ALIASES
 
 SCHEMA_DIR = Path(cli.__file__).parent / "schemas"
+# stdout and exit code of `exact --check domination` for the benchmark's seven
+# properties at n = 5 and 6, captured before the block deciders existed
+GOLDEN_DOMINATION = json.loads(
+    (Path(__file__).parent / "golden" / "exact_domination.json").read_text()
+)
 
 
 def load_schema(name):
@@ -180,6 +185,25 @@ class TestExact:
             "--base", "0.3", "--check", "coupling",
         )
         assert code == 4
+
+    @pytest.mark.parametrize(
+        "case", GOLDEN_DOMINATION, ids=[c["argv"].split()[4] + ":" + c["argv"].split()[11]
+                                        for c in GOLDEN_DOMINATION]
+    )
+    def test_domination_golden_bytes(self, case, capsys):
+        assert cli.main(case["argv"].split()) == case["code"]
+        captured = capsys.readouterr()
+        assert captured.out == case["stdout"] and captured.err == ""
+
+    @pytest.mark.parametrize("argv", [
+        "exact --model adjcount --n 4 --check joint",
+        "exact --model adjcount --n 4 --check coupling --base 0.3",
+        "exact --model adjcount --n 4 --check domination --base 0.3 --property connected",
+    ], ids=["joint", "coupling", "domination"])
+    def test_never_echoes_a_master_seed(self, argv, monkeypatch, capsys):
+        monkeypatch.delenv("PROBUST_SEED", raising=False)
+        assert cli.main(argv.split()) == 0
+        assert capsys.readouterr().err == ""
 
     def test_domination_check(self, tmp_path):
         code, text = run(
@@ -374,6 +398,15 @@ class TestUsage:
              "samples must be >= 1"),
             ("report --formula clique --n , --p 0.5 --format csv --seed 1", None, 2,
              "at least one vertex count"),
+            ("verify --model adjcount --n 6 --base 0.3 --property connected "
+             "--certify-trials -5 --samples 10 --seed 1", None, 2, "trials must be >= 0"),
+            ("exact --model adjcount --n 4 --check joint --seed -1", None, 2, "master seed"),
+            ("exact --model adjcount --n 4 --base 0.3 --check coupling --seed -1", None, 2,
+             "master seed"),
+            ("exact --model adjcount --n 4 --base 0.3 --check domination --property connected "
+             "--seed -1", None, 2, "master seed"),
+            ("exact --model adjcount --n 4 --base 0.3 --check domination --property connected "
+             "--certify-trials 10", None, 2, "unrecognized arguments: --certify-trials"),
         ],
     )
     def test_bad_input_exit_codes(self, argv, env_seed, code, message, monkeypatch, capsys):
@@ -559,10 +592,10 @@ def _fuzz_argv(draw):
     argv += seed
     if command == "verify" or (command == "exact" and check == "domination"):
         argv += ["--property", pick("property", st.sampled_from(_FUZZ_PROPERTIES),
-                                    ["exactly-3-edges", "frobnicated", "match>=0"]),
-                 "--certify-trials", str(pick("trials", st.integers(0, 30), [-1]))]
+                                    ["exactly-3-edges", "frobnicated", "match>=0"])]
     if command == "verify":
-        argv += ["--mode", draw(st.sampled_from(["coupled", "independent"])),
+        argv += ["--certify-trials", str(pick("trials", st.integers(0, 30), [-1])),
+                 "--mode", draw(st.sampled_from(["coupled", "independent"])),
                  "--threads", str(draw(st.integers(1, 3)))]
     return argv
 

@@ -6,6 +6,7 @@ import pytest
 from scipy import stats
 
 from probust import (
+    CertificationError,
     CouplingParams,
     DomainError,
     EdgeModel,
@@ -342,6 +343,75 @@ class TestEventIndicator:
 
         got = exact_module._event_indicator(space, PropertyOracle("all", record), support)
         assert np.array_equal(got, support) and all(seen) and len(seen) == support.sum()
+
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_oracle_without_decide_block_takes_the_scalar_loop(self, n):
+        space = EdgeSpace(n)
+        support = self.support(n, seed=n + 10)
+        shipped = parse_property("connected")
+        calls = []
+
+        def decide(g):
+            calls.append(g.bits)
+            return shipped.decide(g)
+
+        got = exact_module._event_indicator(space, PropertyOracle("custom", decide), support)
+        assert calls == np.flatnonzero(support).tolist()
+        assert np.array_equal(got, exact_module._event_indicator(space, shipped, support))
+
+    @pytest.mark.parametrize("prop", SHIPPED_PROPERTIES)
+    def test_block_decider_replaces_decide(self, prop):
+        def refuse(g):
+            raise AssertionError("decide called on the block path")
+
+        space = EdgeSpace(5)
+        support = np.ones(1 << space.m, dtype=bool)
+        oracle = parse_property(prop)
+        got = exact_module._event_indicator(space, dataclasses.replace(oracle, decide=refuse), support)
+        scalar = dataclasses.replace(oracle, decide_block=None)
+        assert np.array_equal(got, exact_module._event_indicator(space, scalar, support))
+
+
+def lowest_violation(indicator, m):
+    """The first (s, edge) in (s, edge) order that loses the event; a plain search."""
+    for s in range(1 << m):
+        if indicator[s]:
+            for i in range(1, m + 1):
+                bit = 1 << (i - 1)
+                if not s & bit and not indicator[s | bit]:
+                    return s, i
+    return None
+
+
+class TestMonotonicityProof:
+    @pytest.mark.parametrize("m", [0, 1, 3, 6, 10])
+    def test_lowest_violation_matches_a_plain_search(self, m):
+        rng = np.random.default_rng(m)
+        for density in (0.0, 0.02, 0.3, 0.9, 1.0):
+            indicator = rng.random(1 << m) < density
+            want = lowest_violation(indicator, m)
+            assert exact_module._monotonicity_violation(indicator, m) == want
+            for i in range(m):  # close upwards: now monotone
+                pairs = indicator.reshape(-1, 2, 1 << i)
+                pairs[:, 1, :] |= pairs[:, 0, :]
+            assert exact_module._monotonicity_violation(indicator, m) is None
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_plant_refuted_with_its_lowest_violating_pair(self, n):
+        space = EdgeSpace(n)
+        three_edges = [bin(s).count("1") == 3 for s in range(1 << space.m)]
+        s, edge = lowest_violation(three_edges, space.m)
+        with pytest.raises(CertificationError) as err:
+            exact_domination_check(adjacency_count_model(n), 0.3, parse_property("exactly-3-edges"))
+        assert str(err.value) == "property 'exactly-3-edges' failed monotonicity certification"
+        before, after, added = err.value.counterexample
+        assert (before.bits, after.bits, added) == (s, s | 1 << (edge - 1), edge)
+        assert before.space == after.space == space
+
+    def test_raw_table_is_proved_too(self):
+        dist = condition_min_adjacent(exact_joint(adjacency_count_model(4)), 3)
+        with pytest.raises(CertificationError):
+            exact_domination_check(dist, 0.375, parse_property("exactly-3-edges"))
 
 
 class TestConditioning:

@@ -23,6 +23,7 @@ from probust import (
     parse_property,
 )
 from probust.properties import (
+    BLOCK_MAX_N,
     PropertyOracle,
     certify_monotone,
     clique_oracle,
@@ -343,11 +344,61 @@ class TestCertification:
         assert g.edge_count() == 3 and g_plus.edge_count() == 4
         assert g_plus.bits == g.bits | (1 << (edge - 1))
 
+    def test_negative_trials_rejected(self):
+        with pytest.raises(DomainError, match="trials must be >= 0"):
+            certify_monotone(connected_oracle(), 6, -5, np.random.default_rng(1))
+
     def test_components_convention_diameter_would_fail(self):
         # the reason the shipped diam<=k oracle demands connectivity
         raw_form = PropertyOracle("raw-diam<=2", lambda g: diameter(g) <= 2)
         res = certify_monotone(raw_form, 7, 10_000, np.random.default_rng(7))
         assert not res.ok
+
+
+def every_shipped_oracle(n):
+    """Every shipped factory at every threshold from 0 to n + 1, the plant too."""
+    oracles = [hamiltonian_oracle(), connected_oracle()]
+    for k in range(n + 2):
+        oracles += [clique_oracle(k), chromatic_oracle(k), matching_oracle(k),
+                    diameter_oracle(k), dominating_oracle(k), exactly_edges_oracle(k)]
+    return oracles
+
+
+def block_of(graphs):
+    """The (B, n) neighbour-mask block of some realizations, row by row."""
+    n = graphs[0].space.n
+    return np.array([g.neighbor_masks for g in graphs], dtype=np.int64).reshape(-1, n)
+
+
+class TestDecideBlock:
+    """Each shipped oracle's block decider equals its scalar ``decide``."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_equals_decide_on_every_realization(self, n):
+        space = EdgeSpace(n)
+        graphs = [Realization(space, bits) for bits in range(1 << space.m)]
+        masks = block_of(graphs)
+        for oracle in every_shipped_oracle(n):
+            got = oracle.decide_block(masks)
+            assert got.dtype == bool and got.shape == (len(graphs),), oracle.name
+            assert got.tolist() == [bool(oracle.decide(g)) for g in graphs], oracle.name
+
+    def test_equals_decide_on_random_graphs_at_n7(self):
+        space = EdgeSpace(7)
+        rng = np.random.default_rng(2024)
+        present = rng.random((20_000, space.m)) < rng.random((20_000, 1))  # any density
+        bits = (present.astype(np.int64) << np.arange(space.m)).sum(axis=1)
+        graphs = [Realization(space, b) for b in bits.tolist()]
+        masks = block_of(graphs)
+        for oracle in every_shipped_oracle(7):
+            got = oracle.decide_block(masks)
+            assert got.tolist() == [bool(oracle.decide(g)) for g in graphs], oracle.name
+
+    def test_refuses_above_the_block_cap(self):
+        masks = np.zeros((2, BLOCK_MAX_N + 1), dtype=np.int64)
+        for oracle in every_shipped_oracle(2):
+            with pytest.raises(UnsupportedScaleError):
+                oracle.decide_block(masks)
 
 
 class TestPropertyGrammar:
