@@ -15,6 +15,7 @@ at random: it only validates a given ``--seed``.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -41,7 +42,7 @@ from .exact import (
     exact_joint,
     tv_distance,
 )
-from .models import ModelDescriptor, sample_block, sample_direct
+from .models import MODELS, ModelDescriptor, sample_block, sample_direct
 from .montecarlo import (
     FORMULAS,
     asymptotic_report,
@@ -58,18 +59,6 @@ from .properties import (
     parse_property,
 )
 from .rngstreams import check_seed, derive_rng, index_blocks
-
-CLIQUE_CLI_MAX_N = 512
-
-_MODEL_ALIASES = {
-    "er": "er",
-    "globalcount": "global-count",
-    "global-count": "global-count",
-    "adjcount": "adjacency-count",
-    "adjacency-count": "adjacency-count",
-    "adjcount-cond": "adjacency-count-conditioned",
-    "adjacency-count-conditioned": "adjacency-count-conditioned",
-}
 
 
 def _dumps(obj) -> str:
@@ -92,24 +81,22 @@ def _resolve_seed(args) -> int:
 
 
 def _build_model(args):
-    kind = _MODEL_ALIASES.get(args.model)
+    """The model ``--model`` names, by its kind or its CLI short name."""
+    kind = next((k for k, e in MODELS.items() if args.model in (k, e.cli_name)), None)
     if kind is None:
-        raise DomainError(
-            f"unknown model {args.model!r}; options: {sorted(set(_MODEL_ALIASES))}"
-        )
-    params = {}
-    if kind == "er":
-        if args.p is None:
-            raise DomainError("er model needs --p")
-        params["p"] = args.p
-    elif args.p is not None:
+        names = sorted({*MODELS, *(e.cli_name for e in MODELS.values())})
+        raise DomainError(f"unknown model {args.model!r}; options: {names}")
+    takes_p = "p" in MODELS[kind].required
+    if takes_p and args.p is None:
+        raise DomainError(f"{kind} model needs --p")
+    if args.p is not None and not takes_p:
         raise DomainError(f"--p applies only to the er model, not {kind}")
+    params = {} if args.p is None else {"p": args.p}
     return ModelDescriptor(kind, args.n, params).build()
 
 
 def _descriptor_json(model) -> dict:
-    desc = model.descriptor
-    return {"kind": desc.kind, "n": desc.n, "params": desc.params}
+    return dataclasses.asdict(model.descriptor)
 
 
 class _Output:
@@ -236,7 +223,6 @@ def cmd_verify(args) -> int:
     seed = _resolve_seed(args)
     model = _build_model(args)
     oracle = parse_property(args.property)
-    _reject_over_cli_caps(oracle.name, args.n)
     cert = certify_monotone(oracle, args.n, args.certify_trials, derive_rng(seed, 0, 0))
     if not cert.ok:
         g_before, g_after, edge = cert.counterexample
@@ -299,14 +285,6 @@ def _estimate_json(est) -> dict:
     }
 
 
-def _reject_over_cli_caps(name: str, n: int) -> None:
-    """The exact clique search is exponential; refuse it above the CLI cap."""
-    if name.startswith("clique") and n > CLIQUE_CLI_MAX_N:
-        raise UnsupportedScaleError(
-            f"clique oracle capped at n={CLIQUE_CLI_MAX_N} in the cli, got {n}"
-        )
-
-
 def _format_rows(rows: list[dict], fmt: str, out: _Output, header: dict) -> None:
     if fmt == "json":
         out.line(_dumps({**header, "rows": rows}))
@@ -352,26 +330,13 @@ def cmd_report(args) -> int:
             f"unknown formula {args.formula!r}; options: "
             f"{sorted(FORMULAS) + ['degree-count']}"
         )
-    ns = _parse_n_list(args.n)
-    for n in ns:
-        _reject_over_cli_caps(formula.name, n)
     rows = asymptotic_report(
-        formula, formula.statistic, ns, args.p, args.samples, seed, degree=args.d
+        formula, formula.statistic, _parse_n_list(args.n), args.p, args.samples, seed,
+        degree=args.d,
     )
-    dict_rows = [
-        {
-            "n": r.n,
-            "p": r.p,
-            "predicted": r.predicted,
-            "observed_mean": r.observed_mean,
-            "observed_sd": r.observed_sd,
-            "samples": r.samples,
-            "statistic": r.statistic,
-        }
-        for r in rows
-    ]
     _format_rows(
-        dict_rows, args.format, out, {"formula": formula.name, "note": formula.note, "seed": seed}
+        [dataclasses.asdict(r) for r in rows], args.format, out,
+        {"formula": formula.name, "note": formula.note, "seed": seed},
     )
     out.close()
     return 0
@@ -399,8 +364,6 @@ def _preset_adjacency_bounds(args, seed: int) -> list[dict]:
     if args.samples < 1:
         raise DomainError(f"samples must be >= 1, got {args.samples}")
     ns = _parse_n_list(args.n)
-    for n in ns:
-        _reject_over_cli_caps("clique", n)  # the preset decides max_clique_size
     p = 0.3
     b = 1.0 / (1.0 - p)
     model_rows = []
@@ -438,6 +401,12 @@ def _preset_adjacency_bounds(args, seed: int) -> list[dict]:
     return model_rows
 
 
+def _add_model(sub):
+    sub.add_argument("--model", required=True)
+    sub.add_argument("--n", type=int, required=True)
+    sub.add_argument("--p", type=float, default=None, help="edge probability (er only)")
+
+
 def _add_common(sub, seed=True, output=True):
     if seed:
         sub.add_argument("--seed", type=int, default=None, help="64-bit master seed")
@@ -453,26 +422,20 @@ def _build_parser() -> argparse.ArgumentParser:
     subparsers = parser.add_subparsers(dest="command", required=True)
 
     gen = subparsers.add_parser("generate", help="sample realizations from a model")
-    gen.add_argument("--model", required=True)
-    gen.add_argument("--n", type=int, required=True)
-    gen.add_argument("--p", type=float, default=None, help="edge probability (er only)")
+    _add_model(gen)
     gen.add_argument("--samples", type=int, default=1)
     _add_common(gen)
     gen.set_defaults(func=cmd_generate)
 
     cpl = subparsers.add_parser("couple", help="sample (embedded, patch, union) triples")
-    cpl.add_argument("--model", required=True)
-    cpl.add_argument("--n", type=int, required=True)
-    cpl.add_argument("--p", type=float, default=None)
+    _add_model(cpl)
     cpl.add_argument("--base", type=float, required=True, help="embedded layer probability")
     cpl.add_argument("--samples", type=int, default=1)
     _add_common(cpl)
     cpl.set_defaults(func=cmd_couple)
 
     exa = subparsers.add_parser("exact", help="exhaustive verification at tiny n")
-    exa.add_argument("--model", required=True)
-    exa.add_argument("--n", type=int, required=True)
-    exa.add_argument("--p", type=float, default=None)
+    _add_model(exa)
     exa.add_argument("--base", type=float, default=None)
     exa.add_argument("--check", choices=["joint", "coupling", "domination"], required=True)
     exa.add_argument("--property", default=None)
@@ -481,9 +444,7 @@ def _build_parser() -> argparse.ArgumentParser:
     exa.set_defaults(func=cmd_exact)
 
     ver = subparsers.add_parser("verify", help="statistical domination tests")
-    ver.add_argument("--model", required=True)
-    ver.add_argument("--n", type=int, required=True)
-    ver.add_argument("--p", type=float, default=None)
+    _add_model(ver)
     ver.add_argument("--base", type=float, required=True)
     ver.add_argument("--property", required=True)
     ver.add_argument("--samples", type=int, default=10_000)

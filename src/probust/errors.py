@@ -56,7 +56,9 @@ class PairedViolationError(ProbustError):
 
 
 class CertificationError(ProbustError):
-    """A property failed randomized monotonicity certification."""
+    """A property was shown not to be monotone: by the random certification
+    of ``certify_monotone`` or by the exhaustive lattice proof of
+    ``exact_domination_check``. ``counterexample`` is (before, after, edge)."""
 
     def __init__(self, message, counterexample=None):
         super().__init__(message)

@@ -61,22 +61,27 @@ class EdgeSpace:
         return tuple(zip(u.tolist(), v.tolist()))
 
     @cached_property
-    def _edge_adjacency(self) -> tuple[int, ...]:
-        """For each edge, the bitmask of the other edges sharing an endpoint."""
-        n = self.n
-        touching = [0] * n  # vertex -> mask of incident edges
-        for idx, (u, v) in enumerate(self.pairs):
-            touching[u] |= 1 << idx
-            touching[v] |= 1 << idx
-        out = []
-        for idx, (u, v) in enumerate(self.pairs):
-            out.append((touching[u] | touching[v]) & ~(1 << idx))
-        return tuple(out)
+    def _incident_masks(self) -> tuple[int, ...]:
+        """For each vertex, the bitmask of the edges incident to it.
+
+        Edge i = (a, b) shares an endpoint with exactly the edges in
+        ``inc[a] | inc[b]``, itself included.
+        """
+        u, v = self.endpoints
+        edges = np.arange(self.m)
+        bit = np.left_shift(1, edges & 7).astype(np.uint8)
+        # packed rows directly: an (n, m) bool array would take 8x the memory
+        rows = np.zeros((self.n, (self.m + 7) // 8), dtype=np.uint8)
+        np.bitwise_or.at(rows, (u, edges >> 3), bit)
+        np.bitwise_or.at(rows, (v, edges >> 3), bit)
+        return tuple(int.from_bytes(row.tobytes(), "little") for row in rows)
 
     def adjacency_mask(self, i: int) -> int:
         """Bitmask of edges sharing exactly one endpoint with edge ``i``."""
         self._check_index(i)
-        return self._edge_adjacency[i - 1]
+        a, b = self.pairs[i - 1]
+        inc = self._incident_masks
+        return (inc[a] | inc[b]) & ~(1 << (i - 1))
 
     def hex_width(self) -> int:
         return max(1, (self.m + 3) // 4)

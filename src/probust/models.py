@@ -23,7 +23,7 @@ first and is out of contract.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, NoReturn, Optional
 
 import numpy as np
@@ -41,13 +41,6 @@ from .rngstreams import coin_rows, derive_rng
 EXHAUSTIVE_FLOOR_CHECK_MAX_M = 24
 BATCH_MAX_M = WORD_BITS  # batched sampling keeps suffixes in int64 masks
 
-MODEL_KINDS = (
-    "er",
-    "global-count",
-    "adjacency-count",
-    "adjacency-count-conditioned",
-)
-
 
 @dataclass(frozen=True)
 class ModelDescriptor:
@@ -58,14 +51,11 @@ class ModelDescriptor:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in MODEL_KINDS:
+        if self.kind not in MODELS:
             raise DomainError(f"unknown model kind {self.kind!r}; options: {MODEL_KINDS}")
 
     def to_json(self) -> str:
-        return json.dumps(
-            {"kind": self.kind, "n": self.n, "params": self.params},
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "ModelDescriptor":
@@ -78,16 +68,12 @@ class ModelDescriptor:
         return cls(obj["kind"], obj["n"], obj.get("params", {}))
 
     def build(self):
-        if self.kind == "er":
-            if "p" not in self.params:
-                raise DomainError("er model needs params.p")
-            return er_model(self.n, self.params["p"])
-        if self.kind == "global-count":
-            return global_count_model(self.n)
-        if self.kind == "adjacency-count":
-            return adjacency_count_model(self.n)
-        budget = self.params.get("budget", DEFAULT_REJECTION_BUDGET)
-        return conditioned_adjacency_model(self.n, budget=budget)
+        kind = MODELS[self.kind]
+        for name in kind.required:
+            if name not in self.params:
+                raise DomainError(f"{self.kind} model needs params.{name}")
+        taken = kind.required + kind.optional
+        return kind.build(self.n, **{k: v for k, v in self.params.items() if k in taken})
 
 
 @dataclass(frozen=True)
@@ -168,16 +154,21 @@ def adjacency_count_model(n: int) -> EdgeModel:
     if n < 2:
         raise DomainError(f"adjacency-count model needs n >= 2, got {n}")
     space = EdgeSpace(n)
-    adj = space._edge_adjacency
+    inc = space._incident_masks
+    pairs = space.pairs
 
+    # a decided suffix never holds edge i's own bit, so the edges touching
+    # either endpoint of edge i count exactly its adjacent present edges
     def conditional(i: int, history: SuffixHistory) -> float:
-        k = (history.bits & adj[i - 1]).bit_count()
+        a, b = pairs[i - 1]
+        k = (history.bits & (inc[a] | inc[b])).bit_count()
         return 0.5 - 1.0 / (k + 5)
 
     def conditionals(i: int, suffixes: np.ndarray) -> np.ndarray:
-        # adj[i - 1] is a Python int; it fits int64 for every m the exact
-        # engine accepts (m <= 24), so no adjacency array is built up front
-        return 0.5 - 1.0 / (np.bitwise_count(suffixes & adj[i - 1]) + 5)
+        # the mask is a Python int; it fits int64 for every m the batched
+        # paths accept (m <= 63), so no adjacency array is built up front
+        a, b = pairs[i - 1]
+        return 0.5 - 1.0 / (np.bitwise_count(suffixes & (inc[a] | inc[b])) + 5)
 
     return EdgeModel(
         space, 0.3, conditional, ModelDescriptor("adjacency-count", n), conditionals
@@ -190,10 +181,11 @@ MIN_ADJACENT = 3  # the conditioning event: every edge position has >= 3 present
 
 def satisfies_min_adjacent(g: Realization, threshold: int = MIN_ADJACENT) -> bool:
     """True iff every potential edge position has >= threshold present adjacent edges."""
-    adj = g.space._edge_adjacency
     bits = g.bits
-    for mask in adj:
-        if (bits & mask).bit_count() < threshold:
+    degree = [(bits & mask).bit_count() for mask in g.space._incident_masks]
+    # edge (a, b) counts its own bit once in each endpoint's degree
+    for idx, (a, b) in enumerate(g.space.pairs):
+        if degree[a] + degree[b] - 2 * (bits >> idx & 1) < threshold:
             return False
     return True
 
@@ -253,7 +245,9 @@ class ConditionedAdjacencyModel:
         refuses a round (see :func:`_decide_block`)."""
         self._check_event()
         m = self.space.m
-        adj = np.array(self.space._edge_adjacency, dtype=np.int64)
+        inc = np.array(self.space._incident_masks, dtype=np.int64)
+        u, v = self.space.endpoints
+        adj = (inc[u] | inc[v]) & ~(1 << np.arange(m, dtype=np.int64))
         out = np.zeros(len(rngs), dtype=np.int64)
         pending = np.arange(len(rngs))
         coins = np.empty((len(rngs), m))
@@ -276,8 +270,11 @@ class ConditionedAdjacencyModel:
 
 
 def conditioned_adjacency_model(
-    n: int, budget: int = DEFAULT_REJECTION_BUDGET
+    n: int, budget: Optional[int] = None
 ) -> ConditionedAdjacencyModel:
+    """``budget`` defaults to ``DEFAULT_REJECTION_BUDGET`` as it is at call time."""
+    if budget is None:
+        budget = DEFAULT_REJECTION_BUDGET
     base = adjacency_count_model(n)
     return ConditionedAdjacencyModel(
         base.space,
@@ -285,6 +282,28 @@ def conditioned_adjacency_model(
         budget=budget,
         descriptor=ModelDescriptor("adjacency-count-conditioned", n, {"budget": budget}),
     )
+
+
+@dataclass(frozen=True)
+class ModelKind:
+    """A built-in model kind: its CLI short name, its builder, called as
+    ``build(n, **params)``, and the params it takes."""
+
+    cli_name: str
+    build: Callable
+    required: tuple[str, ...] = ()
+    optional: tuple[str, ...] = ()
+
+
+MODELS = {
+    "er": ModelKind("er", er_model, required=("p",)),
+    "global-count": ModelKind("globalcount", global_count_model),
+    "adjacency-count": ModelKind("adjcount", adjacency_count_model),
+    "adjacency-count-conditioned": ModelKind(
+        "adjcount-cond", conditioned_adjacency_model, optional=("budget",)
+    ),
+}
+MODEL_KINDS = tuple(MODELS)
 
 
 def _checked(

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -25,6 +26,7 @@ import numpy as np
 from .errors import DomainError, UnsupportedScaleError
 from .graphs import WORD_BITS, EdgeSpace, Realization
 
+CLIQUE_MAX_N = 512
 CHROMATIC_MAX_N = 20
 DOMSET_MAX_N = 26
 HAMILTONIAN_MAX_N = 20
@@ -105,12 +107,20 @@ def _max_clique(n: int, adj: tuple[int, ...], stop_at: Optional[int] = None) -> 
     return best
 
 
+def _check_clique_scale(n: int) -> None:
+    """The exact clique search is exponential in the worst case."""
+    if n > CLIQUE_MAX_N:
+        raise UnsupportedScaleError(f"exact clique search capped at n={CLIQUE_MAX_N}, got {n}")
+
+
 def max_clique_size(g: Realization) -> int:
     """Exact clique number; 1 for any edgeless graph on >= 1 vertices."""
+    _check_clique_scale(g.space.n)
     return _max_clique(g.space.n, g.neighbor_masks)
 
 
 def has_clique_at_least(g: Realization, k: int) -> bool:
+    _check_clique_scale(g.space.n)
     if k <= 1:
         return k <= g.space.n
     return _max_clique(g.space.n, g.neighbor_masks, stop_at=k) >= k
@@ -119,6 +129,7 @@ def has_clique_at_least(g: Realization, k: int) -> bool:
 def max_independent_set_size(g: Realization) -> int:
     """Clique number of the complement graph."""
     n = g.space.n
+    _check_clique_scale(n)
     full = (1 << n) - 1
     comp = tuple((full & ~m) & ~(1 << v) for v, m in enumerate(g.neighbor_masks))
     return _max_clique(n, comp)
@@ -762,49 +773,32 @@ class PropertyOracle:
     decide_block: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
 
-def clique_oracle(k: int) -> PropertyOracle:
+# name -> (comparison, decide(g, k), decide_block(masks, k)) of each
+# thresholded family; its oracle "name<comparison>k" is the CLI spelling
+THRESHOLD_FAMILIES = {
+    "clique": (">=", has_clique_at_least, _clique_at_least_block),
+    "chrom": (">=", has_chromatic_at_least, _chromatic_at_least_block),
+    "match": (">=", has_matching_at_least, _matching_at_least_block),
+    "diam": ("<=", has_diameter_at_most, _diameter_at_most_block),
+    "domset": ("<=", has_dominating_at_most, _dominating_at_most_block),
+}
+
+
+def _threshold_oracle(family: str, k: int) -> PropertyOracle:
+    comparison, decide, decide_block = THRESHOLD_FAMILIES[family]
     return PropertyOracle(
-        f"clique>={k}",
-        lambda g: has_clique_at_least(g, k),
+        f"{family}{comparison}{k}",
+        lambda g: decide(g, k),
         k,
-        decide_block=lambda masks: _clique_at_least_block(masks, k),
+        decide_block=lambda masks: decide_block(masks, k),
     )
 
 
-def chromatic_oracle(k: int) -> PropertyOracle:
-    return PropertyOracle(
-        f"chrom>={k}",
-        lambda g: has_chromatic_at_least(g, k),
-        k,
-        decide_block=lambda masks: _chromatic_at_least_block(masks, k),
-    )
-
-
-def matching_oracle(k: int) -> PropertyOracle:
-    return PropertyOracle(
-        f"match>={k}",
-        lambda g: has_matching_at_least(g, k),
-        k,
-        decide_block=lambda masks: _matching_at_least_block(masks, k),
-    )
-
-
-def diameter_oracle(k: int) -> PropertyOracle:
-    return PropertyOracle(
-        f"diam<={k}",
-        lambda g: has_diameter_at_most(g, k),
-        k,
-        decide_block=lambda masks: _diameter_at_most_block(masks, k),
-    )
-
-
-def dominating_oracle(k: int) -> PropertyOracle:
-    return PropertyOracle(
-        f"domset<={k}",
-        lambda g: has_dominating_at_most(g, k),
-        k,
-        decide_block=lambda masks: _dominating_at_most_block(masks, k),
-    )
+clique_oracle = partial(_threshold_oracle, "clique")
+chromatic_oracle = partial(_threshold_oracle, "chrom")
+matching_oracle = partial(_threshold_oracle, "match")
+diameter_oracle = partial(_threshold_oracle, "diam")
+dominating_oracle = partial(_threshold_oracle, "domset")
 
 
 def hamiltonian_oracle() -> PropertyOracle:
@@ -827,14 +821,10 @@ def exactly_edges_oracle(k: int) -> PropertyOracle:
 
 
 _SPEC_RE = re.compile(
-    r"^(?:(?P<up>clique|chrom|match)>=(?P<upk>\d+)"
-    r"|(?P<down>diam|domset)<=(?P<downk>\d+)"
-    r"|exactly-(?P<exk>\d+)-edges"
-    r"|(?P<bare>ham|connected))$"
+    r"^(?:(?P<family>"
+    + "|".join(re.escape(name + cmp) for name, (cmp, _, _) in THRESHOLD_FAMILIES.items())
+    + r")(?P<k>\d+)|exactly-(?P<exk>\d+)-edges|(?P<bare>ham|connected))$"
 )
-
-_UP_FACTORY = {"clique": clique_oracle, "chrom": chromatic_oracle, "match": matching_oracle}
-_DOWN_FACTORY = {"diam": diameter_oracle, "domset": dominating_oracle}
 
 
 def parse_property(text: str) -> PropertyOracle:
@@ -846,10 +836,9 @@ def parse_property(text: str) -> PropertyOracle:
             f"cannot parse property {text!r}; expected e.g. clique>=3, chrom>=4, "
             "match>=2, diam<=2, domset<=3, ham, connected"
         )
-    if match["up"]:
-        return _UP_FACTORY[match["up"]](int(match["upk"]))
-    if match["down"]:
-        return _DOWN_FACTORY[match["down"]](int(match["downk"]))
+    if match["family"]:
+        # every comparison is two characters
+        return _threshold_oracle(match["family"][:-2], int(match["k"]))
     if match["exk"] is not None:
         return exactly_edges_oracle(int(match["exk"]))
     return hamiltonian_oracle() if match["bare"] == "ham" else connected_oracle()

@@ -28,6 +28,16 @@ def ref_pairs(n: int) -> tuple[tuple[int, int], ...]:
     return tuple((u, v) for u in range(n) for v in range(u + 1, n))
 
 
+def ref_edge_adjacency(n: int) -> tuple[int, ...]:
+    """For each edge, the mask of the other edges sharing an endpoint with
+    it, pair by pair."""
+    pairs = ref_pairs(n)
+    return tuple(
+        sum(1 << j for j, other in enumerate(pairs) if j != i and set(pair) & set(other))
+        for i, pair in enumerate(pairs)
+    )
+
+
 def ref_present_edges(g: Realization) -> list[int]:
     out = []
     b = g.bits

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from probust import (
     FORMULAS,
     CouplingParams,
+    DomainError,
     ModelDescriptor,
     SamplingFailureError,
     adjacency_count_model,
@@ -21,16 +22,23 @@ from probust import (
     generate_coupled,
     is_connected,
     models,
+    parse_property,
     sample_direct,
 )
-from probust.cli import _MODEL_ALIASES
+from probust.models import MODELS
 
 SCHEMA_DIR = Path(cli.__file__).parent / "schemas"
+# every name --model accepts: each kind and its CLI short name
+MODEL_NAMES = sorted({*MODELS, *(e.cli_name for e in MODELS.values())})
 # stdout and exit code of `exact --check domination` for the benchmark's seven
 # properties at n = 5 and 6, captured before the block deciders existed
 GOLDEN_DOMINATION = json.loads(
     (Path(__file__).parent / "golden" / "exact_domination.json").read_text()
 )
+# stdout, stderr and exit code of generate, couple, exact, verify and report
+# calls, and library error messages, captured before the model registry and
+# the threshold-family table existed
+GOLDEN_CLI = json.loads((Path(__file__).parent / "golden" / "cli_bytes.json").read_text())
 
 
 def load_schema(name):
@@ -370,6 +378,42 @@ class TestReport:
         assert a == b
 
 
+class TestPinnedBytes:
+    @pytest.mark.parametrize("case", GOLDEN_CLI["cli"], ids=[c["argv"] for c in GOLDEN_CLI["cli"]])
+    def test_cli_bytes(self, case, capsys):
+        assert cli.main(case["argv"].split()) == case["code"]
+        captured = capsys.readouterr()
+        assert captured.out == case["stdout"] and captured.err == case["stderr"]
+
+    @pytest.mark.parametrize(
+        "case", GOLDEN_CLI["library"],
+        ids=[f"{c['call']}:{c['arg']}" for c in GOLDEN_CLI["library"]],
+    )
+    def test_library_messages(self, case):
+        if case["type"] is None:  # a spec that parses, and its canonical name
+            assert parse_property(case["arg"]).name == case["message"]
+            return
+        with pytest.raises(DomainError) as err:
+            if case["call"] == "ModelDescriptor":
+                ModelDescriptor(case["arg"], 4)
+            else:
+                parse_property(case["arg"])
+        assert str(err.value) == case["message"]
+
+    @pytest.mark.parametrize("kind", list(MODELS))
+    def test_kind_and_cli_name_build_alike(self, kind, capsys):
+        entry = MODELS[kind]
+        params = {"p": 0.5} if "p" in entry.required else {}
+        outputs = []
+        for name in (kind, entry.cli_name):
+            argv = ["generate", "--model", name, "--n", "5", "--samples", "4", "--seed", "9"]
+            argv += [arg for key, value in params.items() for arg in (f"--{key}", str(value))]
+            assert cli.main(argv) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1] and outputs[0].count("\n") == 4
+        assert ModelDescriptor(kind, 5, params).build().descriptor.kind == kind
+
+
 class TestUsage:
     def test_missing_subcommand_exits_2(self):
         assert cli.main([]) == 2
@@ -393,6 +437,8 @@ class TestUsage:
             ("generate --model er --n 4 --p 0.5 --samples -2 --seed 1", None, 2,
              "count must be >= 0"),
             ("report --formula clique --n 16,600 --p 0.5 --samples 1 --seed 1", None, 4,
+             "capped at n=512"),
+            ("report --formula independent-set --n 16,600 --p 0.5 --samples 1 --seed 1", None, 4,
              "capped at n=512"),
             ("report --preset adjacency-bounds --n 8 --samples 0 --seed 1", None, 2,
              "samples must be >= 1"),
@@ -441,7 +487,8 @@ class TestBlockSampledOutput:
             "--seed", "51",
         )
         assert code == 0
-        assert text == scalar_records(ModelDescriptor(_MODEL_ALIASES[model], 6).build(), 51, count)
+        kind = next(k for k, e in MODELS.items() if e.cli_name == model)
+        assert text == scalar_records(ModelDescriptor(kind, 6).build(), 51, count)
 
     def test_couple_equals_scalar_triples(self, tmp_path):
         code, text = run(
@@ -575,8 +622,7 @@ def _fuzz_argv(draw):
             argv += ["--d", pick("p", st.sampled_from(["0", "1", "3", "10"]), ["-1", "nan", "100"])]
         return argv + ["--samples", str(pick("samples", st.integers(1, 5), [-1, 0])),
                        "--format", draw(st.sampled_from(["json", "csv", "text"]))] + seed
-    model = pick("model", st.sampled_from(["er", "globalcount", "adjcount", "adjcount-cond"]),
-                 ["nosuch"])
+    model = pick("model", st.sampled_from(MODEL_NAMES), ["nosuch"])
     if command == "exact":
         check = draw(st.sampled_from(["joint", "coupling", "domination"]))
         n = pick("n", st.integers(2, 5), [-1, 0, 1, 8])

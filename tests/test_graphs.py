@@ -118,6 +118,14 @@ class TestAdjacentPresentCount:
         assert adjacent_present_count(one, 1) == 0
 
 
+class TestAdjacencyMask:
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 9, 12, 30])
+    def test_matches_pairwise_reference(self, n):
+        space = EdgeSpace(n)
+        ref = bf.ref_edge_adjacency(n)
+        assert tuple(space.adjacency_mask(i) for i in range(1, space.m + 1)) == ref
+
+
 class TestDegreeHistogram:
     def test_examples(self):
         assert degree_histogram(Realization.empty(EdgeSpace(5))) == {0: 5}

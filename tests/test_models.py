@@ -1,6 +1,9 @@
+import random
+
 import numpy as np
 import pytest
 
+import bruteforce as bf
 from probust import (
     DomainError,
     EdgeModel,
@@ -119,6 +122,32 @@ class TestAdjacencyCountModel:
         result = robustness_floor_check(adjacency_count_model(4))
         assert result.confirmed
         assert result.min_conditional == pytest.approx(0.3, abs=1e-15)
+
+    @pytest.mark.parametrize("n", [2, 4, 11, 12, 30])
+    def test_adjacent_count_matches_pairwise_reference(self, n):
+        model = adjacency_count_model(n)
+        ref = bf.ref_edge_adjacency(n)
+        m = model.space.m
+        draw = random.Random(n)
+        for _ in range(200):
+            i = draw.randint(1, m)
+            suffix = draw.getrandbits(m - i) << i
+            k = (suffix & ref[i - 1]).bit_count()
+            q = model.conditional(i, SuffixHistory(model.space, i + 1, suffix))
+            assert q == 0.5 - 1.0 / (k + 5)
+            if m <= 63:
+                assert model.conditionals(i, np.array([suffix], dtype=np.int64))[0] == q
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 6, 8])
+    def test_min_adjacent_event_matches_pairwise_reference(self, n):
+        space = EdgeSpace(n)
+        ref = bf.ref_edge_adjacency(n)
+        draw = random.Random(n)
+        for _ in range(100):
+            g = Realization(space, draw.getrandbits(space.m))
+            for threshold in range(2 * n):
+                expected = all((g.bits & mask).bit_count() >= threshold for mask in ref)
+                assert satisfies_min_adjacent(g, threshold) == expected
 
 
 class TestFloorBounds:

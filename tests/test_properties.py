@@ -24,6 +24,8 @@ from probust import (
 )
 from probust.properties import (
     BLOCK_MAX_N,
+    CLIQUE_MAX_N,
+    THRESHOLD_FAMILIES,
     PropertyOracle,
     certify_monotone,
     clique_oracle,
@@ -88,6 +90,18 @@ class TestClique:
         for _ in range(150):
             g = random_graph(6, rng)
             assert max_clique_size(g) == bf.brute_max_clique(g)
+
+
+class TestCliqueScaleCap:
+    @pytest.mark.parametrize(
+        "decide", [max_clique_size, lambda g: has_clique_at_least(g, 2), max_independent_set_size],
+        ids=["max_clique_size", "has_clique_at_least", "max_independent_set_size"],
+    )
+    def test_capped_above_512(self, decide):
+        assert CLIQUE_MAX_N == 512
+        decide(empty(512))
+        with pytest.raises(UnsupportedScaleError, match="capped at n=512"):
+            decide(empty(513))
 
 
 class TestIndependentSet:
@@ -430,6 +444,21 @@ class TestPropertyGrammar:
     def test_threshold_round_trip_down(self, name, k):
         oracle = parse_property(f"{name}<={k}")
         assert oracle.threshold == k and oracle.name == f"{name}<={k}"
+
+    def test_every_family_round_trips(self):
+        spellings = [(clique_oracle, "clique>="), (chromatic_oracle, "chrom>="),
+                     (matching_oracle, "match>="), (diameter_oracle, "diam<="),
+                     (dominating_oracle, "domset<=")]
+        assert {prefix[:-2] for _, prefix in spellings} == set(THRESHOLD_FAMILIES)
+        oracles = [hamiltonian_oracle(), connected_oracle()]
+        oracles += [exactly_edges_oracle(k) for k in range(10)]
+        for factory, prefix in spellings:
+            for k in range(10):
+                oracle = factory(k)
+                assert oracle.name == f"{prefix}{k}" and oracle.threshold == k
+                oracles.append(oracle)
+        for oracle in oracles:
+            assert parse_property(oracle.name).name == oracle.name
 
     def test_decides_match_quantities(self, rng):
         for _ in range(50):

@@ -1,0 +1,31 @@
+"""Smoke runs of the experiment scripts: each exits 0 on a small input."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import probust
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = str(Path(probust.__file__).resolve().parent.parent)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scripts/coupling_experiment.py", "--n", "3", "--samples", "50"],
+        ["scripts/asymptotics_experiment.py", "--samples", "1"],
+    ],
+    ids=["coupling_experiment", "asymptotics_experiment"],
+)
+def test_script_runs(argv):
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    result = subprocess.run(
+        [sys.executable, *argv], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout
