@@ -52,6 +52,7 @@ from .montecarlo import (
 )
 from .properties import (
     certify_monotone,
+    check_clique_scale,
     diameter,
     greedy_coloring_size,
     greedy_dominating_set_size,
@@ -368,6 +369,7 @@ def _preset_adjacency_bounds(args, seed: int) -> list[dict]:
     b = 1.0 / (1.0 - p)
     model_rows = []
     for n in ns:
+        check_clique_scale(n)  # before the model is built and sampled
         desc = ModelDescriptor("adjacency-count", n)
         model = desc.build()
         cliq, chrom, dom, diam = [], [], [], []

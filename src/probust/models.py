@@ -36,7 +36,7 @@ from .errors import (
     UnsupportedScaleError,
 )
 from .graphs import WORD_BITS, EdgeSpace, Realization, SuffixHistory
-from .rngstreams import coin_rows, derive_rng
+from .rngstreams import block_rngs, coin_rows, derive_rng
 
 EXHAUSTIVE_FLOOR_CHECK_MAX_M = 24
 BATCH_MAX_M = WORD_BITS  # batched sampling keeps suffixes in int64 masks
@@ -412,8 +412,7 @@ def sample_block(source, master_seed: int, branch: tuple, lo: int, hi: int):
         decided = _decide_block(source, coin_rows(master_seed, branch, lo, hi, space.m))
         bits = None if decided is None else decided[0]
     elif isinstance(source, ConditionedAdjacencyModel) and batchable(source.base_model):
-        rngs = [derive_rng(master_seed, *branch, idx) for idx in range(lo, hi)]
-        bits = source._sample_rows(rngs)
+        bits = source._sample_rows(block_rngs(master_seed, branch, lo, hi))
     if bits is not None:
         return [Realization(space, b) for b in bits.tolist()]
     return (source.sample(derive_rng(master_seed, *branch, idx)) for idx in range(lo, hi))

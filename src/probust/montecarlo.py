@@ -149,6 +149,14 @@ def _serve_blocks(work, blocks, conn) -> None:
     conn.close()
 
 
+def _check_scales(oracles: Sequence[PropertyOracle], n: int) -> None:
+    """Refuse, before any sample is drawn, an oracle that refuses every graph
+    on n vertices."""
+    for oracle in oracles:
+        if oracle.check_scale is not None:
+            oracle.check_scale(n)
+
+
 def estimate_property(
     source,
     oracle: PropertyOracle,
@@ -169,6 +177,7 @@ def estimate_property(
         raise DomainError(f"samples must be >= 1, got {samples}")
     if method not in _INTERVALS:
         raise DomainError(f"unknown interval method {method!r}")
+    _check_scales([oracle], source.space.n)
 
     def count_hits(lo: int, hi: int) -> int:
         return sum(1 for g in sample_block(source, master_seed, branch, lo, hi) if oracle.decide(g))
@@ -276,6 +285,7 @@ def coupled_domination_test(
     oracle_list = [oracles] if single else list(oracles)
     if samples < 1:
         raise DomainError(f"samples must be >= 1, got {samples}")
+    _check_scales(oracle_list, params.model.space.n)
 
     def count_pairs(lo: int, hi: int) -> tuple[list[int], list[int]]:
         g1_counts = [0] * len(oracle_list)

@@ -107,20 +107,21 @@ def _max_clique(n: int, adj: tuple[int, ...], stop_at: Optional[int] = None) -> 
     return best
 
 
-def _check_clique_scale(n: int) -> None:
-    """The exact clique search is exponential in the worst case."""
+def check_clique_scale(n: int) -> None:
+    """The exact clique search is exponential in the worst case; every
+    clique decision at n > ``CLIQUE_MAX_N`` is refused."""
     if n > CLIQUE_MAX_N:
         raise UnsupportedScaleError(f"exact clique search capped at n={CLIQUE_MAX_N}, got {n}")
 
 
 def max_clique_size(g: Realization) -> int:
     """Exact clique number; 1 for any edgeless graph on >= 1 vertices."""
-    _check_clique_scale(g.space.n)
+    check_clique_scale(g.space.n)
     return _max_clique(g.space.n, g.neighbor_masks)
 
 
 def has_clique_at_least(g: Realization, k: int) -> bool:
-    _check_clique_scale(g.space.n)
+    check_clique_scale(g.space.n)
     if k <= 1:
         return k <= g.space.n
     return _max_clique(g.space.n, g.neighbor_masks, stop_at=k) >= k
@@ -129,7 +130,7 @@ def has_clique_at_least(g: Realization, k: int) -> bool:
 def max_independent_set_size(g: Realization) -> int:
     """Clique number of the complement graph."""
     n = g.space.n
-    _check_clique_scale(n)
+    check_clique_scale(n)
     full = (1 << n) - 1
     comp = tuple((full & ~m) & ~(1 << v) for v, m in enumerate(g.neighbor_masks))
     return _max_clique(n, comp)
@@ -439,13 +440,17 @@ def has_diameter_at_most(g: Realization, k: int) -> bool:
 # hamiltonicity and cycles
 
 
-def has_hamiltonian_cycle(g: Realization) -> bool:
-    """Exhaustive anchored backtracking; exact for n <= 20."""
-    n = g.space.n
+def _check_hamiltonian_scale(n: int) -> None:
     if n > HAMILTONIAN_MAX_N:
         raise UnsupportedScaleError(
             f"hamiltonicity decision caps at n={HAMILTONIAN_MAX_N}, got {n}"
         )
+
+
+def has_hamiltonian_cycle(g: Realization) -> bool:
+    """Exhaustive anchored backtracking; exact for n <= 20."""
+    n = g.space.n
+    _check_hamiltonian_scale(n)
     if n < 3:
         return False
     adj = g.neighbor_masks
@@ -764,6 +769,10 @@ class PropertyOracle:
     ``decide`` on that graph. The exact sweep uses it and builds no
     :class:`Realization`; oracles without one are decided one graph at a
     time. The shipped ones refuse n > ``BLOCK_MAX_N``.
+
+    ``check_scale``, when set, raises :class:`UnsupportedScaleError` for a
+    vertex count at which ``decide`` refuses every graph, with the message
+    ``decide`` would raise; samplers call it before drawing anything.
     """
 
     name: str
@@ -771,26 +780,30 @@ class PropertyOracle:
     threshold: Optional[int] = None
     direction: str = "increasing"
     decide_block: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    check_scale: Optional[Callable[[int], None]] = None
 
 
-# name -> (comparison, decide(g, k), decide_block(masks, k)) of each
-# thresholded family; its oracle "name<comparison>k" is the CLI spelling
+# name -> (comparison, decide(g, k), decide_block(masks, k), check_scale(n))
+# of each thresholded family; its oracle "name<comparison>k" is the CLI
+# spelling. Only the clique cap holds for every k: the others answer small
+# or large k without their search.
 THRESHOLD_FAMILIES = {
-    "clique": (">=", has_clique_at_least, _clique_at_least_block),
-    "chrom": (">=", has_chromatic_at_least, _chromatic_at_least_block),
-    "match": (">=", has_matching_at_least, _matching_at_least_block),
-    "diam": ("<=", has_diameter_at_most, _diameter_at_most_block),
-    "domset": ("<=", has_dominating_at_most, _dominating_at_most_block),
+    "clique": (">=", has_clique_at_least, _clique_at_least_block, check_clique_scale),
+    "chrom": (">=", has_chromatic_at_least, _chromatic_at_least_block, None),
+    "match": (">=", has_matching_at_least, _matching_at_least_block, None),
+    "diam": ("<=", has_diameter_at_most, _diameter_at_most_block, None),
+    "domset": ("<=", has_dominating_at_most, _dominating_at_most_block, None),
 }
 
 
 def _threshold_oracle(family: str, k: int) -> PropertyOracle:
-    comparison, decide, decide_block = THRESHOLD_FAMILIES[family]
+    comparison, decide, decide_block, check_scale = THRESHOLD_FAMILIES[family]
     return PropertyOracle(
         f"{family}{comparison}{k}",
         lambda g: decide(g, k),
         k,
         decide_block=lambda masks: decide_block(masks, k),
+        check_scale=check_scale,
     )
 
 
@@ -802,7 +815,12 @@ dominating_oracle = partial(_threshold_oracle, "domset")
 
 
 def hamiltonian_oracle() -> PropertyOracle:
-    return PropertyOracle("ham", has_hamiltonian_cycle, decide_block=_hamiltonian_block)
+    return PropertyOracle(
+        "ham",
+        has_hamiltonian_cycle,
+        decide_block=_hamiltonian_block,
+        check_scale=_check_hamiltonian_scale,
+    )
 
 
 def connected_oracle() -> PropertyOracle:
@@ -822,7 +840,7 @@ def exactly_edges_oracle(k: int) -> PropertyOracle:
 
 _SPEC_RE = re.compile(
     r"^(?:(?P<family>"
-    + "|".join(re.escape(name + cmp) for name, (cmp, _, _) in THRESHOLD_FAMILIES.items())
+    + "|".join(re.escape(name + cmp) for name, (cmp, *_) in THRESHOLD_FAMILIES.items())
     + r")(?P<k>\d+)|exactly-(?P<exk>\d+)-edges|(?P<bare>ham|connected))$"
 )
 

@@ -1,6 +1,10 @@
 import contextlib
+import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -25,6 +29,7 @@ from probust import (
     parse_property,
     sample_direct,
 )
+from probust import montecarlo, rngstreams
 from probust.models import MODELS
 
 SCHEMA_DIR = Path(cli.__file__).parent / "schemas"
@@ -37,7 +42,8 @@ GOLDEN_DOMINATION = json.loads(
 )
 # stdout, stderr and exit code of generate, couple, exact, verify and report
 # calls, and library error messages, captured before the model registry and
-# the threshold-family table existed
+# the threshold-family table existed; the 300-sample calls at seeds 0, 2^32
+# and 2^64 - 1 (pinned by stdout digest) before block seeding
 GOLDEN_CLI = json.loads((Path(__file__).parent / "golden" / "cli_bytes.json").read_text())
 
 
@@ -383,7 +389,11 @@ class TestPinnedBytes:
     def test_cli_bytes(self, case, capsys):
         assert cli.main(case["argv"].split()) == case["code"]
         captured = capsys.readouterr()
-        assert captured.out == case["stdout"] and captured.err == case["stderr"]
+        assert captured.err == case["stderr"]
+        if "stdout_sha256" in case:
+            assert hashlib.sha256(captured.out.encode()).hexdigest() == case["stdout_sha256"]
+        else:
+            assert captured.out == case["stdout"]
 
     @pytest.mark.parametrize(
         "case", GOLDEN_CLI["library"],
@@ -414,9 +424,40 @@ class TestPinnedBytes:
         assert ModelDescriptor(kind, 5, params).build().descriptor.kind == kind
 
 
+_CLIQUE_CAP = "scale cap: exact clique search capped at n=512, got 600"
+
+
 class TestUsage:
     def test_missing_subcommand_exits_2(self):
         assert cli.main([]) == 2
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            ("report --preset adjacency-bounds --n 600 --samples 1 --seed 1", _CLIQUE_CAP),
+            ("verify --model er --n 600 --p 0.5 --base 0.5 --property clique>=3 "
+             "--certify-trials 0 --samples 1 --seed 1", _CLIQUE_CAP),
+            ("verify --model er --n 600 --p 0.5 --base 0.5 --property clique>=3 "
+             "--certify-trials 0 --samples 1 --seed 1 --mode independent", _CLIQUE_CAP),
+            ("verify --model adjcount --n 25 --base 0.3 --property ham "
+             "--certify-trials 0 --samples 1 --seed 1",
+             "scale cap: hamiltonicity decision caps at n=20, got 25"),
+        ],
+    )
+    def test_cap_refused_before_sampling(self, argv, message, monkeypatch, capsys):
+        def no_sample(*args, **kwargs):
+            raise AssertionError("sampled before the scale cap refused")
+
+        for module, name in [
+            (cli, "sample_direct"),
+            (montecarlo, "coupled_block"),
+            (montecarlo, "sample_block"),
+        ]:
+            monkeypatch.setattr(module, name, no_sample)
+        assert cli.main(argv.split()) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
 
     def test_clique_cli_cap(self, tmp_path):
         code, _ = run(
@@ -655,3 +696,61 @@ class TestFuzz:
             code = cli.main(argv)
         assert code in (0, 2, 3, 4, 5, 6)
         assert "Traceback" not in err.getvalue()
+
+
+# seeded calls whose stdout must not depend on the process, the hash seed,
+# the thread count or the block size; 300 samples cross a 256-index block
+_SEED = str(2**64 - 1)
+DETERMINISM_CALLS = [
+    f"couple --model adjcount --n 7 --base 0.3 --samples 300 --seed {_SEED}",
+    f"verify --model adjcount --n 7 --base 0.3 --property connected --samples 300 "
+    f"--mode coupled --threads 1 --seed {_SEED}",
+    f"verify --model adjcount --n 7 --base 0.3 --property connected --samples 300 "
+    f"--mode coupled --threads 2 --seed {_SEED}",
+    f"verify --model adjcount --n 7 --base 0.3 --property connected --samples 300 "
+    f"--mode independent --threads 2 --seed {_SEED}",
+    f"generate --model adjcount-cond --n 6 --samples 300 --seed {_SEED}",
+    f"generate --model er --n 6 --p 0.4 --samples 300 --seed {_SEED}",
+]
+_RUN_CALLS = """
+import contextlib, io, json, sys
+from probust import cli
+results = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv.split())
+    results.append([code, out.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def run_calls(calls, capsys):
+    results = []
+    for argv in calls:
+        code = cli.main(argv.split())
+        results.append([code, capsys.readouterr().out])
+    return results
+
+
+class TestDeterminism:
+    def test_same_bytes_across_hash_seeds(self):
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        outputs = []
+        for hash_seed in ("1", "2"):
+            env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": path}
+            result = subprocess.run(
+                [sys.executable, "-c", _RUN_CALLS, json.dumps(DETERMINISM_CALLS)],
+                env=env, capture_output=True, text=True, timeout=300,
+            )
+            assert result.returncode == 0, result.stderr
+            outputs.append(json.loads(result.stdout))
+        assert outputs[0] == outputs[1]
+        assert all(code == 0 for code, _ in outputs[0])
+        assert outputs[0][1][1] == outputs[0][2][1]  # --threads 1 and 2
+
+    def test_same_bytes_for_any_block_size(self, monkeypatch, capsys):
+        default = run_calls(DETERMINISM_CALLS, capsys)
+        monkeypatch.setattr(rngstreams, "BLOCK", 7)
+        assert run_calls(DETERMINISM_CALLS, capsys) == default

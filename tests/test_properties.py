@@ -103,6 +103,27 @@ class TestCliqueScaleCap:
         with pytest.raises(UnsupportedScaleError, match="capped at n=512"):
             decide(empty(513))
 
+    @pytest.mark.parametrize(
+        "oracle,cap",
+        [(clique_oracle(1), 512), (clique_oracle(4), 512), (hamiltonian_oracle(), 20)],
+        ids=["clique>=1", "clique>=4", "ham"],
+    )
+    def test_check_scale_refuses_what_decide_refuses(self, oracle, cap):
+        oracle.check_scale(cap)
+        oracle.decide(empty(cap))
+        with pytest.raises(UnsupportedScaleError) as before:
+            oracle.check_scale(cap + 1)
+        with pytest.raises(UnsupportedScaleError) as at_decide:
+            oracle.decide(empty(cap + 1))
+        assert str(before.value) == str(at_decide.value)
+
+    def test_families_with_k_dependent_caps_have_no_check(self):
+        # chrom>=1, match>=0 and domset<=n answer without their capped search
+        for family in ("chrom", "match", "diam", "domset"):
+            assert parse_property(f"{family}{THRESHOLD_FAMILIES[family][0]}1").check_scale is None
+        assert chromatic_oracle(1).decide(empty(30))
+        assert connected_oracle().check_scale is None
+
 
 class TestIndependentSet:
     def test_examples(self):
