@@ -11,6 +11,12 @@ default verification.
 All sampling derives one RNG stream per sample index from the master seed,
 and aggregation is integer counting, so results are identical no matter how
 the indices are partitioned over workers.
+
+The Wilson interval's z comes from ``_ndtri``, a port of the Cephes routine
+that ``scipy.stats.norm.ppf`` calls, so its bounds carry the same bits as
+scipy's. ``scipy`` itself is imported only inside the degree chi-square test,
+which no CLI command runs: loading ``scipy.stats`` at module level made up
+most of the time and memory of ``import probust``, and every CLI call paid it.
 """
 
 from __future__ import annotations
@@ -21,7 +27,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
-from scipy import stats as _stats
 
 from .coupling import CouplingParams, _require_floor, coupled_block
 from .errors import DomainError, PairedViolationError, RobustnessViolationError
@@ -71,11 +76,88 @@ class EstimateResult:
             raise DomainError("interval does not bracket the point estimate")
 
 
+# Cephes ndtri (S. L. Moshier), the routine behind scipy.special.ndtri and
+# scipy.stats.norm.ppf: rational approximations in y - 1/2 on the centre,
+# and in 1/sqrt(-2 log y) on the two tails (split at exp(-32)).
+_S2PI = 2.50662827463100050242e0
+_EXP_M2 = 0.13533528323661269189  # exp(-2)
+_P0 = (
+    -5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+    1.39312609387279679503e1, -1.23916583867381258016e0,
+)
+_Q0 = (
+    1.0, 1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+    -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+    1.59056225126211695515e1, -1.18331621121330003142e0,
+)
+_P1 = (
+    4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+    4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+    -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4,
+)
+_Q1 = (
+    1.0, 1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+    1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+    -3.80806407691578277194e-2, -9.33259480895457427372e-4,
+)
+_P2 = (
+    3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
+    1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
+    3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9,
+)
+_Q2 = (
+    1.0, 6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+    2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
+    2.89247864745380683936e-6, 6.79019408009981274425e-9,
+)
+
+
+def _polevl(x: float, coef: tuple) -> float:
+    """Horner's rule, highest power first. Cephes' ``p1evl`` is this with a
+    leading 1.0 written out, since 1.0 * x is exactly x."""
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _ndtri(y0: float) -> float:
+    """Inverse of the standard normal CDF, bit for bit as Cephes computes it."""
+    if y0 == 0.0:
+        return -math.inf
+    if y0 == 1.0:
+        return math.inf
+    if not 0.0 < y0 < 1.0:  # negatives, values above 1, and nan
+        return math.nan
+    upper = y0 > 1.0 - _EXP_M2
+    y = 1.0 - y0 if upper else y0
+    if y > _EXP_M2:
+        y = y - 0.5
+        y2 = y * y
+        x = y + y * (y2 * _polevl(y2, _P0) / _polevl(y2, _Q0))
+        return x * _S2PI
+    x = math.sqrt(-2.0 * math.log(y))
+    x0 = x - math.log(x) / x
+    z = 1.0 / x
+    if x < 8.0:  # y > exp(-32)
+        x1 = z * _polevl(z, _P1) / _polevl(z, _Q1)
+    else:
+        x1 = z * _polevl(z, _P2) / _polevl(z, _Q2)
+    x = x0 - x1
+    return x if upper else -x
+
+
+def _check_confidence(confidence: float) -> None:
+    if not 0.0 < confidence < 1.0:  # also refuses nan
+        raise DomainError(f"confidence must be in (0, 1), got {confidence}")
+
+
 def wilson_interval(successes: int, samples: int, confidence: float = DEFAULT_CONFIDENCE):
     """Two-sided Wilson score interval for a binomial proportion."""
     if samples <= 0:
         raise DomainError("need at least one sample")
-    z = _stats.norm.ppf(0.5 + confidence / 2.0)
+    _check_confidence(confidence)
+    z = _ndtri(0.5 + confidence / 2.0)
     phat = successes / samples
     denom = 1.0 + z * z / samples
     center = (phat + z * z / (2 * samples)) / denom
@@ -87,6 +169,7 @@ def hoeffding_interval(successes: int, samples: int, confidence: float = DEFAULT
     """Distribution-free alternative to the Wilson interval."""
     if samples <= 0:
         raise DomainError("need at least one sample")
+    _check_confidence(confidence)
     phat = successes / samples
     half = math.sqrt(math.log(2.0 / (1.0 - confidence)) / (2.0 * samples))
     return max(0.0, phat - half), min(1.0, phat + half)
@@ -177,6 +260,7 @@ def estimate_property(
         raise DomainError(f"samples must be >= 1, got {samples}")
     if method not in _INTERVALS:
         raise DomainError(f"unknown interval method {method!r}")
+    _check_confidence(confidence)
     _check_scales([oracle], source.space.n)
 
     def count_hits(lo: int, hi: int) -> int:
@@ -492,6 +576,8 @@ def degree_distribution_test(
     Defaults to independent Bernoulli(p) edges via the vectorized sampler;
     pass a model to test its degree counts against the same prediction.
     """
+    from scipy import stats  # the only scipy use; kept off ``import probust``
+
     if samples < 1:
         raise DomainError(f"samples must be >= 1, got {samples}")
     space = EdgeSpace(n)
@@ -502,7 +588,7 @@ def degree_distribution_test(
         for deg, cnt in degree_histogram(g).items():
             counts[deg] += cnt
     d = _avg_degree(n, p)
-    expected = _stats.poisson.pmf(np.arange(n), d) * n * samples
+    expected = stats.poisson.pmf(np.arange(n), d) * n * samples
     # spread the truncated Poisson tail (degrees >= n) over nothing: renormalize
     expected = expected * counts.sum() / expected.sum()
 
@@ -528,7 +614,7 @@ def degree_distribution_test(
     return ChiSquareReport(
         statistic=stat,
         dof=dof,
-        p_value=float(_stats.chi2.sf(stat, dof)),
+        p_value=float(stats.chi2.sf(stat, dof)),
         bins=tuple(bins),
         samples=samples,
         seed=master_seed,

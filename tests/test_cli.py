@@ -754,3 +754,47 @@ class TestDeterminism:
         default = run_calls(DETERMINISM_CALLS, capsys)
         monkeypatch.setattr(rngstreams, "BLOCK", 7)
         assert run_calls(DETERMINISM_CALLS, capsys) == default
+
+
+# one small call of each subcommand, both verify modes, every exact check and
+# a refused report, with the exit code each must give
+IMPORT_PATH_CALLS = [
+    ["generate --model er --n 5 --p 0.4 --samples 3 --seed 3", 0],
+    ["couple --model adjcount --n 5 --base 0.3 --samples 3 --seed 3", 0],
+    ["verify --model adjcount --n 6 --base 0.3 --property connected --samples 20 "
+     "--mode coupled --seed 4", 0],
+    ["verify --model er --n 5 --p 0.5 --base 0.4 --property clique>=3 --samples 20 "
+     "--mode independent --threads 2 --seed 4", 0],
+    ["exact --model adjcount --n 4 --check joint", 0],
+    ["exact --model adjcount --n 4 --base 0.3 --check coupling", 0],
+    ["exact --model adjcount --n 4 --base 0.3 --property connected --check domination", 0],
+    ["report --formula clique --n 8,12 --p 0.5 --samples 3 --seed 5 --format json", 0],
+    ["report --formula degree-count --k 2 --n 20 --d 3 --samples 3 --seed 5", 0],
+    ["report --preset adjacency-bounds --n 8 --samples 2 --seed 5 --format csv", 0],
+    ["report --preset adjacency-bounds --n 600 --samples 1 --seed 1", 4],
+]
+_LOADED_AFTER_CALLS = """
+import contextlib, io, json, sys
+from probust import cli
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        codes.append(cli.main(argv.split()))
+scipy = sorted(k for k in sys.modules if k == "scipy" or k.startswith("scipy."))
+print(json.dumps({"codes": codes, "scipy": scipy}))
+"""
+
+
+class TestImportPath:
+    def test_no_scipy_module_on_any_cli_path(self):
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        calls = [argv for argv, _ in IMPORT_PATH_CALLS]
+        result = subprocess.run(
+            [sys.executable, "-c", _LOADED_AFTER_CALLS, json.dumps(calls)],
+            env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=300,
+        )
+        assert result.returncode == 0, result.stderr
+        loaded = json.loads(result.stdout)
+        assert loaded["codes"] == [code for _, code in IMPORT_PATH_CALLS]
+        assert loaded["scipy"] == []

@@ -29,6 +29,7 @@ from probust import (
     sample_direct,
 )
 from probust.montecarlo import (
+    _ndtri,
     compare_estimates,
     degree_count_statistic,
     hoeffding_interval,
@@ -60,6 +61,85 @@ class TestIntervals:
     def test_bad_samples(self):
         with pytest.raises(DomainError):
             wilson_interval(0, 0)
+
+    @pytest.mark.parametrize("confidence", [-0.2, 0.0, 1.0, 1.5, math.nan, -math.inf, math.inf])
+    @pytest.mark.parametrize("interval", [wilson_interval, hoeffding_interval])
+    def test_confidence_outside_open_unit_interval(self, interval, confidence):
+        with pytest.raises(DomainError, match="confidence must be in"):
+            interval(5, 10, confidence)
+
+    def test_confidence_rejected_before_sampling(self):
+        def never(g):
+            raise AssertionError("sampled despite a bad confidence")
+
+        for confidence in (0.0, 1.0, math.nan):
+            with pytest.raises(DomainError, match="confidence must be in"):
+                estimate_property(er_model(3, 0.5), PropertyOracle("never", never), 10, 1,
+                                  confidence=confidence)
+
+    def test_returns_plain_floats(self):
+        for s in (0, 3, 10):
+            assert all(type(v) is float for v in wilson_interval(s, 10))
+
+
+def _scipy_wilson(successes, samples, confidence):
+    """The interval as computed when ``z`` came from ``scipy.stats.norm.ppf``."""
+    from scipy import stats
+
+    z = stats.norm.ppf(0.5 + confidence / 2.0)
+    phat = successes / samples
+    denom = 1.0 + z * z / samples
+    center = (phat + z * z / (2 * samples)) / denom
+    half = z * math.sqrt(phat * (1 - phat) / samples + z * z / (4 * samples * samples)) / denom
+    return max(0.0, center - half), min(1.0, center + half)
+
+
+class TestNdtriSameBits:
+    """``_ndtri`` is compared exactly, never within a tolerance: the Wilson
+    bounds it feeds are printed by ``verify`` and pinned in the golden bytes."""
+
+    @staticmethod
+    def _points():
+        rng = np.random.default_rng(20261018)
+        return {
+            "uniform": rng.random(1_000_000),
+            "log-uniform": 10.0 ** rng.uniform(-300.0, 0.0, 100_000),
+            # distances from 1 spread over [1e-16, 1): the upper tail, both rational forms
+            "near-one": 1.0 - 10.0 ** rng.uniform(-16.0, 0.0, 100_000),
+        }
+
+    @pytest.mark.parametrize("name", ["uniform", "log-uniform", "near-one"])
+    def test_equals_scipy(self, name):
+        from scipy import special, stats
+
+        points = self._points()[name]
+        ours = np.array([_ndtri(float(p)) for p in points])
+        np.testing.assert_array_equal(ours, special.ndtri(points))
+        np.testing.assert_array_equal(ours, stats.norm.ppf(points))
+
+    def test_default_confidence_z(self):
+        assert _ndtri(0.995) == 2.5758293035489004
+
+    @pytest.mark.parametrize(
+        "p, expected",
+        [(0.0, -math.inf), (-0.0, -math.inf), (1.0, math.inf), (math.nan, math.nan),
+         (-1e-300, math.nan), (-0.5, math.nan), (1.0 + 2**-52, math.nan), (2.0, math.nan),
+         (math.inf, math.nan), (-math.inf, math.nan)],
+    )
+    def test_endpoints_as_scipy(self, p, expected):
+        from scipy import special, stats
+
+        ours = _ndtri(p)
+        for value in (expected, float(special.ndtri(p)), float(stats.norm.ppf(p))):
+            assert ours == value or (math.isnan(ours) and math.isnan(value))
+
+    @pytest.mark.parametrize("confidence", [0.5, 0.8, 0.9, 0.95, 0.99, 0.999])
+    def test_wilson_equals_scipy_formula(self, confidence):
+        for samples in (1, 7, 100, 4096):
+            for successes in range(samples + 1):
+                assert wilson_interval(successes, samples, confidence) == _scipy_wilson(
+                    successes, samples, confidence
+                ), (successes, samples, confidence)
 
 
 class TestEstimateProperty:
