@@ -18,6 +18,11 @@ Feasibility (0 <= q - p' <= 1) needs q >= base, which is precisely the
 model's robustness floor; the generator re-checks it at runtime on every
 edge instead of clamping, so a model that underruns its declared floor fails
 loudly with the offending edge and history.
+
+:func:`generate_coupled` is the scalar reference. :func:`coupled_block`
+gives the same triples for a block of indices from the block kernel in
+:mod:`probust.models`, which decides the union on its decided degrees and
+draws the patch coin with the same float operations.
 """
 
 from __future__ import annotations
@@ -29,8 +34,8 @@ import numpy as np
 
 from .errors import DomainError, RobustnessViolationError
 from .graphs import Realization, SuffixHistory, union
-from .models import EdgeModel, _checked, _decide_block, batchable
-from .rngstreams import coin_rows, derive_rng, index_blocks
+from .models import EdgeModel, _checked, _kernel_masks
+from .rngstreams import derive_rng, index_blocks
 
 
 def p_prime(p: float, q: float) -> float:
@@ -173,20 +178,20 @@ def coupled_block(params: CouplingParams, master_seed: int, lo: int, hi: int):
     """``generate_coupled(params, derive_rng(master_seed, idx))`` for each idx
     in lo..hi-1, in order.
 
-    A model with batched ``conditionals`` and m <= 63 decides the whole
-    block at once and gives the same triples. Other models, and any block in
-    which a conditional leaves [0, 1] or falls below the base, take the
-    scalar path lazily, so errors are raised where and as the scalar path
-    raises them.
+    A model with batched ``conditionals`` decides the block in the block
+    kernel, in parts of at most ``KERNEL_COINS`` coins, for any n, and gives
+    the same triples. Other models, and any block in which a conditional leaves
+    [0, 1] or falls below the base, take the scalar path lazily, so errors
+    are raised where and as the scalar path raises them.
     """
     model = params.model
-    if batchable(model):
-        coins = coin_rows(master_seed, (), lo, hi, 2 * model.space.m)
-        decided = _decide_block(model, coins, params.base)
-        if decided is not None:
-            space = model.space
-            return [
-                CouplingTriple(Realization(space, a), Realization(space, b), Realization(space, c))
-                for a, b, c in zip(*(masks.tolist() for masks in decided))
-            ]
-    return (generate_coupled(params, derive_rng(master_seed, idx)) for idx in range(lo, hi))
+    masks = None if model.conditionals is None else _kernel_masks(
+        model, master_seed, (), lo, hi, params.base
+    )
+    if masks is None:
+        return (generate_coupled(params, derive_rng(master_seed, idx)) for idx in range(lo, hi))
+    space = model.space
+    return [
+        CouplingTriple(Realization(space, g1), Realization(space, g2), Realization(space, u))
+        for g1, g2, u in masks
+    ]

@@ -14,10 +14,11 @@ from typing import TYPE_CHECKING, Optional, Union
 
 import numpy as np
 
-from .coupling import CouplingParams, _require_floor, p_prime
+from .coupling import CouplingParams, _require_floor
 from .errors import CertificationError, DomainError, UnsupportedScaleError
 from .graphs import EdgeSpace, Realization
-from .models import EdgeModel, _level_conditionals, er_model, satisfies_min_adjacent
+from .models import EdgeModel, _level_conditionals, _patch_probabilities, er_model
+from .models import satisfies_min_adjacent
 
 if TYPE_CHECKING:
     from .properties import PropertyOracle
@@ -79,8 +80,7 @@ def exact_joint(model: EdgeModel) -> ExactDistribution:
             f"exact joint caps at m={MAX_JOINT_M} (n=7), got m={m}"
         )
     table = np.ones(1, dtype=np.float64)
-    for i in range(m, 0, -1):
-        q = _level_conditionals(model, i, table.size)
+    for _, q in _level_conditionals(model):
         new = np.empty(table.size * 2, dtype=np.float64)
         new[1::2] = table * q
         new[0::2] = table * (1.0 - q)
@@ -131,20 +131,16 @@ def exact_coupling_joint(params: CouplingParams) -> ExactCouplingJoint:
             f"exact coupling joint caps at m={MAX_COUPLING_M} (n=5), got m={m}"
         )
     table = np.ones((1, 1), dtype=np.float64)
-    for i in range(m, 0, -1):
-        size = table.shape[0]
-        unions = np.arange(size, dtype=np.int64)
-        q_by_union = _level_conditionals(model, i, size, base)
-        pprime = np.array([p_prime(base, float(q)) for q in q_by_union])
-        residual = q_by_union - pprime
-        or_index = np.bitwise_or.outer(unions, unions)
-        patch = residual[or_index]  # patch-coin probability per (g1, g2) cell
-        new = np.empty((size * 2, size * 2), dtype=np.float64)
-        new[0::2, 0::2] = table * (1.0 - base) * (1.0 - patch)
-        new[0::2, 1::2] = table * (1.0 - base) * patch
-        new[1::2, 0::2] = table * base * (1.0 - patch)
-        new[1::2, 1::2] = table * base * patch
-        table = new
+    for _, q in _level_conditionals(model, base):
+        unions = np.arange(q.size, dtype=np.int64)
+        # the patch coin's probability per (g1, g2) cell, from their union
+        patch = _patch_probabilities(base, q)[np.bitwise_or.outer(unions, unions)]
+        g2_weights = (1.0 - patch, patch)
+        new = np.empty((q.size, 2, q.size, 2), dtype=np.float64)  # cell (2 g1 + b1, 2 g2 + b2)
+        for b1, g1_weight in enumerate((table * (1.0 - base), table * base)):
+            for b2, g2_weight in enumerate(g2_weights):
+                np.multiply(g1_weight, g2_weight, out=new[:, b1, :, b2])
+        table = new.reshape(2 * q.size, 2 * q.size)
     return ExactCouplingJoint(space, base, table)
 
 
@@ -296,23 +292,16 @@ def sequential_conditional(dist: ExactDistribution, i: int, suffix_bits: int) ->
     ``suffix_bits`` is aligned to absolute positions, bits below i must be 0.
     """
     space = dist.space
-    m = space.m
     space._check_index(i)
     if suffix_bits >> i << i != suffix_bits:
         raise DomainError("suffix bits must only cover edges above i")
-    low = i  # free edges 1..i-1 plus edge i itself live below bit i
-    num = 0.0
-    den = 0.0
-    edge_bit = 1 << (i - 1)
-    for rest in range(1 << low):
-        bits = suffix_bits | rest
-        w = float(dist.probs[bits])
-        den += w
-        if bits & edge_bit:
-            num += w
+    # the free edges 1..i sit below bit i, so the suffix's realizations are one
+    # slice, edge i present in its upper half; cumsum adds one entry at a time
+    weights = dist.probs[suffix_bits : suffix_bits + (1 << i)]
+    den = float(np.cumsum(weights)[-1])
     if den == 0.0:
         raise DomainError(f"conditioning suffix {suffix_bits:#x} has zero probability")
-    return num / den
+    return float(np.cumsum(weights[1 << (i - 1) :])[-1]) / den
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,15 @@ neighbors; that conditioning destroys the closed form, so it is a rejection
 sampler and its claimed floor of 3/8 is a hypothesis to verify with the
 exact engine, not a contract.
 
+Every built-in conditional depends on the decided suffix only through the
+vertex degrees it leaves, so the batched paths keep those degrees as their
+one state: the block kernel (:func:`_decide_block`) decides edge i = m..1
+for a block of samples with one ``conditionals(i, degrees)`` call per edge,
+for any n, and the exact engine reads the same calls level by level
+(:func:`_level_conditionals`). The scalar ``conditional`` on a
+:class:`SuffixHistory`, :func:`sample_direct` and the rejection sampler's
+``sample`` stay the bit-for-bit reference.
+
 The conditional-given-the-decided-suffix reading is part of each model's
 definition here. A conditional-given-everything-else (Markov-random-field)
 reading of the same formulas would require constructing a consistent joint
@@ -35,11 +44,14 @@ from .errors import (
     SamplingFailureError,
     UnsupportedScaleError,
 )
-from .graphs import WORD_BITS, EdgeSpace, Realization, SuffixHistory
-from .rngstreams import block_rngs, coin_rows, derive_rng
+from .graphs import EdgeSpace, Realization, SuffixHistory
+from .rngstreams import _bounds, block_rngs, coin_rows, derive_rng
 
 EXHAUSTIVE_FLOOR_CHECK_MAX_M = 24
-BATCH_MAX_M = WORD_BITS  # batched sampling keeps suffixes in int64 masks
+# coin floats handed to one block-kernel call (32 MiB): a larger block is
+# decided in parts of whole rows, and rows are independent streams, so the
+# parts give the same bits as one call
+KERNEL_COINS = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -84,11 +96,15 @@ class EdgeModel:
     [0, 1] that is never below ``floor``, for every edge index i and every
     suffix history with start == i+1.
 
-    ``conditionals(i, suffixes)``, when given, is the same conditional for a
-    whole int64 array of suffix bitmasks at once (each aligned like
-    ``SuffixHistory.bits``), returning float64 values bit-identical to the
-    scalar ones. The exact engine uses it in place of one ``conditional``
-    call per suffix; models without it take the scalar path.
+    ``conditionals(i, degrees)``, when given, is the same conditional for
+    many decided suffixes at once, read through their vertex degrees:
+    ``degrees[v, c]`` counts the present decided edges at vertex v in suffix
+    c, an integer array of shape (n, B) whose type holds 4n (int8 up to
+    n = 32; cast it before forming larger values). It returns B float64 values
+    bit-identical to the scalar ones, so it only serves a conditional that
+    depends on the suffix through its degrees, as every built-in does. The
+    block samplers and the exact engine use it in place of one
+    ``conditional`` call per suffix; models without it take the scalar path.
     """
 
     space: EdgeSpace
@@ -114,8 +130,8 @@ def er_model(n: int, p: float) -> EdgeModel:
     def conditional(i: int, history: SuffixHistory) -> float:
         return p
 
-    def conditionals(i: int, suffixes: np.ndarray) -> np.ndarray:
-        return np.full(suffixes.size, p, dtype=np.float64)
+    def conditionals(i: int, degrees: np.ndarray) -> np.ndarray:
+        return np.full(degrees.shape[1], p, dtype=np.float64)
 
     return EdgeModel(
         space, p, conditional, ModelDescriptor("er", n, {"p": p}), conditionals
@@ -137,8 +153,8 @@ def global_count_model(n: int) -> EdgeModel:
         k = history.bits.bit_count()
         return 1.0 - (k + 1) / nsq
 
-    def conditionals(i: int, suffixes: np.ndarray) -> np.ndarray:
-        return 1.0 - (np.bitwise_count(suffixes) + 1) / nsq
+    def conditionals(i: int, degrees: np.ndarray) -> np.ndarray:
+        return 1.0 - (degrees.sum(axis=0) // 2 + 1) / nsq
 
     return EdgeModel(
         space, 0.5, conditional, ModelDescriptor("global-count", n), conditionals
@@ -154,21 +170,19 @@ def adjacency_count_model(n: int) -> EdgeModel:
     if n < 2:
         raise DomainError(f"adjacency-count model needs n >= 2, got {n}")
     space = EdgeSpace(n)
-    inc = space._incident_masks
     pairs = space.pairs
 
-    # a decided suffix never holds edge i's own bit, so the edges touching
-    # either endpoint of edge i count exactly its adjacent present edges
+    # a decided suffix never holds edge i itself, so the decided edges at
+    # either endpoint of edge i are exactly its adjacent present edges
     def conditional(i: int, history: SuffixHistory) -> float:
         a, b = pairs[i - 1]
+        inc = space._incident_masks
         k = (history.bits & (inc[a] | inc[b])).bit_count()
         return 0.5 - 1.0 / (k + 5)
 
-    def conditionals(i: int, suffixes: np.ndarray) -> np.ndarray:
-        # the mask is a Python int; it fits int64 for every m the batched
-        # paths accept (m <= 63), so no adjacency array is built up front
+    def conditionals(i: int, degrees: np.ndarray) -> np.ndarray:
         a, b = pairs[i - 1]
-        return 0.5 - 1.0 / (np.bitwise_count(suffixes & (inc[a] | inc[b])) + 5)
+        return 0.5 - 1.0 / (degrees[a] + degrees[b] + 5)
 
     return EdgeModel(
         space, 0.3, conditional, ModelDescriptor("adjacency-count", n), conditionals
@@ -237,36 +251,39 @@ class ConditionedAdjacencyModel:
             attempts=self.budget,
         )
 
-    def _sample_rows(self, rngs: list) -> Optional[np.ndarray]:
-        """Masks of ``sample(rng)`` for each stream, all rejection rounds
-        batched: every still-pending stream draws its next m coins, the base
-        model decides them as a block, and acceptance is checked against the
-        edge adjacency at once. None when the base model's block sampler
-        refuses a round (see :func:`_decide_block`)."""
+    def _sample_rows(self, master_seed: int, branch: tuple, lo: int, hi: int) -> Optional[list]:
+        """Masks of ``sample(derive_rng(master_seed, *branch, idx))`` for idx
+        in lo..hi-1, all rejection rounds batched: every still-pending stream
+        draws its next m coins, the base model decides them in the block
+        kernel, and acceptance is read off the final degrees at once. None
+        when the kernel refuses a round (see :func:`_decide_block`)."""
         self._check_event()
         m = self.space.m
-        inc = np.array(self.space._incident_masks, dtype=np.int64)
         u, v = self.space.endpoints
-        adj = (inc[u] | inc[v]) & ~(1 << np.arange(m, dtype=np.int64))
-        out = np.zeros(len(rngs), dtype=np.int64)
-        pending = np.arange(len(rngs))
-        coins = np.empty((len(rngs), m))
-        for _ in range(self.budget):
-            if not pending.size:
-                break
-            for r in pending.tolist():
-                rngs[r].random(out=coins[r])
-            decided = _decide_block(self.base_model, coins[pending])
-            if decided is None:
-                return None
-            bits = decided[0]
-            counts = np.bitwise_count(bits[:, None] & adj[None, :])
-            accepted = (counts >= self.min_adjacent).all(axis=1)
-            out[pending[accepted]] = bits[accepted]
-            pending = pending[~accepted]
-        if pending.size:
-            self._exhausted()
-        return out
+        masks = []
+        for start, stop in _bounds(lo, hi, max(1, KERNEL_COINS // m)):
+            rngs = block_rngs(master_seed, branch, start, stop)
+            out = np.zeros((m, stop - start), dtype=bool)
+            pending = np.arange(stop - start)
+            coins = np.empty((stop - start, m))
+            for _ in range(self.budget):
+                if not pending.size:
+                    break
+                for r in pending.tolist():
+                    rngs[r].random(out=coins[r])
+                decided = _decide_block(self.base_model, coins[pending])
+                if decided is None:
+                    return None
+                degrees, (present,) = decided
+                # edge (a, b) counts its own bit once in each endpoint's degree
+                adjacent = degrees[u] + degrees[v] - 2 * present.astype(degrees.dtype)
+                accepted = (adjacent >= self.min_adjacent).all(axis=0)
+                out[:, pending[accepted]] = present[:, accepted]
+                pending = pending[~accepted]
+            if pending.size:
+                self._exhausted()
+            masks += _mask_ints(out)
+        return masks
 
 
 def conditioned_adjacency_model(
@@ -327,95 +344,131 @@ def _checked(
     return q
 
 
-def _level_conditionals(
-    model: EdgeModel, i: int, size: int, base: float = 0.0
-) -> np.ndarray:
-    """Conditionals of edge i after each decided suffix ``s << i``, s < size.
+def _level_conditionals(model: EdgeModel, base: float = 0.0):
+    """Yield (i, q) for edge i = m down to 1, where q[s] is edge i's
+    conditional after decided suffix s (edge i+1 is s's low bit, so its
+    mask is ``s << i``) for every s < 2^(m-i).
 
-    One batched call when the model has ``conditionals``, else one scalar
-    ``conditional`` call per suffix, which stays the reference path. Either
-    way the first suffix, in ascending order, whose conditional leaves [0, 1]
-    or falls below ``base`` raises as :func:`_checked` does for it.
+    The suffixes' degrees come from an int8 table that doubles per level,
+    ``deg[:, 2s + b] = deg[:, s] + b (e_a + e_b)`` for the edge (a, b) just
+    decided, built into two preallocated buffers in turn. A model with
+    ``conditionals`` reads a whole level from it in one call; other models
+    take one scalar ``conditional`` call per suffix, the reference path.
+    Either way the first suffix, in ascending order, whose conditional
+    leaves [0, 1] or falls below ``base`` raises as :func:`_checked` does.
     """
     space = model.space
-    if model.conditionals is None:
-        conditional = model.conditional
-        q = np.empty(size, dtype=np.float64)
-        for s in range(size):
-            history = SuffixHistory(space, i + 1, s << i)
-            q[s] = _checked(conditional(i, history), i, model.name, base, history)
-        return q
-    q = model.conditionals(i, np.arange(size, dtype=np.int64) << i)
-    bad = ~((q >= base) & (q <= 1.0))  # NaN counts as out of range
-    if bad.any():
-        s = int(np.argmax(bad))
-        _checked(float(q[s]), i, model.name, base, SuffixHistory(space, i + 1, s << i))
-    return q
+    m = space.m
+    # the exact engines cap m at 24 (n <= 7), so every degree fits a byte
+    buffers = np.zeros((2, space.n, 1 << max(m - 1, 0)), dtype=np.int8)
+    degrees = buffers[0, :, :1]
+    for i in range(m, 0, -1):
+        if i < m:
+            # columns 2s and 2s + 1 (edge i+1 absent, present) as one
+            # little-endian int16: deg[:, s] in both bytes, then one more in
+            # the high byte at edge i+1's two ends
+            doubled = buffers[(m - i) % 2, :, : 2 * degrees.shape[1]]
+            np.multiply(degrees, 257, out=doubled.view("<i2"), dtype=np.int16)
+            doubled.view("<i2")[list(space.pairs[i])] += 256
+            degrees = doubled
+        if model.conditionals is None:
+            histories = (SuffixHistory(space, i + 1, s << i) for s in range(degrees.shape[1]))
+            q = np.array([model.conditional(i, h) for h in histories], dtype=np.float64)
+        else:
+            q = model.conditionals(i, degrees)
+        bad = ~((q >= base) & (q <= 1.0))  # NaN counts as out of range
+        if bad.any():
+            s = int(np.argmax(bad))
+            _checked(float(q[s]), i, model.name, base, SuffixHistory(space, i + 1, s << i))
+        yield i, q
 
 
-def _decide_block(
-    model: EdgeModel, coins: np.ndarray, base: Optional[float] = None
-) -> Optional[tuple[np.ndarray, ...]]:
-    """Decide edges m down to 1 for a block of samples, one batched
-    ``conditionals`` call per edge.
+def _patch_probabilities(base: float, q: np.ndarray) -> np.ndarray:
+    """The patch-coin probabilities q - p'(base, q), elementwise, with the
+    float operations of :func:`~probust.coupling.patch_probability`."""
+    return q if base == 1.0 else q - np.minimum(q, base * (1.0 - q) / (1.0 - base))
+
+
+def _decide_block(model: EdgeModel, coins: np.ndarray, base: Optional[float] = None):
+    """Decide edges m down to 1 for a block of B samples, one batched
+    ``conditionals`` call per edge on the decided degrees.
 
     Row r of ``coins`` holds the uniforms one sample's scalar path draws: m
     of them for :func:`sample_direct` (coin j decides edge m-j), or 2m for
     :func:`~probust.coupling.generate_coupled` when ``base`` is given (the g1
-    coin, then the patch coin, per edge). Returns the int64 masks ``(u,)``,
-    or ``(g1, g2, u)`` for a coupling, bit for bit those of the scalar
-    samplers; the same strict ``<`` tests and the same float operations are
-    applied. Returns None as soon as a conditional leaves [0, 1] or falls
-    below ``base``: the caller re-runs the block on the scalar path, which
-    raises the reference error for the first offending sample.
+    coin, then the patch coin, per edge). Returns the final degrees, shape
+    (n, B), and the decisions as (m, B) bool arrays whose row i-1 is edge i:
+    ``(u,)``, or ``(g1, g2, u)`` for a coupling, bit for bit those of the
+    scalar samplers; the same strict ``<`` tests and the same float
+    operations are applied. Returns None as soon as a conditional leaves
+    [0, 1] or falls below ``base``: the caller re-runs the block on the
+    scalar path, which raises the reference error for the first offending
+    sample.
     """
-    m = model.space.m
-    floor = 0.0 if base is None else base
-    u = np.zeros(coins.shape[0], dtype=np.int64)
+    space = model.space
+    # the smallest integer type that holds 4n: room for deg(a) + deg(b) + a constant
+    degrees = np.zeros((space.n, len(coins)), dtype=np.min_scalar_type(-4 * space.n))
+    vertex_rows = list(degrees)  # one view per vertex, added to in place
+    u = np.empty((space.m, len(coins)), dtype=bool)
     if base is not None:
-        g1, g2 = np.zeros_like(u), np.zeros_like(u)
-        in_g1 = coins[:, 0::2] < base
-    for j, i in enumerate(range(m, 0, -1)):
-        q = model.conditionals(i, u)
-        if q.size and not (q.min() >= floor and q.max() <= 1.0):  # NaN fails too
+        g1 = np.ascontiguousarray((coins[:, 0::2] < base).T[::-1])
+        g2 = np.empty_like(u)
+    for j, i in enumerate(range(space.m, 0, -1)):
+        q = model.conditionals(i, degrees)
+        if q.size and not (q.min() >= (base or 0.0) and q.max() <= 1.0):  # NaN fails too
             return None
-        bit = 1 << (i - 1)
         if base is None:
-            np.bitwise_or(u, bit, out=u, where=coins[:, j] < q)
-            continue
-        # q - p_prime(base, q), elementwise
-        residual = q if base == 1.0 else q - np.minimum(q, base * (1.0 - q) / (1.0 - base))
-        in_g2 = coins[:, 2 * j + 1] < residual
-        np.bitwise_or(g1, bit, out=g1, where=in_g1[:, j])
-        np.bitwise_or(g2, bit, out=g2, where=in_g2)
-        np.bitwise_or(u, bit, out=u, where=in_g1[:, j] | in_g2)
-    return (u,) if base is None else (g1, g2, u)
+            np.less(coins[:, j], q, out=u[i - 1])
+        else:
+            np.less(coins[:, 2 * j + 1], _patch_probabilities(base, q), out=g2[i - 1])
+            np.logical_or(g1[i - 1], g2[i - 1], out=u[i - 1])
+        for v in space.pairs[i - 1]:
+            vertex_rows[v] += u[i - 1]
+    return degrees, ((u,) if base is None else (g1, g2, u))
 
 
-def batchable(model: EdgeModel) -> bool:
-    """True when ``model`` can go through the block samplers."""
-    return model.conditionals is not None and model.space.m <= BATCH_MAX_M
+def _mask_ints(rows: np.ndarray) -> list:
+    """Column c of ``rows``, an (m, B) bool array whose row i-1 is edge i,
+    as a Python int bitmask."""
+    packed = np.ascontiguousarray(np.packbits(rows, axis=0, bitorder="little").T)
+    if rows.shape[0] <= 64:  # one machine word: .tolist() is far cheaper than from_bytes
+        return np.pad(packed, ((0, 0), (0, 8 - packed.shape[1]))).view("<u8").ravel().tolist()
+    return [int.from_bytes(row, "little") for row in packed]
+
+
+def _kernel_masks(model: EdgeModel, master_seed: int, branch: tuple, lo: int, hi: int, base=None):
+    """Per index of lo..hi-1, the block kernel's masks as Python ints: (u,),
+    or (g1, g2, u) for a coupling at ``base``, decided in parts of at most
+    ``KERNEL_COINS`` coins. None if the kernel refuses a part."""
+    width = model.space.m if base is None else 2 * model.space.m
+    masks = []
+    for start, stop in _bounds(lo, hi, max(1, KERNEL_COINS // max(width, 1))):
+        decided = _decide_block(model, coin_rows(master_seed, branch, start, stop, width), base)
+        if decided is None:
+            return None
+        masks += zip(*map(_mask_ints, decided[1]))
+    return masks
 
 
 def sample_block(source, master_seed: int, branch: tuple, lo: int, hi: int):
     """``source.sample(derive_rng(master_seed, *branch, idx))`` for each idx
     in lo..hi-1, in order.
 
-    Built-in models (and the rejection sampler over one) with m <= 63 decide
-    the whole block at once; the results are the same realizations. Any
-    other source, and any block the batched path refuses, takes the scalar
-    path lazily, so it raises exactly where and what the scalar path does.
+    Built-in models, and the rejection sampler over one, decide the block in
+    the block kernel, in parts of at most ``KERNEL_COINS`` coins, for any n,
+    and give the same realizations. Any other source, and any block the
+    kernel refuses, takes the scalar path lazily, so it raises exactly where
+    and what the scalar path does.
     """
-    space = source.space
-    bits = None
-    if isinstance(source, EdgeModel) and batchable(source):
-        decided = _decide_block(source, coin_rows(master_seed, branch, lo, hi, space.m))
-        bits = None if decided is None else decided[0]
-    elif isinstance(source, ConditionedAdjacencyModel) and batchable(source.base_model):
-        bits = source._sample_rows(block_rngs(master_seed, branch, lo, hi))
-    if bits is not None:
-        return [Realization(space, b) for b in bits.tolist()]
-    return (source.sample(derive_rng(master_seed, *branch, idx)) for idx in range(lo, hi))
+    masks = None
+    if isinstance(source, ConditionedAdjacencyModel) and source.base_model.conditionals:
+        masks = source._sample_rows(master_seed, branch, lo, hi)
+    elif isinstance(source, EdgeModel) and source.conditionals is not None:
+        masks = _kernel_masks(source, master_seed, branch, lo, hi)
+        masks = None if masks is None else [u for (u,) in masks]
+    if masks is None:
+        return (source.sample(derive_rng(master_seed, *branch, idx)) for idx in range(lo, hi))
+    return [Realization(source.space, bits) for bits in masks]
 
 
 def sample_direct(model: EdgeModel, rng: np.random.Generator) -> Realization:
@@ -469,8 +522,7 @@ def robustness_floor_check(
                 f"exhaustive floor check caps at m={EXHAUSTIVE_FLOOR_CHECK_MAX_M}, "
                 f"got m={m}; use exhaustive=False for randomized checking"
             )
-        for i in range(m, 0, -1):
-            q = _level_conditionals(model, i, 1 << (m - i))
+        for i, q in _level_conditionals(model):
             evaluations += q.size
             s = int(np.argmin(q))  # first minimum, as a strict-< scan would keep
             if q[s] < best:
@@ -490,8 +542,6 @@ def robustness_floor_check(
                 best = q
                 witness = (i, history)
 
-    if m == 0:
-        best = 1.0
     confirmed = best >= model.floor
     return FloorCheckResult(
         min_conditional=best,

@@ -57,8 +57,13 @@ def derive_rng(master_seed: int, *key: int) -> np.random.Generator:
 def index_blocks(count: int, start: int = 0) -> list[tuple[int, int]]:
     """Bounds (lo, hi) of the consecutive ``BLOCK``-sized blocks of
     start..start+count-1; the last block may be shorter."""
-    end = start + count
-    return [(lo, min(lo + BLOCK, end)) for lo in range(start, end, BLOCK)]
+    return _bounds(start, start + count, BLOCK)
+
+
+def _bounds(lo: int, hi: int, size: int) -> list[tuple[int, int]]:
+    """Bounds of the consecutive ``size``-sized parts of lo..hi-1; the last
+    part may be shorter."""
+    return [(a, min(a + size, hi)) for a in range(lo, hi, size)]
 
 
 def _words(n: int) -> list[int]:

@@ -28,6 +28,18 @@ def ref_pairs(n: int) -> tuple[tuple[int, int], ...]:
     return tuple((u, v) for u in range(n) for v in range(u + 1, n))
 
 
+def ref_degrees(n: int, masks) -> np.ndarray:
+    """Column c: the vertex degrees of bitmask ``masks[c]``, pair by pair;
+    the (n, B) layout a batched ``conditionals`` reads."""
+    out = np.zeros((n, len(masks)), dtype=np.int64)
+    for c, bits in enumerate(masks):
+        for j, (u, v) in enumerate(ref_pairs(n)):
+            if bits >> j & 1:
+                out[u, c] += 1
+                out[v, c] += 1
+    return out
+
+
 def ref_edge_adjacency(n: int) -> tuple[int, ...]:
     """For each edge, the mask of the other edges sharing an endpoint with
     it, pair by pair."""

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -21,7 +23,7 @@ from probust import (
     patch_probability,
     union_probability_identity,
 )
-from probust import coupling
+from probust import models
 from probust.coupling import coupled_block
 
 probs = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -187,18 +189,19 @@ def scalar_triples(params, seed, lo, hi):
 class TestCoupledBlock:
     """coupled_stream's block path against generate_coupled, bit for bit."""
 
-    @pytest.mark.parametrize("n", range(1, 12))
+    @pytest.mark.parametrize("n", [*range(1, 14), 30, 64, 65, 100])
     def test_builtins_equal_scalar_path(self, n):
-        models = [er_model(n, 0.3), er_model(n, 1.0)]
+        count = 257 if n <= 13 else 5
+        builtins = [er_model(n, 0.3), er_model(n, 1.0)]
         if n >= 2:
-            models += [global_count_model(n), adjacency_count_model(n)]
-        for model in models:
+            builtins += [global_count_model(n), adjacency_count_model(n)]
+        for model in builtins:
             for base in (0.0, 0.3, 1.0):
                 if base > model.floor:
                     continue
                 params = CouplingParams(base, model)
-                got = triples_bits(t for _, t in coupled_stream(params, 41, 257))
-                assert got == scalar_triples(params, 41, 0, 257), (model.name, base)
+                got = triples_bits(t for _, t in coupled_stream(params, 41, count))
+                assert got == scalar_triples(params, 41, 0, count), (model.name, base)
 
     @pytest.mark.parametrize("count", [0, 1, 255, 256, 257, 4097])
     def test_sample_counts(self, count):
@@ -215,22 +218,34 @@ class TestCoupledBlock:
             params, 43, 0, 300
         )
 
-    def test_m_above_63_takes_scalar_path(self, monkeypatch):
-        params = CouplingParams(0.3, adjacency_count_model(12))  # m = 66
-        monkeypatch.setattr(coupling, "_decide_block", None)  # any batched call fails
-        assert triples_bits(coupled_block(params, 44, 0, 10)) == scalar_triples(
-            params, 44, 0, 10
-        )
+    def test_kernel_calls_bound_their_coins(self, monkeypatch):
+        # n = 30: a whole 256-row block holds 256 x 870 coins per call (1.7 MiB)
+        params = CouplingParams(0.3, adjacency_count_model(30))
+
+        def traced_block():
+            tracemalloc.start()
+            try:
+                triples = triples_bits(coupled_block(params, 48, 0, 256))
+                return triples, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        unsplit = traced_block()
+        monkeypatch.setattr(models, "KERNEL_COINS", 16 * 870)  # 16 rows per call
+        split = traced_block()
+        assert split[1] < 512 * 1024 < unsplit[1]
+        assert split[0] == unsplit[0]
+        assert split[0][:40] == scalar_triples(params, 48, 0, 40)
 
     def test_batched_undershoot_raises_the_scalar_error(self):
         space = EdgeSpace(5)
-        dent = 0b1011 << 6  # edges 7, 8 and 10 present, 9 absent, when edge 6 is decided
 
+        # 0.25 once three of edges 7..10 are present, when edge 6 is decided
         def conditional(i, history):
-            return 0.25 if i == 6 and history.bits == dent else 0.6
+            return 0.25 if i == 6 and history.present_count() == 3 else 0.6
 
-        def conditionals(i, suffixes):
-            return np.where((i == 6) & (suffixes == dent), 0.25, 0.6)
+        def conditionals(i, degrees):
+            return np.where((i == 6) & (degrees.sum(axis=0) // 2 == 3), 0.25, 0.6)
 
         params = CouplingParams(0.5, EdgeModel(space, 0.5, conditional, conditionals=conditionals))
         with pytest.raises(RobustnessViolationError) as block_err:
@@ -247,8 +262,8 @@ class TestCoupledBlock:
         def conditional(i, history):
             return 0.2 if i == 1 and history.bits.bit_count() == 5 else 0.6
 
-        def conditionals(i, suffixes):
-            return np.where((i == 1) & (np.bitwise_count(suffixes) == 5), 0.2, 0.6)
+        def conditionals(i, degrees):
+            return np.where((i == 1) & (degrees.sum(axis=0) // 2 == 5), 0.2, 0.6)
 
         params = CouplingParams(0.5, EdgeModel(space, 0.5, conditional, conditionals=conditionals))
         stream = coupled_stream(params, 46, 300)

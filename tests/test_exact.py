@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import bruteforce as bf
 from probust import (
     CertificationError,
     CouplingParams,
@@ -58,9 +59,9 @@ def dented_model(n, batched, overshoot=True):
             return 1.5
         return 0.5
 
-    def conditionals(i, suffixes):
-        k = np.bitwise_count(suffixes)
-        q = np.full(suffixes.size, 0.5)
+    def conditionals(i, degrees):
+        k = degrees.sum(axis=0) // 2
+        q = np.full(k.size, 0.5)
         if i == 2:
             q[k == 3] = 0.1
             if overshoot:
@@ -75,16 +76,32 @@ class TestBatchedConditionals:
     def test_equal_to_scalar_bit_for_bit(self, n):
         models = [build(n) for build in BUILTINS]
         space = models[0].space
+        incident = np.array(space._incident_masks, dtype=np.int64)[:, None]
         for i in range(1, space.m + 1):
             size = 1 << (space.m - i)
-            suffixes = np.arange(size, dtype=np.int64) << i
+            degrees = np.bitwise_count((np.arange(size, dtype=np.int64) << i) & incident)
             for model in models:
                 bits = range(0, size << i, 1 << i)
                 histories = map(SuffixHistory, repeat(space), repeat(i + 1), bits)
                 want = np.fromiter(map(model.conditional, repeat(i), histories), np.float64, size)
-                got = model.conditionals(i, suffixes)
+                got = model.conditionals(i, degrees)
                 assert got.dtype == np.float64
                 assert got.tobytes() == want.tobytes(), (model.name, n, i)
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_level_degrees_are_the_suffix_degrees(self, n):
+        space = EdgeSpace(n)
+        seen = []
+
+        def conditionals(i, degrees):
+            seen.append((i, degrees.copy()))
+            return np.full(degrees.shape[1], 0.5)
+
+        exact_joint(EdgeModel(space, 0.5, lambda i, h: 0.5, None, conditionals))
+        assert [i for i, _ in seen] == list(range(space.m, 0, -1))
+        for i, degrees in seen:
+            suffixes = [s << i for s in range(1 << (space.m - i))]
+            assert np.array_equal(degrees, bf.ref_degrees(n, suffixes)), i
 
     @pytest.mark.parametrize("n", range(2, 7))
     @pytest.mark.parametrize("build", BUILTINS)

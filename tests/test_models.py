@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from probust import (
     sample_direct,
 )
 from probust import models
-from probust.models import batchable, sample_block, satisfies_min_adjacent
+from probust.models import _mask_ints, sample_block, satisfies_min_adjacent
 from probust.rngstreams import index_blocks
 
 
@@ -135,8 +136,7 @@ class TestAdjacencyCountModel:
             k = (suffix & ref[i - 1]).bit_count()
             q = model.conditional(i, SuffixHistory(model.space, i + 1, suffix))
             assert q == 0.5 - 1.0 / (k + 5)
-            if m <= 63:
-                assert model.conditionals(i, np.array([suffix], dtype=np.int64))[0] == q
+            assert model.conditionals(i, bf.ref_degrees(n, [suffix]))[0] == q
 
     @pytest.mark.parametrize("n", [2, 3, 4, 6, 8])
     def test_min_adjacent_event_matches_pairwise_reference(self, n):
@@ -300,14 +300,24 @@ def scalar(source, seed, branch, count):
     return [source.sample(derive_rng(seed, *branch, idx)).bits for idx in range(count)]
 
 
+def traced_peak(fn):
+    """fn()'s result and the peak bytes traced while it ran."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestSampleBlock:
     """The block sampler against the scalar reference, bit for bit."""
 
-    @pytest.mark.parametrize("n", range(1, 12))
+    @pytest.mark.parametrize("n", [*range(1, 14), 30, 64, 65, 100])
     def test_builtins_equal_scalar_path(self, n):
+        count = 257 if n <= 13 else 5
         for model in builtin_models(n):
-            assert batchable(model)
-            assert blocked(model, 31, (1,), 257) == scalar(model, 31, (1,), 257)
+            assert model.conditionals is not None
+            assert blocked(model, 31, (1,), count) == scalar(model, 31, (1,), count)
 
     @pytest.mark.parametrize("count", [0, 1, 255, 256, 257, 4097])
     def test_sample_counts(self, count):
@@ -319,17 +329,29 @@ class TestSampleBlock:
         block = sample_block(model, 33, (4,), 300, 310)
         assert [g.bits for g in block] == scalar(model, 33, (4,), 310)[300:]
 
+    def test_mask_ints_across_word_boundaries(self):
+        draw = np.random.default_rng(5)
+        for m in (0, 1, 8, 63, 64, 65, 128, 200):
+            rows = draw.random((m, 7)) < 0.5
+            want = [sum(1 << j for j in range(m) if rows[j, c]) for c in range(7)]
+            assert _mask_ints(rows) == want
+
+    @pytest.mark.parametrize("build", [adjacency_count_model, conditioned_adjacency_model])
+    def test_kernel_calls_bound_their_coins(self, build, monkeypatch):
+        # n = 30: a whole 256-row block holds 256 x 435 coins per call (870 KiB)
+        source = build(30)
+        unsplit = traced_peak(lambda: sample_block(source, 47, (), 0, 256))
+        monkeypatch.setattr(models, "KERNEL_COINS", 16 * 435)  # 16 rows per call
+        split = traced_peak(lambda: sample_block(source, 47, (), 0, 256))
+        assert split[1] < 512 * 1024 < unsplit[1]
+        assert [g.bits for g in split[0]] == [g.bits for g in unsplit[0]]
+        assert [g.bits for g in split[0][:40]] == scalar(source, 47, (), 40)
+
     def test_closure_model_takes_scalar_path(self):
         space = EdgeSpace(5)
         model = EdgeModel(space, 0.2, lambda i, h: 0.2 + 0.05 * h.present_count())
-        assert not batchable(model)
+        assert model.conditionals is None
         assert blocked(model, 34, (), 300) == scalar(model, 34, (), 300)
-
-    def test_m_above_63_takes_scalar_path(self, monkeypatch):
-        model = adjacency_count_model(12)  # m = 66
-        assert not batchable(model)
-        monkeypatch.setattr(models, "_decide_block", None)  # any batched call fails
-        assert blocked(model, 35, (), 20) == scalar(model, 35, (), 20)
 
     def test_out_of_range_conditional_raises_the_scalar_error(self):
         space = EdgeSpace(5)
@@ -337,8 +359,8 @@ class TestSampleBlock:
         def conditional(i, h):
             return 1.5 if i == 4 and h.present_count() == 3 else 0.5
 
-        def conditionals(i, suffixes):
-            return np.where((i == 4) & (np.bitwise_count(suffixes) == 3), 1.5, 0.5)
+        def conditionals(i, degrees):
+            return np.where((i == 4) & (degrees.sum(axis=0) // 2 == 3), 1.5, 0.5)
 
         batched = EdgeModel(space, 0.5, conditional, conditionals=conditionals)
         with pytest.raises(ModelContractError) as block_err:

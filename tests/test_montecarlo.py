@@ -261,8 +261,8 @@ class TestCoupledDominationTest:
         def conditional(i, history):
             return 0.2 if i == 2 and history.present_count() == 8 else 0.6
 
-        def conditionals(i, suffixes):
-            return np.where((i == 2) & (np.bitwise_count(suffixes) == 8), 0.2, 0.6)
+        def conditionals(i, degrees):
+            return np.where((i == 2) & (degrees.sum(axis=0) // 2 == 8), 0.2, 0.6)
 
         params = CouplingParams(0.5, EdgeModel(space, 0.5, conditional, conditionals=conditionals))
         with pytest.raises(RobustnessViolationError) as scalar_err:
