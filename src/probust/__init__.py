@@ -81,6 +81,7 @@ from .properties import (
     PropertyOracle,
     certify_monotone,
     chromatic_number,
+    decide_bits,
     diameter,
     has_hamiltonian_cycle,
     is_connected,

@@ -81,10 +81,13 @@ def _check_pq(p: float, q: float) -> None:
 
 def _require_floor(model) -> None:
     """Only an EdgeModel carries the sequential conditionals and the floor
-    the embedding is built from; the rejection sampler has neither."""
+    the embedding is built from; the rejection sampler has neither. A model
+    is named by its ``name``, anything else (a swapped argument) by its type."""
     if not isinstance(model, EdgeModel):
+        name = getattr(model, "name", None)
+        label = repr(name) if isinstance(name, str) else f"of type {type(model).__name__}"
         raise DomainError(
-            f"model {model.name!r} has no sequential conditionals or floor to "
+            f"model {label} has no sequential conditionals or floor to "
             "embed an independent layer under"
         )
 

@@ -10,7 +10,7 @@ independent Bernoulli graph without trusting the sampling code.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -18,15 +18,12 @@ from .coupling import CouplingParams, _require_floor
 from .errors import CertificationError, DomainError, UnsupportedScaleError
 from .graphs import EdgeSpace, Realization
 from .models import EdgeModel, _level_conditionals, _patch_probabilities, er_model
-from .models import satisfies_min_adjacent
-
-if TYPE_CHECKING:
-    from .properties import PropertyOracle
+from .properties import PropertyOracle, decide_bits
 
 MAX_JOINT_M = 21  # n = 7
 MAX_COUPLING_M = 10  # n = 5
 PROB_TOL = 1e-12
-SWEEP_BLOCK = 4096  # realizations whose neighbour masks are built at once
+SWEEP_BLOCK = 4096  # realizations decided in one decide_bits call
 
 
 @dataclass(frozen=True)
@@ -144,48 +141,17 @@ def exact_coupling_joint(params: CouplingParams) -> ExactCouplingJoint:
     return ExactCouplingJoint(space, base, table)
 
 
-def _byte_neighbor_masks(space: EdgeSpace) -> list[np.ndarray]:
-    """Table j, row x: the (n,) neighbour masks of the graph whose only edges
-    are those of byte value x at bits 8j..8j+7 of the realization; a
-    realization's masks are the OR of its bytes' rows."""
-    u, v = (e.tolist() for e in space.endpoints)
-    values = np.arange(256, dtype=np.int64)
-    tables = []
-    for start in range(0, space.m, 8):
-        table = np.zeros((256, space.n), dtype=np.int64)
-        for i in range(start, min(start + 8, space.m)):
-            present = (values >> (i - start)) & 1
-            table[:, u[i]] |= present << v[i]
-            table[:, v[i]] |= present << u[i]
-        tables.append(table)
-    return tables
-
-
 def _event_indicator(
-    space: EdgeSpace, oracle: "PropertyOracle", support: np.ndarray
+    space: EdgeSpace, oracle: PropertyOracle, support: np.ndarray
 ) -> np.ndarray:
-    """The oracle's decision on every realization in ``support``; False elsewhere.
-
-    The neighbour masks of each block of realizations are built together,
-    one table lookup per byte of the bitmask. An oracle with
-    ``decide_block`` decides the block in one call; otherwise the masks are
-    handed to one realization at a time for ``decide``, the reference path.
-    """
-    decide, decide_block = oracle.decide, oracle.decide_block
-    byte_masks = _byte_neighbor_masks(space)
+    """The oracle's decision on every realization in ``support``; False
+    elsewhere, decided ``SWEEP_BLOCK`` realizations at a time by
+    :func:`~probust.properties.decide_bits`."""
     indicator = np.zeros(support.size, dtype=bool)
     todo = np.flatnonzero(support)
     for lo in range(0, todo.size, SWEEP_BLOCK):
-        block = todo[lo : lo + SWEEP_BLOCK].astype(np.int64)
-        masks = np.zeros((block.size, space.n), dtype=np.int64)
-        for j, table in enumerate(byte_masks):
-            masks |= table[(block >> (8 * j)) & 0xFF]
-        if decide_block is not None:
-            indicator[block] = decide_block(masks)
-            continue
-        for bits, row in zip(block.tolist(), masks.tolist()):
-            g = Realization._with_neighbor_masks(space, bits, tuple(row))
-            indicator[bits] = bool(decide(g))
+        block = todo[lo : lo + SWEEP_BLOCK]
+        indicator[block] = decide_bits(oracle, space, block)
     return indicator
 
 
@@ -215,7 +181,7 @@ def _event_mass(probs: np.ndarray, indicator: np.ndarray) -> float:
     return float(np.cumsum(np.where(indicator, probs, 0.0))[-1])
 
 
-def exact_probability(dist: ExactDistribution, oracle: "PropertyOracle") -> float:
+def exact_probability(dist: ExactDistribution, oracle: PropertyOracle) -> float:
     """Probability of the oracle's event: sum over qualifying realizations."""
     indicator = _event_indicator(dist.space, oracle, dist.probs != 0)
     return _event_mass(dist.probs, indicator)
@@ -234,9 +200,16 @@ def condition_min_adjacent(
     """Restrict to realizations where every edge position has >= threshold
     present adjacent edges, renormalized."""
     space = dist.space
-    keep = np.zeros(dist.probs.size, dtype=bool)
-    for bits in range(dist.probs.size):
-        keep[bits] = satisfies_min_adjacent(Realization(space, bits), threshold)
+    bits = np.arange(dist.probs.size, dtype=np.int64)
+    # vertex degrees of every realization; one (2^m,) array per edge at a time
+    # keeps the temporaries small (an (m, 2^m) int64 array is 352 MB at n = 7)
+    degree = [np.bitwise_count(bits & mask) for mask in space._incident_masks]
+    keep = np.ones(bits.size, dtype=bool)
+    # edge (a, b) counts its own bit once in each endpoint's degree, as in
+    # the scalar reference, models.satisfies_min_adjacent
+    for idx, (a, b) in enumerate(space.pairs):
+        present = (bits >> idx) & 1
+        keep &= degree[a] + degree[b] - 2 * present >= threshold
     mass = float(dist.probs[keep].sum())
     if mass <= 0.0:
         raise DomainError(
@@ -316,7 +289,7 @@ class DominationCheckResult:
 def exact_domination_check(
     model: Union[EdgeModel, ExactDistribution],
     base: float,
-    oracle: "PropertyOracle",
+    oracle: PropertyOracle,
     tol: float = PROB_TOL,
 ) -> DominationCheckResult:
     """Compare Pr(Q) under independent Bernoulli(base) edges vs under the model.

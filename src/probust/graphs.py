@@ -171,16 +171,6 @@ class Realization:
             b ^= low
         return tuple(masks)
 
-    @classmethod
-    def _with_neighbor_masks(
-        cls, space: EdgeSpace, bits: int, masks: tuple[int, ...]
-    ) -> "Realization":
-        """A realization whose neighbor masks were built elsewhere, in bulk;
-        ``masks`` must be what :attr:`neighbor_masks` would compute."""
-        g = cls(space, bits)
-        g.__dict__["neighbor_masks"] = masks  # the cached_property's slot
-        return g
-
     def to_hex(self) -> str:
         """Lowercase fixed-width hex, least-significant bit = edge index 1."""
         return format(self.bits, f"0{self.space.hex_width()}x")

@@ -12,6 +12,14 @@ All sampling derives one RNG stream per sample index from the master seed,
 and aggregation is integer counting, so results are identical no matter how
 the indices are partitioned over workers.
 
+Both tests decide samples a block at a time: each block's realization
+bitmasks go to :func:`~probust.properties.decide_bits`, the decision path
+the exact sweep uses too. At n <= 10 (``chrom``: n <= 8) it runs the
+oracle's block decider on neighbour masks read off byte tables; above that,
+or for an oracle without one, it calls ``decide`` graph by graph. A paired
+violation is found over the block as g1 & ~union; the first one, by sample
+and then by oracle, is raised with its triple.
+
 The Wilson interval's z comes from ``_ndtri``, a port of the Cephes routine
 that ``scipy.stats.norm.ppf`` calls, so its bounds carry the same bits as
 scipy's. ``scipy`` itself is imported only inside the degree chi-square test,
@@ -35,6 +43,7 @@ from .models import EdgeModel, er_model, sample_block
 from .properties import (
     PropertyOracle,
     chromatic_number,
+    decide_bits,
     diameter,
     longest_cycle_length,
     max_clique_size,
@@ -264,7 +273,8 @@ def estimate_property(
     _check_scales([oracle], source.space.n)
 
     def count_hits(lo: int, hi: int) -> int:
-        return sum(1 for g in sample_block(source, master_seed, branch, lo, hi) if oracle.decide(g))
+        bits = [g.bits for g in sample_block(source, master_seed, branch, lo, hi)]
+        return int(decide_bits(oracle, source.space, bits).sum())
 
     hits = sum(_map_blocks(count_hits, samples, workers))
     low, high = _INTERVALS[method](hits, samples, confidence)
@@ -369,33 +379,29 @@ def coupled_domination_test(
     oracle_list = [oracles] if single else list(oracles)
     if samples < 1:
         raise DomainError(f"samples must be >= 1, got {samples}")
-    _check_scales(oracle_list, params.model.space.n)
+    space = params.model.space
+    _check_scales(oracle_list, space.n)
 
-    def count_pairs(lo: int, hi: int) -> tuple[list[int], list[int]]:
-        g1_counts = [0] * len(oracle_list)
-        u_counts = [0] * len(oracle_list)
-        for idx, triple in zip(range(lo, hi), coupled_block(params, master_seed, lo, hi)):
-            for j, oracle in enumerate(oracle_list):
-                on_g1 = oracle.decide(triple.g1)
-                on_union = oracle.decide(triple.u)
-                if on_g1:
-                    g1_counts[j] += 1
-                    if not on_union:
-                        raise PairedViolationError(
-                            f"sample {idx}: embedded layer has {oracle.name!r} but the "
-                            f"union does not (g1={triple.g1.to_hex()}, u={triple.u.to_hex()})",
-                            triple=triple,
-                        )
-                if on_union:
-                    u_counts[j] += 1
-        return g1_counts, u_counts
+    def count_pairs(lo: int, hi: int) -> np.ndarray:
+        """(2, oracles) counts of the block's samples with each property on
+        g1 and on the union; the first violation, by sample and then by
+        oracle, raises."""
+        triples = list(coupled_block(params, master_seed, lo, hi))
+        g1_bits = [t.g1.bits for t in triples]
+        u_bits = [t.u.bits for t in triples]
+        on_g1 = np.array([decide_bits(oracle, space, g1_bits) for oracle in oracle_list])
+        on_union = np.array([decide_bits(oracle, space, u_bits) for oracle in oracle_list])
+        lost = (on_g1 & ~on_union).T  # (samples, oracles)
+        if lost.any():
+            r, j = divmod(int(np.argmax(lost)), len(oracle_list))
+            raise PairedViolationError(
+                f"sample {lo + r}: embedded layer has {oracle_list[j].name!r} but the union "
+                f"does not (g1={triples[r].g1.to_hex()}, u={triples[r].u.to_hex()})",
+                triple=triples[r],
+            )
+        return np.array([on_g1.sum(axis=1), on_union.sum(axis=1)])
 
-    g1_counts = [0] * len(oracle_list)
-    u_counts = [0] * len(oracle_list)
-    for part_g1, part_u in _map_blocks(count_pairs, samples, workers):
-        for j in range(len(oracle_list)):
-            g1_counts[j] += part_g1[j]
-            u_counts[j] += part_u[j]
+    g1_counts, u_counts = np.sum(_map_blocks(count_pairs, samples, workers), axis=0).tolist()
     reports = [
         PairedReport(
             oracle_name=oracle.name,

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -32,7 +32,8 @@ DOMSET_MAX_N = 26
 HAMILTONIAN_MAX_N = 20
 MATCHING_MAX_N = 26
 LONGEST_CYCLE_MAX_N = 16
-BLOCK_MAX_N = 8  # block deciders build tables of 2^n rows per graph
+BLOCK_MAX_N = 10  # block deciders build tables of 2^n rows per graph
+CHROMATIC_BLOCK_MAX_N = 8  # above it the chromatic block decider's int64 count can overflow
 _DIAMETER_GATHER_WORDS = 1 << 20  # uint64 words of neighbour rows gathered at once
 
 
@@ -594,12 +595,12 @@ def has_matching_at_least(g: Realization, k: int) -> bool:
 # row of the block, and one Python step serves a whole family of subsets.
 
 
-def _columns(masks: np.ndarray) -> np.ndarray:
-    """The block's neighbour masks as (n, B) rows; refuses n > BLOCK_MAX_N,
-    where the 2^n-row tables would stop fitting a block."""
+def _columns(masks: np.ndarray, cap: int = BLOCK_MAX_N) -> np.ndarray:
+    """The block's neighbour masks as (n, B) rows; refuses n > ``cap``, by
+    default BLOCK_MAX_N, where the 2^n-row tables would stop fitting a block."""
     n = masks.shape[1]
-    if n > BLOCK_MAX_N:
-        raise UnsupportedScaleError(f"block deciders cap at n={BLOCK_MAX_N}, got {n}")
+    if n > cap:
+        raise UnsupportedScaleError(f"this block decider caps at n={cap}, got {n}")
     return np.ascontiguousarray(masks.T, dtype=np.int64)
 
 
@@ -682,9 +683,10 @@ def _chromatic_at_least_block(masks: np.ndarray, k: int) -> np.ndarray:
     """Not (k-1)-colourable, by counting (k-1)-tuples of independent sets
     that cover the vertices: sum over S of (-1)^(n-|S|) i(S)^(k-1), where
     i(S) counts the independent subsets of S (Bjorklund, Husfeldt and
-    Koivisto, SIAM J. Comput. 2009). At n <= BLOCK_MAX_N the terms' absolute
-    values sum to at most (1 + 2^(n-1))^n < 2^57, so int64 is exact."""
-    cols = _columns(masks)
+    Koivisto, SIAM J. Comput. 2009). The terms' absolute values sum to at most
+    (1 + 2^(n-1))^n, below 2^57 at n = 8 and above 2^63 at n = 9, so int64
+    is exact only up to CHROMATIC_BLOCK_MAX_N = 8, and larger n is refused."""
+    cols = _columns(masks, CHROMATIC_BLOCK_MAX_N)
     n, b = cols.shape
     if k <= 1 or k > n:
         return np.full(b, k <= 1)
@@ -751,6 +753,24 @@ def _edge_count_block(masks: np.ndarray) -> np.ndarray:
     return np.bitwise_count(_columns(masks)).sum(axis=0, dtype=np.int64) // 2
 
 
+@lru_cache(maxsize=None)
+def _byte_neighbor_masks(space: EdgeSpace) -> tuple[np.ndarray, ...]:
+    """Table j, row x: the (n,) neighbour masks of the graph whose only edges
+    are those of byte value x at bits 8j..8j+7 of the realization; a
+    realization's masks are the OR of its bytes' rows. Built once per space."""
+    u, v = (e.tolist() for e in space.endpoints)
+    values = np.arange(256, dtype=np.int64)
+    tables = []
+    for start in range(0, space.m, 8):
+        table = np.zeros((256, space.n), dtype=np.int64)
+        for i in range(start, min(start + 8, space.m)):
+            present = (values >> (i - start)) & 1
+            table[:, u[i]] |= present << v[i]
+            table[:, v[i]] |= present << u[i]
+        tables.append(table)
+    return tuple(tables)
+
+
 # ---------------------------------------------------------------------------
 # oracles
 
@@ -766,9 +786,13 @@ class PropertyOracle:
     ``decide_block``, when set, decides many graphs in one call: it takes a
     (B, n) int64 array whose row b holds graph b's neighbour masks (bit u of
     entry v set iff uv is an edge) and returns B booleans, each equal to
-    ``decide`` on that graph. The exact sweep uses it and builds no
+    ``decide`` on that graph. :func:`decide_bits`, through which the exact
+    sweep and the sampled tests decide every batch, calls it and builds no
     :class:`Realization`; oracles without one are decided one graph at a
-    time. The shipped ones refuse n > ``BLOCK_MAX_N``.
+    time. The shipped ones refuse n > ``BLOCK_MAX_N`` (10), and ``chrom``
+    refuses n > ``CHROMATIC_BLOCK_MAX_N`` (8), where its int64 count could
+    overflow. The cap of 10 was measured: at n = 10 every shipped block
+    decider, masks included, costs less per graph than ``decide`` does.
 
     ``check_scale``, when set, raises :class:`UnsupportedScaleError` for a
     vertex count at which ``decide`` refuses every graph, with the message
@@ -860,6 +884,35 @@ def parse_property(text: str) -> PropertyOracle:
     if match["exk"] is not None:
         return exactly_edges_oracle(int(match["exk"]))
     return hamiltonian_oracle() if match["bare"] == "ham" else connected_oracle()
+
+
+# ---------------------------------------------------------------------------
+# deciding a batch of graphs
+
+
+def decide_bits(oracle: PropertyOracle, space: EdgeSpace, bits) -> np.ndarray:
+    """The oracle's decisions on the graphs of ``space`` whose realization
+    bitmasks are ``bits``, as a (B,) bool array: the one way the library
+    decides a batch of graphs, sampled or exhaustive.
+
+    At n <= BLOCK_MAX_N the (B, n) neighbour masks are read off byte tables,
+    one lookup per byte of the bitmask, and handed to ``decide_block``; its
+    tables hold 2^n rows per graph, so callers pass blocks, not whole runs.
+    An oracle without ``decide_block``, or one whose block decider refuses n,
+    gets ``decide(Realization(space, b))`` for each b in order, the reference.
+    """
+    if oracle.decide_block is not None and space.n <= BLOCK_MAX_N:
+        block = np.asarray(bits, dtype=np.int64)
+        masks = np.zeros((block.size, space.n), dtype=np.int64)
+        for j, table in enumerate(_byte_neighbor_masks(space)):
+            masks |= table[(block >> (8 * j)) & 0xFF]
+        try:
+            return oracle.decide_block(masks)
+        except UnsupportedScaleError:
+            pass
+    if isinstance(bits, np.ndarray):
+        bits = bits.tolist()
+    return np.array([bool(oracle.decide(Realization(space, b))) for b in bits], dtype=bool)
 
 
 # ---------------------------------------------------------------------------

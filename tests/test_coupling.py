@@ -102,6 +102,10 @@ class TestCouplingParams:
     def test_base_at_floor_ok(self):
         CouplingParams(0.3, adjacency_count_model(4))
 
+    def test_swapped_arguments_raise_a_domain_error(self):
+        with pytest.raises(DomainError, match="^model of type float has no sequential conditionals"):
+            CouplingParams(adjacency_count_model(4), 0.3)
+
     def test_triple_invariant_enforced(self):
         space = EdgeSpace(3)
         g1 = Realization(space, 0b001)

@@ -322,8 +322,8 @@ SHIPPED_PROPERTIES = [
 
 
 class TestEventIndicator:
-    """The sweep hands each realization neighbour masks built for its whole
-    block; decisions must equal a per-realization scalar loop."""
+    """The sweep decides each block of realizations through ``decide_bits``;
+    decisions must equal a per-realization scalar loop."""
 
     @staticmethod
     def support(n, seed):
@@ -440,6 +440,18 @@ class TestConditioning:
             else:
                 pass
         assert cond.probs.sum() == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    @pytest.mark.parametrize("threshold", [3, 4])
+    def test_table_equals_the_scalar_mask(self, n, threshold):
+        dist = exact_joint(adjacency_count_model(n))
+        space = dist.space
+        keep = np.array(
+            [satisfies_min_adjacent(Realization(space, bits), threshold) for bits in range(1 << space.m)]
+        )
+        want = np.where(keep, dist.probs, 0.0) / float(dist.probs[keep].sum())
+        got = condition_min_adjacent(dist, threshold).probs
+        assert got.tobytes() == want.tobytes()
 
     def test_empty_event_rejected(self):
         with pytest.raises(DomainError):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -24,6 +26,7 @@ from probust import (
 )
 from probust.properties import (
     BLOCK_MAX_N,
+    CHROMATIC_BLOCK_MAX_N,
     CLIQUE_MAX_N,
     THRESHOLD_FAMILIES,
     PropertyOracle,
@@ -31,6 +34,7 @@ from probust.properties import (
     clique_oracle,
     connected_oracle,
     chromatic_oracle,
+    decide_bits,
     diameter_oracle,
     dominating_oracle,
     exactly_edges_oracle,
@@ -418,22 +422,51 @@ class TestDecideBlock:
             assert got.dtype == bool and got.shape == (len(graphs),), oracle.name
             assert got.tolist() == [bool(oracle.decide(g)) for g in graphs], oracle.name
 
-    def test_equals_decide_on_random_graphs_at_n7(self):
-        space = EdgeSpace(7)
+    @pytest.mark.parametrize("n,count", [(7, 20_000), (9, 2000), (BLOCK_MAX_N, 2000)])
+    def test_equals_decide_on_random_graphs(self, n, count):
+        """Above CHROMATIC_BLOCK_MAX_N the chromatic block decider refuses,
+        and ``chrom`` is checked through ``decide_bits``'s scalar path."""
+        space = EdgeSpace(n)
         rng = np.random.default_rng(2024)
-        present = rng.random((20_000, space.m)) < rng.random((20_000, 1))  # any density
+        present = rng.random((count, space.m)) < rng.random((count, 1))  # any density
         bits = (present.astype(np.int64) << np.arange(space.m)).sum(axis=1)
         graphs = [Realization(space, b) for b in bits.tolist()]
-        masks = block_of(graphs)
-        for oracle in every_shipped_oracle(7):
-            got = oracle.decide_block(masks)
-            assert got.tolist() == [bool(oracle.decide(g)) for g in graphs], oracle.name
+        blocks = np.array_split(block_of(graphs), max(1, count // 1000))  # 2^n table rows per graph
+        for oracle in every_shipped_oracle(n):
+            want = [bool(oracle.decide(g)) for g in graphs]
+            if oracle.name.startswith("chrom") and n > CHROMATIC_BLOCK_MAX_N:
+                with pytest.raises(UnsupportedScaleError):
+                    oracle.decide_block(blocks[0])
+                got = decide_bits(oracle, space, bits)
+            else:
+                got = np.concatenate([oracle.decide_block(block) for block in blocks])
+            assert got.tolist() == want, oracle.name
 
     def test_refuses_above_the_block_cap(self):
         masks = np.zeros((2, BLOCK_MAX_N + 1), dtype=np.int64)
         for oracle in every_shipped_oracle(2):
             with pytest.raises(UnsupportedScaleError):
                 oracle.decide_block(masks)
+
+
+class TestDecideBits:
+    @pytest.mark.parametrize("n", [9, 10, 12])
+    def test_equals_decide_for_every_shipped_oracle(self, n):
+        space = EdgeSpace(n)
+        rng = np.random.default_rng(n)
+        present = rng.random((300, space.m)) < rng.random((300, 1))  # any density
+        bits = [int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little") for row in present]
+        graphs = [Realization(space, b) for b in bits]
+
+        def refuse(masks):
+            raise AssertionError("block decider called above BLOCK_MAX_N")
+
+        for oracle in every_shipped_oracle(n):
+            if n > BLOCK_MAX_N:  # at n = 12, m = 66 > 64: only the scalar path applies
+                oracle = dataclasses.replace(oracle, decide_block=refuse)
+            got = decide_bits(oracle, space, bits)
+            assert got.dtype == bool and got.shape == (len(bits),), oracle.name
+            assert got.tolist() == [bool(oracle.decide(g)) for g in graphs], oracle.name
 
 
 class TestPropertyGrammar:
