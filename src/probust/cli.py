@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .coupling import CouplingParams, coupled_stream
+from .coupling import CouplingParams, coupled_block
 from .errors import (
     CertificationError,
     DomainError,
@@ -42,7 +42,8 @@ from .exact import (
     exact_joint,
     tv_distance,
 )
-from .models import MODELS, ModelDescriptor, sample_block, sample_direct
+from .graphs import Realization
+from .models import MODELS, ModelDescriptor, sample_block
 from .montecarlo import (
     FORMULAS,
     asymptotic_report,
@@ -59,7 +60,7 @@ from .properties import (
     max_clique_size,
     parse_property,
 )
-from .rngstreams import check_seed, derive_rng, index_blocks
+from .rngstreams import check_count, check_seed, derive_rng
 
 
 def _dumps(obj) -> str:
@@ -120,16 +121,13 @@ class _Output:
 
 
 def cmd_generate(args) -> int:
-    if args.samples < 0:
-        raise DomainError(f"count must be >= 0, got {args.samples}")
+    check_count(args.samples)
     seed = _resolve_seed(args)
     model = _build_model(args)
+    n, spec = model.space.n, model.space.hex_format
     out = _Output(args.output)
-    for lo, hi in index_blocks(args.samples):
-        for idx, g in enumerate(sample_block(model, seed, (), lo, hi), lo):
-            out.line(
-                _dumps({"index": idx, "n": model.space.n, "seed": seed, "g": g.to_hex()})
-            )
+    for idx, bits in enumerate(sample_block(model, seed, (), 0, args.samples)):
+        out.line(_dumps({"index": idx, "n": n, "seed": seed, "g": format(bits, spec)}))
     out.close()
     return 0
 
@@ -138,20 +136,11 @@ def cmd_couple(args) -> int:
     seed = _resolve_seed(args)
     model = _build_model(args)
     params = CouplingParams(args.base, model)
+    n, spec = model.space.n, model.space.hex_format
     out = _Output(args.output)
-    for idx, triple in coupled_stream(params, seed, args.samples):
-        out.line(
-            _dumps(
-                {
-                    "index": idx,
-                    "n": model.space.n,
-                    "seed": seed,
-                    "g1": triple.g1.to_hex(),
-                    "g2": triple.g2.to_hex(),
-                    "u": triple.u.to_hex(),
-                }
-            )
-        )
+    for idx, (g1, g2, u) in enumerate(coupled_block(params, seed, 0, check_count(args.samples))):
+        hexes = {"g1": format(g1, spec), "g2": format(g2, spec), "u": format(u, spec)}
+        out.line(_dumps({"index": idx, "n": n, "seed": seed, **hexes}))
     out.close()
     return 0
 
@@ -370,11 +359,10 @@ def _preset_adjacency_bounds(args, seed: int) -> list[dict]:
     model_rows = []
     for n in ns:
         check_clique_scale(n)  # before the model is built and sampled
-        desc = ModelDescriptor("adjacency-count", n)
-        model = desc.build()
+        model = ModelDescriptor("adjacency-count", n).build()
         cliq, chrom, dom, diam = [], [], [], []
-        for idx in range(args.samples):
-            g = sample_direct(model, derive_rng(seed, n, idx))
+        for bits in sample_block(model, seed, (n,), 0, args.samples):
+            g = Realization(model.space, bits)
             cliq.append(max_clique_size(g))
             chrom.append(greedy_coloring_size(g))
             dom.append(greedy_dominating_set_size(g))

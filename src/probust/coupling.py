@@ -20,9 +20,12 @@ edge instead of clamping, so a model that underruns its declared floor fails
 loudly with the offending edge and history.
 
 :func:`generate_coupled` is the scalar reference. :func:`coupled_block`
-gives the same triples for a block of indices from the block kernel in
-:mod:`probust.models`, which decides the union on its decided degrees and
-draws the patch coin with the same float operations.
+gives the same triples, as (g1, g2, union) bitmasks, for any range of
+indices from the block kernel in :mod:`probust.models`, which decides the
+union on its decided degrees and draws the patch coin with the same float
+operations. Its callers read bitmasks only, so no :class:`CouplingTriple` is
+built per sample: :func:`coupled_stream` builds one per index it yields, and
+the paired test one for a reported violation.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ import numpy as np
 from .errors import DomainError, RobustnessViolationError
 from .graphs import Realization, SuffixHistory, union
 from .models import EdgeModel, _checked, _kernel_masks
-from .rngstreams import derive_rng, index_blocks
+from .rngstreams import check_count, derive_rng, index_blocks
 
 
 def p_prime(p: float, q: float) -> float:
@@ -171,19 +174,21 @@ def coupled_stream(
     (master_seed, index), so any partition of the index range over workers
     produces the same triples.
     """
-    if count < 0:
-        raise DomainError(f"count must be >= 0, got {count}")
+    check_count(count)
+    space = params.model.space
     for lo, hi in index_blocks(count, start_index):
-        yield from zip(range(lo, hi), coupled_block(params, master_seed, lo, hi))
+        for idx, bits in zip(range(lo, hi), coupled_block(params, master_seed, lo, hi)):
+            yield idx, CouplingTriple(*(Realization(space, b) for b in bits))
 
 
 def coupled_block(params: CouplingParams, master_seed: int, lo: int, hi: int):
-    """``generate_coupled(params, derive_rng(master_seed, idx))`` for each idx
-    in lo..hi-1, in order.
+    """The bitmasks ``(t.g1.bits, t.g2.bits, t.u.bits)`` of
+    ``t = generate_coupled(params, derive_rng(master_seed, idx))`` for each
+    idx in lo..hi-1, in order, over any range the caller needs.
 
-    A model with batched ``conditionals`` decides the block in the block
-    kernel, in parts of at most ``KERNEL_COINS`` coins, for any n, and gives
-    the same triples. Other models, and any block in which a conditional leaves
+    A model with batched ``conditionals`` decides the range in the block
+    kernel, in parts of ``models._part_rows`` rows, for any n, and gives the
+    same bits. Other models, and any range in which a conditional leaves
     [0, 1] or falls below the base, take the scalar path lazily, so errors
     are raised where and as the scalar path raises them.
     """
@@ -192,9 +197,6 @@ def coupled_block(params: CouplingParams, master_seed: int, lo: int, hi: int):
         model, master_seed, (), lo, hi, params.base
     )
     if masks is None:
-        return (generate_coupled(params, derive_rng(master_seed, idx)) for idx in range(lo, hi))
-    space = model.space
-    return [
-        CouplingTriple(Realization(space, g1), Realization(space, g2), Realization(space, u))
-        for g1, g2, u in masks
-    ]
+        triples = (generate_coupled(params, derive_rng(master_seed, idx)) for idx in range(lo, hi))
+        return ((t.g1.bits, t.g2.bits, t.u.bits) for t in triples)
+    return masks

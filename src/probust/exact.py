@@ -55,11 +55,11 @@ class ExactDistribution:
 
     def to_csv(self, path) -> None:
         """Two columns: realization hex, probability."""
-        width = self.space.hex_width()
+        spec = self.space.hex_format
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("realization,probability\n")
             for bits in range(1 << self.space.m):
-                fh.write(f"{bits:0{width}x},{float(self.probs[bits])!r}\n")
+                fh.write(f"{bits:{spec}},{float(self.probs[bits])!r}\n")
 
 
 def exact_joint(model: EdgeModel) -> ExactDistribution:

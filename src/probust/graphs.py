@@ -83,8 +83,11 @@ class EdgeSpace:
         inc = self._incident_masks
         return (inc[a] | inc[b]) & ~(1 << (i - 1))
 
-    def hex_width(self) -> int:
-        return max(1, (self.m + 3) // 4)
+    @cached_property
+    def hex_format(self) -> str:
+        """Format spec of a realization bitmask as lowercase hex, one digit
+        per four edges (at least one), least-significant bit = edge index 1."""
+        return f"0{max(1, (self.m + 3) // 4)}x"
 
     def _check_index(self, i: int) -> None:
         if not 1 <= i <= self.m:
@@ -172,8 +175,8 @@ class Realization:
         return tuple(masks)
 
     def to_hex(self) -> str:
-        """Lowercase fixed-width hex, least-significant bit = edge index 1."""
-        return format(self.bits, f"0{self.space.hex_width()}x")
+        """Lowercase fixed-width hex, as ``EdgeSpace.hex_format`` spells it."""
+        return format(self.bits, self.space.hex_format)
 
     @classmethod
     def from_hex(cls, text: str, space: EdgeSpace) -> "Realization":

@@ -19,7 +19,9 @@ vertex degrees it leaves, so the batched paths keep those degrees as their
 one state: the block kernel (:func:`_decide_block`) decides edge i = m..1
 for a block of samples with one ``conditionals(i, degrees)`` call per edge,
 for any n, and the exact engine reads the same calls level by level
-(:func:`_level_conditionals`). The scalar ``conditional`` on a
+(:func:`_level_conditionals`). :func:`sample_block` hands out the kernel's
+realization bitmasks as Python ints, for any index range, and builds no
+:class:`Realization`. The scalar ``conditional`` on a
 :class:`SuffixHistory`, :func:`sample_direct` and the rejection sampler's
 ``sample`` stay the bit-for-bit reference.
 
@@ -48,10 +50,12 @@ from .graphs import EdgeSpace, Realization, SuffixHistory
 from .rngstreams import _bounds, block_rngs, coin_rows, derive_rng
 
 EXHAUSTIVE_FLOOR_CHECK_MAX_M = 24
-# coin floats handed to one block-kernel call (32 MiB): a larger block is
-# decided in parts of whole rows, and rows are independent streams, so the
-# parts give the same bits as one call
+# coin floats' worth of memory handed to one block-kernel call (32 MiB),
+# counting each row's seeded stream (about 780 bytes) as STREAM_COINS coins: a
+# larger range is decided in parts of whole rows, and rows are independent
+# streams, so the parts give the same bits as one call
 KERNEL_COINS = 1 << 22
+STREAM_COINS = 96
 
 
 @dataclass(frozen=True)
@@ -254,14 +258,17 @@ class ConditionedAdjacencyModel:
     def _sample_rows(self, master_seed: int, branch: tuple, lo: int, hi: int) -> Optional[list]:
         """Masks of ``sample(derive_rng(master_seed, *branch, idx))`` for idx
         in lo..hi-1, all rejection rounds batched: every still-pending stream
-        draws its next m coins, the base model decides them in the block
-        kernel, and acceptance is read off the final degrees at once. None
-        when the kernel refuses a round (see :func:`_decide_block`)."""
-        self._check_event()
+        of a part (see :func:`_part_rows`) draws its next m coins, the base
+        model decides them in one block-kernel call, and acceptance is read
+        off the final degrees at once, so a round's few pending rows are
+        pooled over the whole part. None when the kernel refuses a round (see
+        :func:`_decide_block`). An empty range checks nothing, as the scalar
+        path draws nothing."""
         m = self.space.m
         u, v = self.space.endpoints
         masks = []
-        for start, stop in _bounds(lo, hi, max(1, KERNEL_COINS // m)):
+        for start, stop in _bounds(lo, hi, _part_rows(m)):
+            self._check_event()
             rngs = block_rngs(master_seed, branch, start, stop)
             out = np.zeros((m, stop - start), dtype=bool)
             pending = np.arange(stop - start)
@@ -436,13 +443,19 @@ def _mask_ints(rows: np.ndarray) -> list:
     return [int.from_bytes(row, "little") for row in packed]
 
 
+def _part_rows(width: int) -> int:
+    """Rows of ``width`` coins per block-kernel call: at most ``KERNEL_COINS``
+    coins, each row's stream counted as ``STREAM_COINS`` more, and at least one."""
+    return max(1, KERNEL_COINS // (width + STREAM_COINS))
+
+
 def _kernel_masks(model: EdgeModel, master_seed: int, branch: tuple, lo: int, hi: int, base=None):
     """Per index of lo..hi-1, the block kernel's masks as Python ints: (u,),
-    or (g1, g2, u) for a coupling at ``base``, decided in parts of at most
-    ``KERNEL_COINS`` coins. None if the kernel refuses a part."""
+    or (g1, g2, u) for a coupling at ``base``, decided in parts of
+    :func:`_part_rows` rows. None if the kernel refuses a part."""
     width = model.space.m if base is None else 2 * model.space.m
     masks = []
-    for start, stop in _bounds(lo, hi, max(1, KERNEL_COINS // max(width, 1))):
+    for start, stop in _bounds(lo, hi, _part_rows(width)):
         decided = _decide_block(model, coin_rows(master_seed, branch, start, stop, width), base)
         if decided is None:
             return None
@@ -451,14 +464,15 @@ def _kernel_masks(model: EdgeModel, master_seed: int, branch: tuple, lo: int, hi
 
 
 def sample_block(source, master_seed: int, branch: tuple, lo: int, hi: int):
-    """``source.sample(derive_rng(master_seed, *branch, idx))`` for each idx
-    in lo..hi-1, in order.
+    """``source.sample(derive_rng(master_seed, *branch, idx)).bits`` for each
+    idx in lo..hi-1, in order: realization bitmasks, over any range the
+    caller needs.
 
-    Built-in models, and the rejection sampler over one, decide the block in
-    the block kernel, in parts of at most ``KERNEL_COINS`` coins, for any n,
-    and give the same realizations. Any other source, and any block the
-    kernel refuses, takes the scalar path lazily, so it raises exactly where
-    and what the scalar path does.
+    Built-in models, and the rejection sampler over one, decide the range in
+    the block kernel, in parts of :func:`_part_rows` rows, for any n, and
+    give the same bits. Any other source, and any range the kernel refuses,
+    takes the scalar path lazily, so it raises exactly where and what the
+    scalar path does.
     """
     masks = None
     if isinstance(source, ConditionedAdjacencyModel) and source.base_model.conditionals:
@@ -467,8 +481,8 @@ def sample_block(source, master_seed: int, branch: tuple, lo: int, hi: int):
         masks = _kernel_masks(source, master_seed, branch, lo, hi)
         masks = None if masks is None else [u for (u,) in masks]
     if masks is None:
-        return (source.sample(derive_rng(master_seed, *branch, idx)) for idx in range(lo, hi))
-    return [Realization(source.space, bits) for bits in masks]
+        return (source.sample(derive_rng(master_seed, *branch, idx)).bits for idx in range(lo, hi))
+    return masks
 
 
 def sample_direct(model: EdgeModel, rng: np.random.Generator) -> Realization:

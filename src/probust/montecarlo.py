@@ -12,13 +12,17 @@ All sampling derives one RNG stream per sample index from the master seed,
 and aggregation is integer counting, so results are identical no matter how
 the indices are partitioned over workers.
 
-Both tests decide samples a block at a time: each block's realization
-bitmasks go to :func:`~probust.properties.decide_bits`, the decision path
-the exact sweep uses too. At n <= 10 (``chrom``: n <= 8) it runs the
-oracle's block decider on neighbour masks read off byte tables; above that,
-or for an oracle without one, it calls ``decide`` graph by graph. A paired
-violation is found over the block as g1 & ~union; the first one, by sample
-and then by oracle, is raised with its triple.
+Both tests decide samples a block at a time: the block samplers
+(:func:`~probust.models.sample_block`,
+:func:`~probust.coupling.coupled_block`) hand out realization bitmasks, and
+each block's bitmasks go straight to
+:func:`~probust.properties.decide_bits`, the decision path the exact sweep
+uses too, so no ``Realization`` is built per sample. At n <= 10 (``chrom``:
+n <= 8) it runs the oracle's block decider on neighbour masks read off byte
+tables; above that, or for an oracle without one, it calls ``decide`` graph
+by graph. A paired violation is found over the block as g1 & ~union; the
+first one, by sample and then by oracle, is raised with its triple, the only
+:class:`~probust.coupling.CouplingTriple` the test builds.
 
 The Wilson interval's z comes from ``_ndtri``, a port of the Cephes routine
 that ``scipy.stats.norm.ppf`` calls, so its bounds carry the same bits as
@@ -36,7 +40,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .coupling import CouplingParams, _require_floor, coupled_block
+from .coupling import CouplingParams, CouplingTriple, _require_floor, coupled_block
 from .errors import DomainError, PairedViolationError, RobustnessViolationError
 from .graphs import EdgeSpace, Realization, degree_histogram
 from .models import EdgeModel, er_model, sample_block
@@ -273,15 +277,17 @@ def estimate_property(
     _check_scales([oracle], source.space.n)
 
     def count_hits(lo: int, hi: int) -> int:
-        bits = [g.bits for g in sample_block(source, master_seed, branch, lo, hi)]
+        bits = list(sample_block(source, master_seed, branch, lo, hi))
         return int(decide_bits(oracle, source.space, bits).sum())
 
     hits = sum(_map_blocks(count_hits, samples, workers))
     low, high = _INTERVALS[method](hits, samples, confidence)
+    estimate = hits / samples
+    # at 0 or all hits a Wilson bound can land a few ulps past the estimate
     return EstimateResult(
-        estimate=hits / samples,
-        ci_low=low,
-        ci_high=high,
+        estimate=estimate,
+        ci_low=min(low, estimate),
+        ci_high=max(high, estimate),
         samples=samples,
         seed=master_seed,
         method=method,
@@ -387,17 +393,17 @@ def coupled_domination_test(
         g1 and on the union; the first violation, by sample and then by
         oracle, raises."""
         triples = list(coupled_block(params, master_seed, lo, hi))
-        g1_bits = [t.g1.bits for t in triples]
-        u_bits = [t.u.bits for t in triples]
+        g1_bits, _, u_bits = zip(*triples)
         on_g1 = np.array([decide_bits(oracle, space, g1_bits) for oracle in oracle_list])
         on_union = np.array([decide_bits(oracle, space, u_bits) for oracle in oracle_list])
         lost = (on_g1 & ~on_union).T  # (samples, oracles)
         if lost.any():
             r, j = divmod(int(np.argmax(lost)), len(oracle_list))
+            triple = CouplingTriple(*(Realization(space, b) for b in triples[r]))
             raise PairedViolationError(
                 f"sample {lo + r}: embedded layer has {oracle_list[j].name!r} but the union "
-                f"does not (g1={triples[r].g1.to_hex()}, u={triples[r].u.to_hex()})",
-                triple=triples[r],
+                f"does not (g1={triple.g1.to_hex()}, u={triple.u.to_hex()})",
+                triple=triple,
             )
         return np.array([on_g1.sum(axis=1), on_union.sum(axis=1)])
 

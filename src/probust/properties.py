@@ -322,27 +322,6 @@ def greedy_coloring_size(g: Realization) -> int:
 # connectivity and distances
 
 
-def _connected_masks(n: int, adj: tuple[int, ...]) -> bool:
-    if n <= 1:
-        return True
-    visited = 1
-    frontier = 1
-    while frontier:
-        grow = 0
-        f = frontier
-        while f:
-            low = f & -f
-            grow |= adj[low.bit_length() - 1]
-            f ^= low
-        frontier = grow & ~visited
-        visited |= frontier
-    return visited == (1 << n) - 1
-
-
-def is_connected(g: Realization) -> bool:
-    return _connected_masks(g.space.n, g.neighbor_masks)
-
-
 def _eccentricity(n: int, adj: tuple[int, ...], s: int, cutoff: Optional[int] = None):
     """(eccentricity within s's component, visited mask); None if > cutoff."""
     visited = 1 << s
@@ -362,6 +341,12 @@ def _eccentricity(n: int, adj: tuple[int, ...], s: int, cutoff: Optional[int] = 
         visited |= frontier
         if cutoff is not None and depth > cutoff:
             return None, visited
+
+
+def is_connected(g: Realization) -> bool:
+    """Vertex 0's component is every vertex; one vertex is connected."""
+    n = g.space.n
+    return _eccentricity(n, g.neighbor_masks, 0)[1] == (1 << n) - 1
 
 
 def diameter(g: Realization) -> int:
@@ -458,9 +443,9 @@ def has_hamiltonian_cycle(g: Realization) -> bool:
     for v in range(n):
         if adj[v].bit_count() < 2:
             return False
-    if not _connected_masks(n, adj):
-        return False
     full = (1 << n) - 1
+    if _eccentricity(n, adj, 0)[1] != full:
+        return False
 
     def dfs(v: int, visited: int) -> bool:
         if visited == full:

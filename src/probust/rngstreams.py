@@ -48,6 +48,12 @@ def check_seed(seed: int) -> int:
     return int(seed)
 
 
+def check_count(count: int) -> int:
+    if count < 0:
+        raise DomainError(f"count must be >= 0, got {count}")
+    return count
+
+
 def derive_rng(master_seed: int, *key: int) -> np.random.Generator:
     """Generator for stream ``key`` under ``master_seed``."""
     seq = np.random.SeedSequence(entropy=check_seed(master_seed), spawn_key=tuple(key))

@@ -19,3 +19,35 @@ settings.load_profile("ci")
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def realizations_built(monkeypatch):
+    """The bitmask of every Realization constructed while the test runs."""
+    from probust.graphs import Realization
+
+    built = []
+    check = Realization.__post_init__
+
+    def counted(self):
+        built.append(self.bits)
+        check(self)
+
+    monkeypatch.setattr(Realization, "__post_init__", counted)
+    return built
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """The row count of every block-kernel call made while the test runs."""
+    from probust import models
+
+    calls = []
+    decide = models._decide_block
+
+    def counted(model, coins, *args):
+        calls.append(len(coins))
+        return decide(model, coins, *args)
+
+    monkeypatch.setattr(models, "_decide_block", counted)
+    return calls

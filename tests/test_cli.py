@@ -449,7 +449,7 @@ class TestUsage:
             raise AssertionError("sampled before the scale cap refused")
 
         for module, name in [
-            (cli, "sample_direct"),
+            (cli, "sample_block"),
             (montecarlo, "coupled_block"),
             (montecarlo, "sample_block"),
         ]:
@@ -545,6 +545,33 @@ class TestBlockSampledOutput:
                 t.g1.to_hex(), t.g2.to_hex(), t.u.to_hex()
             )
         assert idx == 299
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "generate --model adjcount --n 10 --samples 600 --seed 54",
+            "generate --model adjcount-cond --n 10 --samples 600 --seed 54",
+            "couple --model adjcount --n 10 --base 0.3 --samples 600 --seed 54",
+        ],
+    )
+    def test_builds_no_realization_per_sample(self, argv, realizations_built, capsys):
+        assert cli.main(argv.split()) == 0
+        assert capsys.readouterr().out.count("\n") == 600
+        assert realizations_built == []
+
+    def test_generate_pools_rejection_rounds_over_its_range(self, kernel_calls, capsys):
+        argv = "generate --model adjcount-cond --n 10 --samples 1000 --seed 55"
+        assert cli.main(argv.split()) == 0
+        whole_range_calls = len(kernel_calls)
+        kernel_calls.clear()
+        model = conditioned_adjacency_model(10)
+        per_block = [
+            bits for lo, hi in rngstreams.index_blocks(1000)
+            for bits in models.sample_block(model, 55, (), lo, hi)
+        ]
+        records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert [int(r["g"], 16) for r in records] == per_block
+        assert whole_range_calls < len(kernel_calls)
 
     @pytest.mark.parametrize("n", [7, 30])  # m = 21 takes the block path, m = 435 the scalar one
     def test_verify_coupled_counts_and_threads(self, tmp_path, n):

@@ -218,7 +218,7 @@ class TestCoupledBlock:
         space = EdgeSpace(5)
         model = EdgeModel(space, 0.3, lambda i, h: 0.3 + 0.005 * h.present_count())
         params = CouplingParams(0.3, model)
-        assert triples_bits(coupled_block(params, 43, 0, 300)) == scalar_triples(
+        assert list(coupled_block(params, 43, 0, 300)) == scalar_triples(
             params, 43, 0, 300
         )
 
@@ -229,13 +229,13 @@ class TestCoupledBlock:
         def traced_block():
             tracemalloc.start()
             try:
-                triples = triples_bits(coupled_block(params, 48, 0, 256))
+                triples = list(coupled_block(params, 48, 0, 256))
                 return triples, tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
         unsplit = traced_block()
-        monkeypatch.setattr(models, "KERNEL_COINS", 16 * 870)  # 16 rows per call
+        monkeypatch.setattr(models, "KERNEL_COINS", 16 * (870 + models.STREAM_COINS))  # 16 rows
         split = traced_block()
         assert split[1] < 512 * 1024 < unsplit[1]
         assert split[0] == unsplit[0]

@@ -290,9 +290,9 @@ def builtin_models(n):
 def blocked(source, seed, branch, count):
     """Every sample of 0..count-1 through the block sampler, block by block."""
     return [
-        g.bits
+        bits
         for lo, hi in index_blocks(count)
-        for g in sample_block(source, seed, branch, lo, hi)
+        for bits in sample_block(source, seed, branch, lo, hi)
     ]
 
 
@@ -327,7 +327,7 @@ class TestSampleBlock:
     def test_blocks_are_index_ranges(self):
         model = global_count_model(7)
         block = sample_block(model, 33, (4,), 300, 310)
-        assert [g.bits for g in block] == scalar(model, 33, (4,), 310)[300:]
+        assert list(block) == scalar(model, 33, (4,), 310)[300:]
 
     def test_mask_ints_across_word_boundaries(self):
         draw = np.random.default_rng(5)
@@ -341,11 +341,11 @@ class TestSampleBlock:
         # n = 30: a whole 256-row block holds 256 x 435 coins per call (870 KiB)
         source = build(30)
         unsplit = traced_peak(lambda: sample_block(source, 47, (), 0, 256))
-        monkeypatch.setattr(models, "KERNEL_COINS", 16 * 435)  # 16 rows per call
+        monkeypatch.setattr(models, "KERNEL_COINS", 16 * (435 + models.STREAM_COINS))  # 16 rows
         split = traced_peak(lambda: sample_block(source, 47, (), 0, 256))
         assert split[1] < 512 * 1024 < unsplit[1]
-        assert [g.bits for g in split[0]] == [g.bits for g in unsplit[0]]
-        assert [g.bits for g in split[0][:40]] == scalar(source, 47, (), 40)
+        assert split[0] == unsplit[0]
+        assert split[0][:40] == scalar(source, 47, (), 40)
 
     def test_closure_model_takes_scalar_path(self):
         space = EdgeSpace(5)
@@ -368,6 +368,14 @@ class TestSampleBlock:
         with pytest.raises(ModelContractError) as scalar_err:
             scalar(batched, 36, (), 300)
         assert str(block_err.value) == str(scalar_err.value)
+
+    def test_conditioned_range_pools_pending_rows(self, kernel_calls):
+        model = conditioned_adjacency_model(10)
+        per_block = blocked(model, 40, (), 1000)
+        block_calls = len(kernel_calls)
+        kernel_calls.clear()
+        assert sample_block(model, 40, (), 0, 1000) == per_block == scalar(model, 40, (), 1000)
+        assert len(kernel_calls) < block_calls
 
     def test_conditioned_model_equals_scalar_path(self):
         for n in (4, 5, 6, 10):

@@ -186,6 +186,20 @@ class TestEstimateProperty:
         est = estimate_property(er_model(3, 0.5), ALWAYS, 100, 1, method="hoeffding")
         assert est.method == "hoeffding" and est.ci_high == 1.0
 
+    def test_interval_brackets_the_estimate_at_no_hits_and_all_hits(self):
+        # the raw Wilson bounds land a few ulps past 0/260 and 7/7
+        assert wilson_interval(0, 260)[0] > 0.0 and wilson_interval(7, 7)[1] < 1.0
+        oracle = parse_property("connected")
+        none = estimate_property(er_model(4, 0.0), oracle, 260, 1)
+        assert (none.successes, none.ci_low, none.ci_high) == (0, 0.0, wilson_interval(0, 260)[1])
+        every = estimate_property(er_model(4, 1.0), oracle, 7, 1)
+        assert (every.successes, every.ci_low, every.ci_high) == (7, wilson_interval(7, 7)[0], 1.0)
+
+    def test_builds_no_realization_per_sample(self, realizations_built):
+        est = estimate_property(adjacency_count_model(10), parse_property("connected"), 600, 21)
+        assert 0 < est.successes < 600
+        assert realizations_built == []
+
 
 class TestDominationTest:
     def test_er_against_itself_consistent(self):
@@ -272,6 +286,13 @@ class TestCoupledDominationTest:
             coupled_domination_test(params, ALWAYS, 1000, 16, workers=workers)
         assert str(err.value) == str(scalar_err.value)
         assert (err.value.edge, err.value.history) == (2, scalar_err.value.history)
+
+    def test_builds_no_realization_per_sample(self, realizations_built):
+        params = CouplingParams(0.3, adjacency_count_model(10))
+        oracles = [parse_property("match>=4"), parse_property("connected")]
+        reports = coupled_domination_test(params, oracles, 600, 22)
+        assert all(0 < r.count_g1 < r.count_union for r in reports)
+        assert realizations_built == []
 
     def test_frequencies_near_exact_values(self):
         model = adjacency_count_model(4)

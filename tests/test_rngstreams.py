@@ -118,10 +118,11 @@ class TestSelfCheck:
             got = coin_rows(7, (1,), lo, hi, width)
             assert got.tobytes() == reference_rows(7, (1,), lo, hi, width).tobytes()
         source = conditioned_adjacency_model(6)
-        assert [g.bits for g in sample_block(source, 7, (1,), 0, 40)] == [
+        assert list(sample_block(source, 7, (1,), 0, 40)) == [
             source.sample(derive_rng(7, 1, idx)).bits for idx in range(40)
         ]
         params = CouplingParams(0.3, adjacency_count_model(6))
         assert list(coupled_block(params, 7, 0, 40)) == [
-            generate_coupled(params, derive_rng(7, idx)) for idx in range(40)
+            (t.g1.bits, t.g2.bits, t.u.bits)
+            for t in (generate_coupled(params, derive_rng(7, idx)) for idx in range(40))
         ]
