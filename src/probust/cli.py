@@ -1,7 +1,8 @@
 """Command-line driver: generate, couple, exact, verify, report.
 
 Exit codes are a stable contract:
-  0 ok, 2 usage or bad parameter, 3 robustness violation, 4 scale cap,
+  0 ok, 2 usage, bad parameter or unwritable output path, 3 robustness
+  violation, 4 scale cap (a refused size, or memory running out),
   5 statistical refutation or paired violation, 6 non-monotone property.
 
 Primary outputs are machine-readable (JSON lines for streams, one JSON
@@ -21,6 +22,7 @@ import math
 import os
 import secrets
 import sys
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -114,10 +116,17 @@ class _Output:
     def close(self) -> None:
         data = "".join(self.pieces)
         if self.path:
-            with open(self.path, "w", encoding="utf-8") as fh:
-                fh.write(data)
+            _write(self.path, lambda path: Path(path).write_text(data, encoding="utf-8"))
         else:
             sys.stdout.write(data)
+
+
+def _write(path: str, write) -> None:
+    """``write(path)``, with an OSError raised as a DomainError naming the path."""
+    try:
+        write(path)
+    except OSError as exc:
+        raise DomainError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def cmd_generate(args) -> int:
@@ -165,7 +174,7 @@ def cmd_exact(args) -> int:
             "ok": abs(total - 1.0) <= PROB_TOL and float(dist.probs.min()) >= -PROB_TOL,
         }
         if args.export_dist:
-            dist.to_csv(args.export_dist)
+            _write(args.export_dist, dist.to_csv)
         code = 0 if report["ok"] else 5
     elif args.check == "coupling":
         if args.base is None:
@@ -473,8 +482,8 @@ def main(argv=None) -> int:
     except RobustnessViolationError as exc:
         print(f"robustness violation: {exc}", file=sys.stderr)
         return 3
-    except UnsupportedScaleError as exc:
-        print(f"scale cap: {exc}", file=sys.stderr)
+    except (UnsupportedScaleError, MemoryError) as exc:
+        print(f"scale cap: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 4
     except PairedViolationError as exc:
         print(f"paired dominance violation: {exc}", file=sys.stderr)

@@ -23,7 +23,6 @@ from .properties import PropertyOracle, decide_bits
 MAX_JOINT_M = 21  # n = 7
 MAX_COUPLING_M = 10  # n = 5
 PROB_TOL = 1e-12
-SWEEP_BLOCK = 4096  # realizations decided in one decide_bits call
 
 
 @dataclass(frozen=True)
@@ -144,14 +143,11 @@ def exact_coupling_joint(params: CouplingParams) -> ExactCouplingJoint:
 def _event_indicator(
     space: EdgeSpace, oracle: PropertyOracle, support: np.ndarray
 ) -> np.ndarray:
-    """The oracle's decision on every realization in ``support``; False
-    elsewhere, decided ``SWEEP_BLOCK`` realizations at a time by
-    :func:`~probust.properties.decide_bits`."""
+    """The oracle's decision on every realization in ``support``, by
+    :func:`~probust.properties.decide_bits`; False elsewhere."""
     indicator = np.zeros(support.size, dtype=bool)
     todo = np.flatnonzero(support)
-    for lo in range(0, todo.size, SWEEP_BLOCK):
-        block = todo[lo : lo + SWEEP_BLOCK]
-        indicator[block] = decide_bits(oracle, space, block)
+    indicator[todo] = decide_bits(oracle, space, todo)
     return indicator
 
 

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 import multiprocessing
+import os
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
@@ -195,14 +196,14 @@ def _map_blocks(work: Callable[[int, int], object], count: int, workers: int = 1
     """``[work(lo, hi) for (lo, hi) in index_blocks(count)]``, in block order.
 
     With workers > 1 the blocks are dealt round-robin to forked processes,
-    which inherit ``work`` instead of receiving it pickled, so arbitrary
-    sources and oracles work. The blocks never depend on ``workers`` and
-    per-index streams make each block's result independent of who computes
-    it. If blocks fail, the error of the first failing block is raised, as
-    the serial loop would raise it.
+    at most one per block and per CPU, which inherit ``work`` instead of
+    receiving it pickled, so arbitrary sources and oracles work. The blocks
+    never depend on ``workers`` and per-index streams make each block's
+    result independent of who computes it. If blocks fail, the error of the
+    first failing block is raised, as the serial loop would raise it.
     """
     blocks = index_blocks(count)
-    workers = min(workers, len(blocks))
+    workers = min(workers, len(blocks), os.cpu_count() or 1)
     if workers <= 1:
         return [work(lo, hi) for lo, hi in blocks]
     ctx = multiprocessing.get_context("fork")

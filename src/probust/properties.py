@@ -25,6 +25,8 @@ import numpy as np
 
 from .errors import DomainError, UnsupportedScaleError
 from .graphs import WORD_BITS, EdgeSpace, Realization
+from .models import _mask_ints, _part_rows
+from .rngstreams import _bounds
 
 CLIQUE_MAX_N = 512
 CHROMATIC_MAX_N = 20
@@ -35,6 +37,7 @@ LONGEST_CYCLE_MAX_N = 16
 BLOCK_MAX_N = 10  # block deciders build tables of 2^n rows per graph
 CHROMATIC_BLOCK_MAX_N = 8  # above it the chromatic block decider's int64 count can overflow
 _DIAMETER_GATHER_WORDS = 1 << 20  # uint64 words of neighbour rows gathered at once
+BLOCK_CELLS = 1 << 18  # table rows, 2^n per graph, of one decide_block call: 2 MiB of int64
 
 
 # ---------------------------------------------------------------------------
@@ -781,7 +784,8 @@ class PropertyOracle:
 
     ``check_scale``, when set, raises :class:`UnsupportedScaleError` for a
     vertex count at which ``decide`` refuses every graph, with the message
-    ``decide`` would raise; samplers call it before drawing anything.
+    ``decide`` would raise; samplers and :func:`certify_monotone` call it
+    before drawing anything.
     """
 
     name: str
@@ -881,23 +885,29 @@ def decide_bits(oracle: PropertyOracle, space: EdgeSpace, bits) -> np.ndarray:
     decides a batch of graphs, sampled or exhaustive.
 
     At n <= BLOCK_MAX_N the (B, n) neighbour masks are read off byte tables,
-    one lookup per byte of the bitmask, and handed to ``decide_block``; its
-    tables hold 2^n rows per graph, so callers pass blocks, not whole runs.
+    one lookup per byte of the bitmask, and handed to ``decide_block``. Its
+    tables hold 2^n rows per graph, so a batch of any size is split into
+    calls of ``BLOCK_CELLS >> n`` graphs: 4096 at n = 6, 256 at n = 10.
     An oracle without ``decide_block``, or one whose block decider refuses n,
     gets ``decide(Realization(space, b))`` for each b in order, the reference.
     """
     if oracle.decide_block is not None and space.n <= BLOCK_MAX_N:
         block = np.asarray(bits, dtype=np.int64)
-        masks = np.zeros((block.size, space.n), dtype=np.int64)
-        for j, table in enumerate(_byte_neighbor_masks(space)):
-            masks |= table[(block >> (8 * j)) & 0xFF]
+        step = BLOCK_CELLS >> space.n
+        decided = np.empty(block.size, dtype=bool)
         try:
-            return oracle.decide_block(masks)
+            for lo in range(0, block.size, step):
+                part = block[lo : lo + step]
+                masks = np.zeros((part.size, space.n), dtype=np.int64)
+                for j, table in enumerate(_byte_neighbor_masks(space)):
+                    masks |= table[(part >> (8 * j)) & 0xFF]
+                decided[lo : lo + step] = oracle.decide_block(masks)
+            return decided
         except UnsupportedScaleError:
             pass
-    if isinstance(bits, np.ndarray):
-        bits = bits.tolist()
-    return np.array([bool(oracle.decide(Realization(space, b))) for b in bits], dtype=bool)
+    return np.array(
+        [bool(oracle.decide(Realization(space, b))) for b in np.asarray(bits).tolist()], dtype=bool
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -920,43 +930,43 @@ def certify_monotone(
 ) -> CertificationResult:
     """Randomized self-check that the property survives edge addition.
 
-    Each trial draws a graph at a uniformly random density; when the graph
-    has the property and has an absent edge, one random absent edge is added
-    and the property is re-checked. The first violation is returned as
-    (before, after, added edge index). Passing is evidence, not proof.
+    Trial t reads the next m + 2 uniforms of ``rng``: u0, the density, then
+    u1, the pick, then one coin per edge; edge i is present iff its coin is
+    below u0. When the graph has the property and a >= 1 absent edges, the
+    floor(u1 * a)-th absent edge, counting absent edges by ascending index
+    from 0, is added and the property re-checked. The first violation is
+    returned as (before, after, added edge index), the index counting edges
+    from 1. Passing is evidence, not proof.
+
+    No trial's draws depend on a decision, so the trials are drawn in parts
+    of ``models._part_rows(m + 2)`` rows, and each part is decided by two
+    :func:`decide_bits` calls, on its graphs and on its productive graphs
+    with their added edges; the part size changes no result. An oracle that
+    refuses every graph on n vertices is refused before anything is drawn.
     """
     if trials < 0:
         raise DomainError(f"trials must be >= 0, got {trials}")
     space = EdgeSpace(n)
-    m = space.m
+    if trials and oracle.check_scale is not None:
+        oracle.check_scale(n)
     productive = 0
-    for t in range(trials):
-        density = rng.random()
-        if m:
-            present = rng.random(m) < density
-            bits = int.from_bytes(
-                np.packbits(present, bitorder="little").tobytes(), "little"
-            )
-        else:
-            bits = 0
-        g = Realization(space, bits)
-        if not oracle.decide(g):
-            continue
-        absent = ~bits & space.full_mask
-        if not absent:
-            continue
-        skip = int(rng.integers(absent.bit_count()))
-        b = absent
-        for _ in range(skip):
-            b &= b - 1
-        edge_bit = b & -b
-        productive += 1
-        g_plus = Realization(space, bits | edge_bit)
-        if not oracle.decide(g_plus):
+    for lo, hi in _bounds(0, trials, _part_rows(space.m + 2)):
+        uniforms = rng.random((hi - lo, space.m + 2))
+        present = uniforms[:, 2:] < uniforms[:, :1]
+        bits = _mask_ints(present.T)
+        counts = space.m - present.sum(axis=1)
+        rows = np.flatnonzero(decide_bits(oracle, space, bits) & (counts > 0))
+        # the running count of absent edges is nondecreasing, so the pick-th
+        # absent edge's position is the number of edges where it is <= pick
+        picks = (uniforms[rows, 1] * counts[rows]).astype(np.int64)
+        edges = (np.cumsum(~present[rows], axis=1) <= picks[:, None]).sum(axis=1)
+        plus = [bits[r] | 1 << e for r, e in zip(rows.tolist(), edges.tolist())]
+        lost = np.flatnonzero(~decide_bits(oracle, space, plus))
+        if lost.size:
+            j = int(lost[0])
+            g, g_plus = Realization(space, bits[rows[j]]), Realization(space, plus[j])
             return CertificationResult(
-                ok=False,
-                trials=t + 1,
-                productive_trials=productive,
-                counterexample=(g, g_plus, edge_bit.bit_length()),
+                False, lo + int(rows[j]) + 1, productive + j + 1, (g, g_plus, int(edges[j]) + 1)
             )
+        productive += rows.size
     return CertificationResult(True, trials, productive, None)

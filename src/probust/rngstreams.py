@@ -6,9 +6,11 @@ distinct keys are statistically independent, and the derivation itself is a
 pure function, so batch runs are reproducible regardless of how the work is
 scheduled or how many workers consume it.
 
-Batched samplers walk the indices in fixed blocks of ``BLOCK``; each index
-still draws from its own stream, so a block's samples equal the one-at-a-time
-ones and block bounds never depend on the worker count.
+Batched samplers take any range of indices; each index still draws from its
+own stream, so a range's samples equal the one-at-a-time ones however the
+range is split. ``BLOCK`` is the unit that ``montecarlo._map_blocks`` deals
+to forked workers and the step of ``coupling.coupled_stream``; its bounds
+never depend on the worker count.
 
 A block's streams are seeded at once. Building one ``SeedSequence`` per index
 costs more than deciding a small graph, so :func:`block_rngs` computes numpy's
@@ -31,7 +33,7 @@ from numpy.random.bit_generator import ISeedSequence
 from .errors import DomainError
 
 MAX_SEED = 2**64 - 1
-BLOCK = 256  # indices per batched block
+BLOCK = 256  # indices per forked work unit and per coupled_stream step
 
 # numpy's SeedSequence constants (numpy/random/bit_generator.pyx)
 _MASK32 = 0xFFFFFFFF

@@ -15,7 +15,7 @@ import networkx as nx
 import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
 
-from probust import Realization
+from probust import EdgeSpace, Realization
 
 INF = float("inf")
 
@@ -87,6 +87,24 @@ def ref_degree_histogram(g: Realization) -> dict[int, int]:
     for d in degs:
         hist[d] = hist.get(d, 0) + 1
     return hist
+
+
+def ref_certify(oracle, n: int, trials: int, rng: np.random.Generator):
+    """The certification trial layout, one trial at a time: (ok, trials,
+    productive trials, (before bits, after bits, added edge index) or None)."""
+    space = EdgeSpace(n)
+    productive = 0
+    for t in range(trials):
+        density, pick, *coins = rng.random(space.m + 2).tolist()
+        bits = sum(1 << i for i, coin in enumerate(coins) if coin < density)
+        absent = [i for i in range(space.m) if not bits >> i & 1]
+        if not absent or not oracle.decide(Realization(space, bits)):
+            continue
+        edge = absent[int(pick * len(absent))]
+        productive += 1
+        if not oracle.decide(Realization(space, bits | 1 << edge)):
+            return False, t + 1, productive, (bits, bits | 1 << edge, edge + 1)
+    return True, trials, productive, None
 
 
 def _adj_sets(g: Realization) -> list[set[int]]:

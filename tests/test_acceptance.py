@@ -30,7 +30,11 @@ and against brute force at n <= 8 by criterion 8.
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -453,41 +457,43 @@ def test_criterion_6_total_runtime():
 # -------------------------------------------------------------------- 7
 
 
-def test_criterion_7_monotonicity_certification():
-    shipped = [
-        clique_oracle(3),
-        chromatic_oracle(3),
-        matching_oracle(2),
-        diameter_oracle(2),
-        dominating_oracle(2),
-        hamiltonian_oracle(),
-        connected_oracle(),
-    ]
+C7_SHIPPED = [
+    clique_oracle(3),
+    chromatic_oracle(3),
+    matching_oracle(2),
+    diameter_oracle(2),
+    dominating_oracle(2),
+    hamiltonian_oracle(),
+    connected_oracle(),
+]
 
-    def build():
-        rows = []
-        for pos, oracle in enumerate(shipped):
-            res = certify_monotone(oracle, 7, 100_000, derive_rng(SEED, 70, pos))
-            rows.append(
-                {
-                    "property": oracle.name,
-                    "ok": bool(res.ok),
-                    "trials": res.trials,
-                    "productive": res.productive_trials,
-                }
-            )
-        plant = certify_monotone(exactly_edges_oracle(3), 7, 10_000, derive_rng(SEED, 71))
+
+def c7_artifact():
+    rows = []
+    for pos, oracle in enumerate(C7_SHIPPED):
+        res = certify_monotone(oracle, 7, 100_000, derive_rng(SEED, 70, pos))
         rows.append(
             {
-                "property": "exactly-3-edges",
-                "ok": bool(plant.ok),
-                "trials": plant.trials,
-                "productive": plant.productive_trials,
+                "property": oracle.name,
+                "ok": bool(res.ok),
+                "trials": res.trials,
+                "productive": res.productive_trials,
             }
         )
-        return rows
+    plant = certify_monotone(exactly_edges_oracle(3), 7, 10_000, derive_rng(SEED, 71))
+    rows.append(
+        {
+            "property": "exactly-3-edges",
+            "ok": bool(plant.ok),
+            "trials": plant.trials,
+            "productive": plant.productive_trials,
+        }
+    )
+    return rows
 
-    rows, duration = run_criterion("C7", build)
+
+def test_criterion_7_monotonicity_certification():
+    rows, duration = run_criterion("C7", c7_artifact)
     shipped_ok = all(r["ok"] for r in rows[:-1])
     plant = rows[-1]
     ok = shipped_ok and not plant["ok"] and plant["trials"] <= 10_000 and duration < 60.0
@@ -500,6 +506,30 @@ def test_criterion_7_monotonicity_certification():
     assert shipped_ok
     assert not plant["ok"] and plant["trials"] <= 10_000
     assert duration < 60.0
+
+
+_C7_SHA256 = """
+import hashlib, test_acceptance
+print(hashlib.sha256(test_acceptance._dumps(test_acceptance.c7_artifact()).encode()).hexdigest())
+"""
+
+
+def test_criterion_7_same_bytes_across_hash_seeds():
+    """C7's artifact, built in two interpreters with different string-hash
+    seeds, has one SHA-256."""
+    src = Path(cli.__file__).resolve().parent.parent
+    path = os.pathsep.join(filter(None, [str(src), str(Path(__file__).resolve().parent),
+                                         os.environ.get("PYTHONPATH")]))
+    digests = []
+    for hash_seed in ("1", "2"):
+        result = subprocess.run(
+            [sys.executable, "-c", _C7_SHA256],
+            env={**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": path},
+            capture_output=True, text=True, timeout=300,
+        )
+        assert result.returncode == 0, result.stderr
+        digests.append(result.stdout.strip())
+    assert digests[0] == digests[1]
 
 
 def test_criterion_7_exact_companion():

@@ -505,6 +505,50 @@ class TestUsage:
         assert message in captured.err and "Traceback" not in captured.err
 
 
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            ("report --formula clique --n 8 --p 0.5 --samples 1 --seed 1", "--output"),
+            ("generate --model er --n 4 --p 0.5 --samples 2 --seed 1", "--output"),
+            ("exact --model er --n 4 --p 0.5 --check joint", "--export-dist"),
+        ],
+    )
+    @pytest.mark.parametrize("target", ["missing-dir", "a-dir"])
+    def test_unwritable_path_exits_2(self, argv, flag, target, tmp_path, capsys):
+        path = tmp_path / "missing" / "x.csv" if target == "missing-dir" else tmp_path
+        assert cli.main([*argv.split(), flag, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: cannot write {path}: ")
+        assert "Traceback" not in captured.err
+
+    def test_out_of_memory_exits_4(self):
+        """Each call asks numpy for gigabytes at once; the child caps its own
+        address space first, so the allocation fails without touching memory."""
+        calls = [
+            "generate --model er --n 30000 --p 0.5 --samples 1 --seed 1",
+            "couple --model adjcount --n 30000 --base 0.3 --samples 1 --seed 1",
+            "report --formula diameter --n 200000 --d 3 --samples 1 --seed 1",
+        ]
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-c", _OUT_OF_MEMORY, json.dumps(calls)],
+            env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=300,
+        )
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout) == [4, 4, 4]
+        assert result.stderr.count("scale cap: ") == 3
+        assert "Traceback" not in result.stderr
+
+
+_OUT_OF_MEMORY = """
+import json, resource, sys
+from probust import cli
+resource.setrlimit(resource.RLIMIT_AS, (2 * 10**9, resource.getrlimit(resource.RLIMIT_AS)[1]))
+print(json.dumps([cli.main(argv.split()) for argv in json.loads(sys.argv[1])]))
+"""
+
+
 def scalar_records(model, seed, count):
     """The generate records built one scalar sample at a time."""
     return "".join(
@@ -557,6 +601,12 @@ class TestBlockSampledOutput:
     def test_builds_no_realization_per_sample(self, argv, realizations_built, capsys):
         assert cli.main(argv.split()) == 0
         assert capsys.readouterr().out.count("\n") == 600
+        assert realizations_built == []
+
+    def test_verify_builds_no_realization(self, realizations_built, capsys):
+        argv = "verify --model adjcount --n 10 --base 0.3 --property match>=4 --samples 512 --seed 7"
+        assert cli.main(argv.split()) == 0
+        assert json.loads(capsys.readouterr().out)["samples"] == 512
         assert realizations_built == []
 
     def test_generate_pools_rejection_rounds_over_its_range(self, kernel_calls, capsys):

@@ -35,6 +35,7 @@ from probust import (
     tv_distance,
 )
 from probust import exact as exact_module
+from probust import properties as properties_module
 from probust.models import satisfies_min_adjacent
 
 ALWAYS = PropertyOracle("always", lambda g: True)
@@ -322,8 +323,9 @@ SHIPPED_PROPERTIES = [
 
 
 class TestEventIndicator:
-    """The sweep decides each block of realizations through ``decide_bits``;
-    decisions must equal a per-realization scalar loop."""
+    """The sweep decides its realizations through ``decide_bits``, which
+    splits them into block-decider calls; decisions must equal a
+    per-realization scalar loop."""
 
     @staticmethod
     def support(n, seed):
@@ -333,9 +335,9 @@ class TestEventIndicator:
         return np.random.default_rng(seed).random(size) < 0.1  # a subset at n = 6
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
-    @pytest.mark.parametrize("block", [7, exact_module.SWEEP_BLOCK])
+    @pytest.mark.parametrize("block", [7, properties_module.BLOCK_CELLS >> 6])  # 4096: n = 6's calls
     def test_matches_scalar_loop_for_every_shipped_oracle(self, n, block, monkeypatch):
-        monkeypatch.setattr(exact_module, "SWEEP_BLOCK", block)
+        monkeypatch.setattr(properties_module, "BLOCK_CELLS", block << n)
         space = EdgeSpace(n)
         support = self.support(n, seed=n)
         for prop in SHIPPED_PROPERTIES:

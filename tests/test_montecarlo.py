@@ -1,4 +1,6 @@
 import math
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -29,6 +31,7 @@ from probust import (
     sample_direct,
 )
 from probust.montecarlo import (
+    _map_blocks,
     _ndtri,
     compare_estimates,
     degree_count_statistic,
@@ -36,6 +39,7 @@ from probust.montecarlo import (
     wilson_interval,
 )
 from probust.properties import exactly_edges_oracle, max_clique_size, min_dominating_set_size
+from probust.rngstreams import BLOCK, index_blocks
 
 ALWAYS = PropertyOracle("always", lambda g: True)
 
@@ -199,6 +203,51 @@ class TestEstimateProperty:
         est = estimate_property(adjacency_count_model(10), parse_property("connected"), 600, 21)
         assert 0 < est.successes < 600
         assert realizations_built == []
+
+
+class InlineFork:
+    """A fork context whose processes run their target at ``start`` in this
+    process, recording how many would have started."""
+
+    def __init__(self):
+        self.started = 0
+        self.Pipe = multiprocessing.Pipe
+        fork = self
+
+        class Process:
+            def __init__(self, target, args):
+                self.target, self.args = target, args
+
+            def start(self):
+                fork.started += 1
+                self.target(*self.args)
+
+            def join(self):
+                pass
+
+        self.Process = Process
+
+
+class TestMapBlocks:
+    @pytest.mark.parametrize("cpus,started", [(None, 0), (1, 0), (2, 2), (3, 3)])
+    def test_forks_at_most_one_process_per_cpu(self, cpus, started, monkeypatch):
+        fork = InlineFork()
+        monkeypatch.setattr(multiprocessing, "get_context", lambda method: fork)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        count = 10 * BLOCK + 3
+        blocks = _map_blocks(lambda lo, hi: (lo, hi), count, workers=5000)
+        assert fork.started == started
+        assert blocks == index_blocks(count)
+
+    def test_counts_do_not_depend_on_the_clamp(self, monkeypatch):
+        model = adjacency_count_model(5)
+        oracle = parse_property("connected")
+        serial = estimate_property(model, oracle, 3 * BLOCK, 9)
+        fork = InlineFork()
+        monkeypatch.setattr(multiprocessing, "get_context", lambda method: fork)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert estimate_property(model, oracle, 3 * BLOCK, 9, workers=5000) == serial
+        assert fork.started == 2
 
 
 class TestDominationTest:

@@ -393,6 +393,56 @@ class TestCertification:
         res = certify_monotone(raw_form, 7, 10_000, np.random.default_rng(7))
         assert not res.ok
 
+    @pytest.mark.parametrize(
+        "oracle,n,trials",
+        [
+            (connected_oracle(), 1, 50),
+            (clique_oracle(3), 5, 400),
+            (exactly_edges_oracle(3), 5, 400),
+            (matching_oracle(2), 7, 400),
+            (exactly_edges_oracle(3), 7, 400),
+            (PropertyOracle("raw-diam<=2", lambda g: diameter(g) <= 2), 7, 400),
+            (matching_oracle(4), 10, 300),
+            (chromatic_oracle(4), 10, 100),  # block decider refuses n = 10: scalar decide
+            (connected_oracle(), 12, 100),  # above BLOCK_MAX_N: scalar decide
+        ],
+        ids=lambda v: getattr(v, "name", str(v)),
+    )
+    def test_follows_the_trial_layout(self, oracle, n, trials):
+        res = certify_monotone(oracle, n, trials, np.random.default_rng(n))
+        ok, ran, productive, example = bf.ref_certify(oracle, n, trials, np.random.default_rng(n))
+        assert (res.ok, res.trials, res.productive_trials) == (ok, ran, productive)
+        if example is not None:
+            before, after, edge = res.counterexample
+            assert (before.bits, after.bits, edge) == example
+
+    @pytest.mark.parametrize("n", [7, 10])
+    @pytest.mark.parametrize(
+        "oracle", [matching_oracle(3), exactly_edges_oracle(3)], ids=lambda o: o.name
+    )
+    def test_part_and_call_sizes_change_nothing(self, oracle, n, monkeypatch):
+        from probust import properties
+
+        default = certify_monotone(oracle, n, 2000, derive_rng(7, 0, n))
+        monkeypatch.setattr(properties, "_part_rows", lambda width: 7)
+        monkeypatch.setattr(properties, "BLOCK_CELLS", 7 << n)
+        assert certify_monotone(oracle, n, 2000, derive_rng(7, 0, n)) == default
+
+    @pytest.mark.parametrize("oracle,n", [(clique_oracle(3), 600), (hamiltonian_oracle(), 25)])
+    def test_refuses_over_cap_before_drawing(self, oracle, n):
+        rng = np.random.default_rng(3)
+        state = rng.bit_generator.state
+        with pytest.raises(UnsupportedScaleError):
+            certify_monotone(oracle, n, 10, rng)
+        assert rng.bit_generator.state == state
+
+    def test_builds_only_the_counterexample(self, realizations_built):
+        assert certify_monotone(matching_oracle(4), 10, 2000, derive_rng(7, 0, 0)).ok
+        assert realizations_built == []
+        res = certify_monotone(exactly_edges_oracle(3), 10, 10_000, derive_rng(7, 0, 0))
+        before, after, _ = res.counterexample
+        assert realizations_built == [before.bits, after.bits]
+
 
 def every_shipped_oracle(n):
     """Every shipped factory at every threshold from 0 to n + 1, the plant too."""
@@ -467,6 +517,23 @@ class TestDecideBits:
             got = decide_bits(oracle, space, bits)
             assert got.dtype == bool and got.shape == (len(bits),), oracle.name
             assert got.tolist() == [bool(oracle.decide(g)) for g in graphs], oracle.name
+
+    def test_splits_any_batch_into_block_calls(self):
+        space = EdgeSpace(8)
+        rng = np.random.default_rng(8)
+        present = rng.random((5000, space.m)) < rng.random((5000, 1))
+        bits = (present.astype(np.int64) << np.arange(space.m)).sum(axis=1)
+        graphs = [Realization(space, b) for b in bits.tolist()]
+        for oracle in [*SHIPPED_MONOTONE, exactly_edges_oracle(12)]:
+            sizes = []
+
+            def counted(masks, decide_block=oracle.decide_block):
+                sizes.append(len(masks))
+                return decide_block(masks)
+
+            got = decide_bits(dataclasses.replace(oracle, decide_block=counted), space, bits)
+            assert got.tolist() == [bool(oracle.decide(g)) for g in graphs], oracle.name
+            assert sizes == [1024] * 4 + [904], oracle.name
 
 
 class TestPropertyGrammar:
