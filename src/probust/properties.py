@@ -40,6 +40,12 @@ _DIAMETER_GATHER_WORDS = 1 << 20  # uint64 words of neighbour rows gathered at o
 BLOCK_CELLS = 1 << 18  # table rows, 2^n per graph, of one decide_block call: 2 MiB of int64
 
 
+def _check_cap(n: int, cap: int, what: str) -> None:
+    """Refuse n > ``cap`` with the message "<what> caps at n=<cap>, got <n>"."""
+    if n > cap:
+        raise UnsupportedScaleError(f"{what} caps at n={cap}, got {n}")
+
+
 # ---------------------------------------------------------------------------
 # cliques and independent sets
 
@@ -189,8 +195,7 @@ def _k_colorable(n: int, adj: tuple[int, ...], k: int) -> bool:
 def chromatic_number(g: Realization) -> int:
     """Exact chromatic number, iterative deepening from the clique bound."""
     n = g.space.n
-    if n > CHROMATIC_MAX_N:
-        raise UnsupportedScaleError(f"exact coloring caps at n={CHROMATIC_MAX_N}, got {n}")
+    _check_cap(n, CHROMATIC_MAX_N, "exact coloring")
     adj = g.neighbor_masks
     if g.bits == 0:
         return 1
@@ -206,8 +211,7 @@ def has_chromatic_at_least(g: Realization, k: int) -> bool:
     n = g.space.n
     if k <= 1:
         return k <= 1  # every graph on >= 1 vertices needs one color
-    if n > CHROMATIC_MAX_N:
-        raise UnsupportedScaleError(f"exact coloring caps at n={CHROMATIC_MAX_N}, got {n}")
+    _check_cap(n, CHROMATIC_MAX_N, "exact coloring")
     if k > n:
         return False
     adj = g.neighbor_masks
@@ -288,15 +292,13 @@ def _min_dominating(n: int, adj: tuple[int, ...], stop_below: Optional[int] = No
 def min_dominating_set_size(g: Realization) -> int:
     """Exact domination number; isolated vertices dominate only themselves."""
     n = g.space.n
-    if n > DOMSET_MAX_N:
-        raise UnsupportedScaleError(f"exact domination caps at n={DOMSET_MAX_N}, got {n}")
+    _check_cap(n, DOMSET_MAX_N, "exact domination")
     return _min_dominating(n, g.neighbor_masks)
 
 
 def has_dominating_at_most(g: Realization, k: int) -> bool:
     n = g.space.n
-    if n > DOMSET_MAX_N:
-        raise UnsupportedScaleError(f"exact domination caps at n={DOMSET_MAX_N}, got {n}")
+    _check_cap(n, DOMSET_MAX_N, "exact domination")
     if k >= n:
         return True
     if k <= 0:
@@ -430,10 +432,7 @@ def has_diameter_at_most(g: Realization, k: int) -> bool:
 
 
 def _check_hamiltonian_scale(n: int) -> None:
-    if n > HAMILTONIAN_MAX_N:
-        raise UnsupportedScaleError(
-            f"hamiltonicity decision caps at n={HAMILTONIAN_MAX_N}, got {n}"
-        )
+    _check_cap(n, HAMILTONIAN_MAX_N, "hamiltonicity decision")
 
 
 def has_hamiltonian_cycle(g: Realization) -> bool:
@@ -467,10 +466,7 @@ def has_hamiltonian_cycle(g: Realization) -> bool:
 def longest_cycle_length(g: Realization) -> int:
     """Exact circumference via anchored path DP over vertex subsets; 0 if acyclic."""
     n = g.space.n
-    if n > LONGEST_CYCLE_MAX_N:
-        raise UnsupportedScaleError(
-            f"exact circumference caps at n={LONGEST_CYCLE_MAX_N}, got {n}"
-        )
+    _check_cap(n, LONGEST_CYCLE_MAX_N, "exact circumference")
     masks = g.neighbor_masks
     best = 0
     for s in range(n - 2):
@@ -555,8 +551,7 @@ def _max_matching(n: int, adj: tuple[int, ...]) -> int:
 def max_matching_size(g: Realization) -> int:
     """Exact maximum matching (general graphs)."""
     n = g.space.n
-    if n > MATCHING_MAX_N:
-        raise UnsupportedScaleError(f"exact matching caps at n={MATCHING_MAX_N}, got {n}")
+    _check_cap(n, MATCHING_MAX_N, "exact matching")
     return _max_matching(n, g.neighbor_masks)
 
 
@@ -566,8 +561,7 @@ def has_matching_at_least(g: Realization, k: int) -> bool:
         return True
     if 2 * k > n:
         return False
-    if n > MATCHING_MAX_N:
-        raise UnsupportedScaleError(f"exact matching caps at n={MATCHING_MAX_N}, got {n}")
+    _check_cap(n, MATCHING_MAX_N, "exact matching")
     adj = g.neighbor_masks
     if _greedy_matching(n, adj) >= k:
         return True
@@ -587,8 +581,7 @@ def _columns(masks: np.ndarray, cap: int = BLOCK_MAX_N) -> np.ndarray:
     """The block's neighbour masks as (n, B) rows; refuses n > ``cap``, by
     default BLOCK_MAX_N, where the 2^n-row tables would stop fitting a block."""
     n = masks.shape[1]
-    if n > cap:
-        raise UnsupportedScaleError(f"this block decider caps at n={cap}, got {n}")
+    _check_cap(n, cap, "this block decider")
     return np.ascontiguousarray(masks.T, dtype=np.int64)
 
 
@@ -905,9 +898,9 @@ def decide_bits(oracle: PropertyOracle, space: EdgeSpace, bits) -> np.ndarray:
             return decided
         except UnsupportedScaleError:
             pass
-    return np.array(
-        [bool(oracle.decide(Realization(space, b))) for b in np.asarray(bits).tolist()], dtype=bool
-    )
+    if isinstance(bits, np.ndarray):
+        bits = bits.tolist()
+    return np.array([bool(oracle.decide(Realization(space, b))) for b in bits], dtype=bool)
 
 
 # ---------------------------------------------------------------------------
@@ -941,8 +934,10 @@ def certify_monotone(
     No trial's draws depend on a decision, so the trials are drawn in parts
     of ``models._part_rows(m + 2)`` rows, and each part is decided by two
     :func:`decide_bits` calls, on its graphs and on its productive graphs
-    with their added edges; the part size changes no result. An oracle that
-    refuses every graph on n vertices is refused before anything is drawn.
+    with their added edges. The part size changes no result, only where a
+    failing call leaves ``rng``: at the end of the part holding the violation.
+    An oracle that refuses every graph on n vertices is refused before
+    anything is drawn.
     """
     if trials < 0:
         raise DomainError(f"trials must be >= 0, got {trials}")
@@ -966,7 +961,10 @@ def certify_monotone(
             j = int(lost[0])
             g, g_plus = Realization(space, bits[rows[j]]), Realization(space, plus[j])
             return CertificationResult(
-                False, lo + int(rows[j]) + 1, productive + j + 1, (g, g_plus, int(edges[j]) + 1)
+                ok=False,
+                trials=lo + int(rows[j]) + 1,
+                productive_trials=productive + j + 1,
+                counterexample=(g, g_plus, int(edges[j]) + 1),
             )
         productive += rows.size
     return CertificationResult(True, trials, productive, None)

@@ -242,6 +242,15 @@ class TestVerify:
         assert report["verdict"] == "consistent" and report["violations"] == 0
         assert report["count_union"] >= report["count_g1"]
 
+    def test_sparse_blocks_above_64_edges(self, tmp_path):
+        # at n = 12 some g1 blocks hold masks on both sides of bit 63
+        code, text = run(
+            tmp_path, "verify", "--model", "adjcount", "--n", "12", "--base", "0.003",
+            "--mode", "coupled", "--property", "connected", "--samples", "2048", "--seed", "2",
+        )
+        assert code == 0
+        assert json.loads(text)["violations"] == 0
+
     def test_independent_mode(self, tmp_path):
         code, text = run(
             tmp_path, "verify", "--model", "adjcount", "--n", "6", "--base", "0.3",

@@ -518,6 +518,15 @@ class TestDecideBits:
             assert got.dtype == bool and got.shape == (len(bits),), oracle.name
             assert got.tolist() == [bool(oracle.decide(g)) for g in graphs], oracle.name
 
+    def test_keeps_masks_on_both_sides_of_bit_63_exact(self):
+        # numpy promotes [1, 2^63] to float64; the scalar path must not
+        space = EdgeSpace(12)
+        bits = [1, 1 << 63, (1 << 63) | 1]
+        graphs = [Realization(space, b) for b in bits]
+        for oracle in every_shipped_oracle(12):
+            got = decide_bits(oracle, space, bits)
+            assert got.tolist() == [bool(oracle.decide(g)) for g in graphs], oracle.name
+
     def test_splits_any_batch_into_block_calls(self):
         space = EdgeSpace(8)
         rng = np.random.default_rng(8)
