@@ -157,6 +157,8 @@ def cmd_couple(args) -> int:
 def cmd_exact(args) -> int:
     if args.seed is not None:  # no exact check draws randomness; the seed is only checked
         check_seed(args.seed)
+    if args.export_dist and args.check != "joint":
+        raise DomainError("--export-dist applies only to --check joint")
     model = _build_model(args)
     out = _Output(args.output)
     code = 0

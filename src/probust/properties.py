@@ -34,10 +34,12 @@ DOMSET_MAX_N = 26
 HAMILTONIAN_MAX_N = 20
 MATCHING_MAX_N = 26
 LONGEST_CYCLE_MAX_N = 16
-BLOCK_MAX_N = 10  # block deciders build tables of 2^n rows per graph
+BLOCK_MAX_N = 10  # block deciders build tables of 2^n rows
 CHROMATIC_BLOCK_MAX_N = 8  # above it the chromatic block decider's int64 count can overflow
 _DIAMETER_GATHER_WORDS = 1 << 20  # uint64 words of neighbour rows gathered at once
-BLOCK_CELLS = 1 << 18  # table rows, 2^n per graph, of one decide_block call: 2 MiB of int64
+# table cells, 2^n per graph, of one decide_block call: 2 MiB in the int64
+# tables of chrom and ham; the bit-sliced tables hold one bit per cell
+BLOCK_CELLS = 1 << 18
 
 
 def _check_cap(n: int, cap: int, what: str) -> None:
@@ -572,9 +574,14 @@ def has_matching_at_least(g: Realization, k: int) -> bool:
 # block deciders
 #
 # Each takes a (B, n) int64 array whose row b holds graph b's neighbour masks
-# and returns the B decisions of the matching scalar decider. The work runs
-# down tables indexed [vertex subset, row]: one numpy operation serves every
-# row of the block, and one Python step serves a whole family of subsets.
+# and returns the B decisions of the matching scalar decider. Most work is
+# bit-sliced: graph g of the block is bit g % 64 of word g // 64, so one
+# uint64 operation serves 64 graphs, and the tables are indexed [vertex
+# subset, word], with one Python step serving a whole family of subsets.
+# Only ``chrom`` (an int64 count) and ``ham`` (int64 end-vertex masks) hold
+# one int64 cell per graph per subset.
+
+_ALL = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
 
 
 def _columns(masks: np.ndarray, cap: int = BLOCK_MAX_N) -> np.ndarray:
@@ -585,93 +592,108 @@ def _columns(masks: np.ndarray, cap: int = BLOCK_MAX_N) -> np.ndarray:
     return np.ascontiguousarray(masks.T, dtype=np.int64)
 
 
+def _words(masks: np.ndarray, cap: int = BLOCK_MAX_N) -> np.ndarray:
+    """The block's adjacency as (n, n, W) uint64 words, W = ceil(B / 64): bit
+    g % 64 of word [v, u, g // 64] is set iff uv is an edge of graph g. The
+    padding lanes of the last word are zero. Refuses n > ``cap``."""
+    b, n = masks.shape
+    _check_cap(n, cap, "this block decider")
+    cols = np.zeros((n, -(-b // 64) * 64), dtype=np.uint16)  # n <= BLOCK_MAX_N < 16
+    cols[:, :b] = masks.T
+    bits = cols[:, None, :] & (np.uint16(1) << np.arange(n, dtype=np.uint16))[:, None]
+    return np.packbits(bits.astype(bool), axis=2, bitorder="little").view("<u8")
+
+
+def _lanes(words: np.ndarray, b: int) -> np.ndarray:
+    """The (B,) decisions held in the lanes of (W,) words."""
+    return np.unpackbits(words.view(np.uint8), bitorder="little")[:b].view(bool)
+
+
+@lru_cache(maxsize=None)
 def _subset_sizes(n: int) -> np.ndarray:
-    return np.bitwise_count(np.arange(1 << n, dtype=np.int64))
+    """Row S: the number of vertices in S, for every subset of n vertices."""
+    sizes = np.bitwise_count(np.arange(1 << n, dtype=np.int64))
+    sizes.flags.writeable = False
+    return sizes
 
 
-def _union_table(cols: np.ndarray) -> np.ndarray:
-    """Row S holds the OR of cols[v] over the vertices v in S.
+def _any_of_size(table: np.ndarray, n: int, size: int) -> np.ndarray:
+    """OR of the table's words over the subsets of ``size`` vertices."""
+    return np.bitwise_or.reduce(table[_subset_sizes(n) == size], axis=0)
 
-    Rows [2^v, 2^(v+1)) add vertex v to rows [0, 2^v): one vertex at a time.
-    """
-    n, b = cols.shape
-    table = np.zeros((1 << n, b), dtype=np.int64)
+
+def _clique_table(adj: np.ndarray) -> np.ndarray:
+    """Row S, lane g: S is a clique of graph g. With v the highest vertex of
+    S and u the next, S is one iff S without u and S without v are and uv is
+    an edge of g."""
+    n, _, w = adj.shape
+    table = np.zeros((1 << n, w), dtype=np.uint64)
+    table[0] = _ALL
     for v in range(n):
-        half = 1 << v
-        np.bitwise_or(table[:half], cols[v], out=table[half : 2 * half])
+        table[1 << v] = _ALL
+        for u in range(v):
+            lo = (1 << v) | (1 << u)
+            rows = table[lo : lo + (1 << u)]
+            np.bitwise_and(table[1 << v : lo], table[1 << u : 2 << u], out=rows)
+            rows &= adj[v, u]
     return table
 
 
-def _clique_table(cols: np.ndarray) -> np.ndarray:
-    """Row S says whether S is a clique: S plus a new highest vertex v is one
-    iff S is and v sees all of S."""
-    n, b = cols.shape
-    table = np.ones((1 << n, b), dtype=bool)
-    for v in range(n):
-        half = 1 << v
-        below = np.arange(half, dtype=np.int64)[:, None]
-        np.logical_and(table[:half], (cols[v] & below) == below, out=table[half : 2 * half])
-    return table
-
-
-def _complement(cols: np.ndarray) -> np.ndarray:
-    n = cols.shape[0]
-    others = ((1 << n) - 1) ^ (1 << np.arange(n, dtype=np.int64))
-    return ~cols & others[:, None]
-
-
-def _grow(table: np.ndarray, reach: np.ndarray, steps: int) -> np.ndarray:
-    """Replace each reach mask by its union with its members' table rows,
-    ``steps`` times or until nothing grows: reach within that many hops."""
-    rows = np.arange(table.shape[1])
+def _reach(start: np.ndarray, adj: np.ndarray, steps: int) -> np.ndarray:
+    """Grow (..., n, W) reach words by ORing, for each vertex, the words of
+    its reached neighbours, ``steps`` times or until nothing grows."""
     for _ in range(steps):
-        grown = reach | table[reach, rows]
-        if np.array_equal(grown, reach):
+        grown = start | np.bitwise_or.reduce(start[..., :, None, :] & adj, axis=-3)
+        if np.array_equal(grown, start):
             break
-        reach = grown
-    return reach
+        start = grown
+    return start
 
 
 def _connected_block(masks: np.ndarray) -> np.ndarray:
-    cols = _columns(masks)
-    n, b = cols.shape
-    if n <= 1:
-        return np.ones(b, dtype=bool)
-    reach = _grow(_union_table(cols), np.ones(b, dtype=np.int64), n - 1)
-    return reach == (1 << n) - 1
+    """Vertex 0 reaches every vertex."""
+    adj = _words(masks)
+    b, n = masks.shape
+    reach = np.zeros(adj.shape[1:], dtype=np.uint64)
+    reach[0] = _ALL
+    return _lanes(np.bitwise_and.reduce(_reach(reach, adj, n - 1), axis=0), b)
 
 
 def _diameter_at_most_block(masks: np.ndarray, k: int) -> np.ndarray:
     """Every vertex's ball of radius k is the whole vertex set."""
-    cols = _columns(masks)
-    n, b = cols.shape
+    adj = _words(masks)
+    b, n = masks.shape
     if k < 0:
         return np.zeros(b, dtype=bool)
-    start = np.repeat(1 << np.arange(n, dtype=np.int64)[:, None], b, axis=1)
-    balls = _grow(_union_table(cols), start, min(k, n - 1))
-    return (balls == (1 << n) - 1).all(axis=0)
+    balls = np.zeros(adj.shape, dtype=np.uint64)
+    balls[np.arange(n), np.arange(n)] = _ALL
+    balls = _reach(balls, adj, min(k, n - 1))
+    return _lanes(np.bitwise_and.reduce(balls.reshape(n * n, -1), axis=0), b)
 
 
 def _clique_at_least_block(masks: np.ndarray, k: int) -> np.ndarray:
-    cols = _columns(masks)
-    n, b = cols.shape
+    adj = _words(masks)
+    b, n = masks.shape
     if k <= 1 or k > n:
         return np.full(b, k <= n)
-    return _clique_table(cols)[_subset_sizes(n) == k].any(axis=0)
+    return _lanes(_any_of_size(_clique_table(adj), n, k), b)
 
 
 def _chromatic_at_least_block(masks: np.ndarray, k: int) -> np.ndarray:
     """Not (k-1)-colourable, by counting (k-1)-tuples of independent sets
     that cover the vertices: sum over S of (-1)^(n-|S|) i(S)^(k-1), where
     i(S) counts the independent subsets of S (Bjorklund, Husfeldt and
-    Koivisto, SIAM J. Comput. 2009). The terms' absolute values sum to at most
-    (1 + 2^(n-1))^n, below 2^57 at n = 8 and above 2^63 at n = 9, so int64
-    is exact only up to CHROMATIC_BLOCK_MAX_N = 8, and larger n is refused."""
-    cols = _columns(masks, CHROMATIC_BLOCK_MAX_N)
-    n, b = cols.shape
+    Koivisto, SIAM J. Comput. 2009). The independent sets are the cliques of
+    the complement, unpacked to 0/1 counts. The terms' absolute values sum to
+    at most (1 + 2^(n-1))^n, below 2^57 at n = 8 and above 2^63 at n = 9, so
+    int64 is exact only up to CHROMATIC_BLOCK_MAX_N = 8, and larger n is
+    refused."""
+    adj = _words(masks, CHROMATIC_BLOCK_MAX_N)
+    b, n = masks.shape
     if k <= 1 or k > n:
         return np.full(b, k <= 1)
-    counts = _clique_table(_complement(cols)).astype(np.int64)
+    independent = _clique_table(~adj).view(np.uint8)
+    counts = np.unpackbits(independent, axis=1, bitorder="little")[:, :b].astype(np.int64)
     for v in range(n):  # sum each row into the rows of its supersets
         pairs = counts.reshape(1 << (n - 1 - v), 2, 1 << v, b)
         pairs[:, 1] += pairs[:, 0]
@@ -682,20 +704,20 @@ def _chromatic_at_least_block(masks: np.ndarray, k: int) -> np.ndarray:
 
 def _matching_at_least_block(masks: np.ndarray, k: int) -> np.ndarray:
     """Some 2k vertices have a perfect matching. Row S of ``perfect`` is
-    filled from the partners of S's lowest vertex, lowest vertex descending."""
-    cols = _columns(masks)
-    n, b = cols.shape
+    filled from the partners u of S's highest vertex h: the rows holding h
+    and u are a strided view of the table, as are the same rows without
+    them, which are already filled."""
+    adj = _words(masks)
+    b, n = masks.shape
     if k <= 0 or 2 * k > n:
         return np.full(b, k <= 0)
-    perfect = np.zeros((1 << n, b), dtype=bool)
-    perfect[0] = True
-    for low in range(n - 2, -1, -1):
-        above = np.arange(1 << (n - 1 - low), dtype=np.int64) << (low + 1)
-        for u in range(low + 1, n):
-            rest = above[(above >> u) & 1 == 1]
-            edge = (cols[low] >> u) & 1 == 1
-            perfect[rest | (1 << low)] |= edge & perfect[rest ^ (1 << u)]
-    return perfect[_subset_sizes(n) == 2 * k].any(axis=0)
+    perfect = np.zeros((1 << n, adj.shape[2]), dtype=np.uint64)
+    perfect[0] = _ALL
+    for h in range(1, n):
+        for u in range(h):
+            view = perfect[: 2 << h].reshape(2, 1 << (h - u - 1), 2, 1 << u, -1)
+            view[1, :, 1] |= adj[h, u] & view[0, :, 0]
+    return _lanes(_any_of_size(perfect, n, 2 * k), b)
 
 
 def _hamiltonian_block(masks: np.ndarray) -> np.ndarray:
@@ -720,14 +742,19 @@ def _hamiltonian_block(masks: np.ndarray) -> np.ndarray:
 
 
 def _dominating_at_most_block(masks: np.ndarray, k: int) -> np.ndarray:
-    """Some k vertices' closed neighbourhoods cover every vertex."""
-    cols = _columns(masks)
-    n, b = cols.shape
+    """Some k vertices' closed neighbourhoods cover every vertex: row S,
+    vertex v of ``cover`` holds the graphs in which v is in or next to S."""
+    adj = _words(masks)
+    b, n = masks.shape
     if k >= n or k <= 0:
         return np.full(b, k >= n)
-    closed = cols | (1 << np.arange(n, dtype=np.int64))[:, None]
-    cover = _union_table(closed)[_subset_sizes(n) == k]
-    return (cover == (1 << n) - 1).any(axis=0)
+    closed = adj.copy()
+    closed[np.arange(n), np.arange(n)] = _ALL
+    cover = np.zeros((1 << n, *closed.shape[1:]), dtype=np.uint64)
+    for u in range(n):
+        np.bitwise_or(cover[: 1 << u], closed[u], out=cover[1 << u : 2 << u])
+    dominated = np.bitwise_and.reduce(cover[_subset_sizes(n) == k], axis=1)
+    return _lanes(np.bitwise_or.reduce(dominated, axis=0), b)
 
 
 def _edge_count_block(masks: np.ndarray) -> np.ndarray:
@@ -878,9 +905,10 @@ def decide_bits(oracle: PropertyOracle, space: EdgeSpace, bits) -> np.ndarray:
     decides a batch of graphs, sampled or exhaustive.
 
     At n <= BLOCK_MAX_N the (B, n) neighbour masks are read off byte tables,
-    one lookup per byte of the bitmask, and handed to ``decide_block``. Its
-    tables hold 2^n rows per graph, so a batch of any size is split into
-    calls of ``BLOCK_CELLS >> n`` graphs: 4096 at n = 6, 256 at n = 10.
+    one lookup per byte of the bitmask, and handed to ``decide_block``. The
+    int64 tables of ``chrom`` and ``ham`` hold 2^n rows per graph, so a batch
+    of any size is split into calls of ``BLOCK_CELLS >> n`` graphs: 4096 at
+    n = 6, 256 at n = 10.
     An oracle without ``decide_block``, or one whose block decider refuses n,
     gets ``decide(Realization(space, b))`` for each b in order, the reference.
     """

@@ -492,6 +492,26 @@ class TestDecideBlock:
                 got = np.concatenate([oracle.decide_block(block) for block in blocks])
             assert got.tolist() == want, oracle.name
 
+    @pytest.mark.parametrize("n", [7, BLOCK_MAX_N])
+    def test_every_lane_and_block_size(self, n):
+        """The deciders hold 64 graphs per word, the last word padded: each
+        graph is decided alike in a block of the first b graphs and in one of
+        the last b, so at another lane, for b around the word size."""
+        space = EdgeSpace(n)
+        rng = np.random.default_rng(64 + n)
+        present = rng.random((129, space.m)) < rng.random((129, 1))  # any density
+        bits = (present.astype(np.int64) << np.arange(space.m)).sum(axis=1)
+        graphs = [Realization(space, b) for b in bits.tolist()]
+        masks = block_of(graphs)
+        for oracle in every_shipped_oracle(n):
+            if oracle.name.startswith("chrom") and n > CHROMATIC_BLOCK_MAX_N:
+                continue  # refused, as test_equals_decide_on_random_graphs checks
+            want = [bool(oracle.decide(g)) for g in graphs]
+            for b in (0, 1, 63, 64, 65, 129):
+                for lo in (0, 129 - b):
+                    got = oracle.decide_block(masks[lo : lo + b])
+                    assert got.dtype == bool and got.tolist() == want[lo : lo + b], (oracle.name, b, lo)
+
     def test_refuses_above_the_block_cap(self):
         masks = np.zeros((2, BLOCK_MAX_N + 1), dtype=np.int64)
         for oracle in every_shipped_oracle(2):
