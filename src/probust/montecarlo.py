@@ -272,6 +272,8 @@ def estimate_property(
     """
     if samples < 1:
         raise DomainError(f"samples must be >= 1, got {samples}")
+    if workers < 1:
+        raise DomainError(f"workers must be >= 1, got {workers}")
     if method not in _INTERVALS:
         raise DomainError(f"unknown interval method {method!r}")
     _check_confidence(confidence)
@@ -386,6 +388,8 @@ def coupled_domination_test(
     oracle_list = [oracles] if single else list(oracles)
     if samples < 1:
         raise DomainError(f"samples must be >= 1, got {samples}")
+    if workers < 1:
+        raise DomainError(f"workers must be >= 1, got {workers}")
     space = params.model.space
     _check_scales(oracle_list, space.n)
 

@@ -38,7 +38,7 @@ BLOCK_MAX_N = 10  # block deciders build tables of 2^n rows
 CHROMATIC_BLOCK_MAX_N = 8  # above it the chromatic block decider's int64 count can overflow
 _DIAMETER_GATHER_WORDS = 1 << 20  # uint64 words of neighbour rows gathered at once
 # table cells, 2^n per graph, of one decide_block call: 2 MiB in the int64
-# tables of chrom and ham; the bit-sliced tables hold one bit per cell
+# table of chrom; the bit-sliced tables hold one bit per cell
 BLOCK_CELLS = 1 << 18
 
 
@@ -273,8 +273,7 @@ def _min_dominating(n: int, adj: tuple[int, ...], stop_below: Optional[int] = No
             t &= t - 1
             c = closed[v].bit_count()
             if c < pick_c:
-                pick_c, pick_v = c, v
-                pick = v
+                pick_c, pick = c, v
         cands = []
         t = closed[pick]
         while t:
@@ -573,40 +572,25 @@ def has_matching_at_least(g: Realization, k: int) -> bool:
 # ---------------------------------------------------------------------------
 # block deciders
 #
-# Each takes a (B, n) int64 array whose row b holds graph b's neighbour masks
-# and returns the B decisions of the matching scalar decider. Most work is
-# bit-sliced: graph g of the block is bit g % 64 of word g // 64, so one
-# uint64 operation serves 64 graphs, and the tables are indexed [vertex
-# subset, word], with one Python step serving a whole family of subsets.
-# Only ``chrom`` (an int64 count) and ``ham`` (int64 end-vertex masks) hold
-# one int64 cell per graph per subset.
+# Each takes (n, n, W) uint64 adjacency words, bit g % 64 of word [v, u, g // 64]
+# set iff uv is an edge of graph g, and returns 64 * W decisions, lane g's equal
+# to the matching scalar decider on graph g (lanes past the block's graphs hold
+# the edgeless graph). One uint64 operation serves 64 graphs, and the tables are
+# indexed [vertex subset, ..., word], with one Python step serving a whole
+# family of subsets. Only ``chrom`` (an int64 count) holds one int64 cell per
+# graph per subset.
 
 _ALL = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
 
 
-def _columns(masks: np.ndarray, cap: int = BLOCK_MAX_N) -> np.ndarray:
-    """The block's neighbour masks as (n, B) rows; refuses n > ``cap``, by
-    default BLOCK_MAX_N, where the 2^n-row tables would stop fitting a block."""
-    n = masks.shape[1]
-    _check_cap(n, cap, "this block decider")
-    return np.ascontiguousarray(masks.T, dtype=np.int64)
+def _lanes(words: np.ndarray) -> np.ndarray:
+    """The 64 * W decisions held in the lanes of (W,) words."""
+    return np.unpackbits(words.view(np.uint8), bitorder="little").view(bool)
 
 
-def _words(masks: np.ndarray, cap: int = BLOCK_MAX_N) -> np.ndarray:
-    """The block's adjacency as (n, n, W) uint64 words, W = ceil(B / 64): bit
-    g % 64 of word [v, u, g // 64] is set iff uv is an edge of graph g. The
-    padding lanes of the last word are zero. Refuses n > ``cap``."""
-    b, n = masks.shape
-    _check_cap(n, cap, "this block decider")
-    cols = np.zeros((n, -(-b // 64) * 64), dtype=np.uint16)  # n <= BLOCK_MAX_N < 16
-    cols[:, :b] = masks.T
-    bits = cols[:, None, :] & (np.uint16(1) << np.arange(n, dtype=np.uint16))[:, None]
-    return np.packbits(bits.astype(bool), axis=2, bitorder="little").view("<u8")
-
-
-def _lanes(words: np.ndarray, b: int) -> np.ndarray:
-    """The (B,) decisions held in the lanes of (W,) words."""
-    return np.unpackbits(words.view(np.uint8), bitorder="little")[:b].view(bool)
+def _every_lane(adj: np.ndarray, decision: bool) -> np.ndarray:
+    """One decision for every lane of the block."""
+    return np.full(64 * adj.shape[2], decision)
 
 
 @lru_cache(maxsize=None)
@@ -650,36 +634,32 @@ def _reach(start: np.ndarray, adj: np.ndarray, steps: int) -> np.ndarray:
     return start
 
 
-def _connected_block(masks: np.ndarray) -> np.ndarray:
+def _connected_block(adj: np.ndarray) -> np.ndarray:
     """Vertex 0 reaches every vertex."""
-    adj = _words(masks)
-    b, n = masks.shape
     reach = np.zeros(adj.shape[1:], dtype=np.uint64)
     reach[0] = _ALL
-    return _lanes(np.bitwise_and.reduce(_reach(reach, adj, n - 1), axis=0), b)
+    return _lanes(np.bitwise_and.reduce(_reach(reach, adj, len(adj) - 1), axis=0))
 
 
-def _diameter_at_most_block(masks: np.ndarray, k: int) -> np.ndarray:
+def _diameter_at_most_block(adj: np.ndarray, k: int) -> np.ndarray:
     """Every vertex's ball of radius k is the whole vertex set."""
-    adj = _words(masks)
-    b, n = masks.shape
+    n = len(adj)
     if k < 0:
-        return np.zeros(b, dtype=bool)
+        return _every_lane(adj, False)
     balls = np.zeros(adj.shape, dtype=np.uint64)
     balls[np.arange(n), np.arange(n)] = _ALL
     balls = _reach(balls, adj, min(k, n - 1))
-    return _lanes(np.bitwise_and.reduce(balls.reshape(n * n, -1), axis=0), b)
+    return _lanes(np.bitwise_and.reduce(balls.reshape(n * n, -1), axis=0))
 
 
-def _clique_at_least_block(masks: np.ndarray, k: int) -> np.ndarray:
-    adj = _words(masks)
-    b, n = masks.shape
+def _clique_at_least_block(adj: np.ndarray, k: int) -> np.ndarray:
+    n = len(adj)
     if k <= 1 or k > n:
-        return np.full(b, k <= n)
-    return _lanes(_any_of_size(_clique_table(adj), n, k), b)
+        return _every_lane(adj, k <= n)
+    return _lanes(_any_of_size(_clique_table(adj), n, k))
 
 
-def _chromatic_at_least_block(masks: np.ndarray, k: int) -> np.ndarray:
+def _chromatic_at_least_block(adj: np.ndarray, k: int) -> np.ndarray:
     """Not (k-1)-colourable, by counting (k-1)-tuples of independent sets
     that cover the vertices: sum over S of (-1)^(n-|S|) i(S)^(k-1), where
     i(S) counts the independent subsets of S (Bjorklund, Husfeldt and
@@ -688,95 +668,77 @@ def _chromatic_at_least_block(masks: np.ndarray, k: int) -> np.ndarray:
     at most (1 + 2^(n-1))^n, below 2^57 at n = 8 and above 2^63 at n = 9, so
     int64 is exact only up to CHROMATIC_BLOCK_MAX_N = 8, and larger n is
     refused."""
-    adj = _words(masks, CHROMATIC_BLOCK_MAX_N)
-    b, n = masks.shape
+    n = len(adj)
+    _check_cap(n, CHROMATIC_BLOCK_MAX_N, "the chromatic block decider")
     if k <= 1 or k > n:
-        return np.full(b, k <= 1)
+        return _every_lane(adj, k <= 1)
     independent = _clique_table(~adj).view(np.uint8)
-    counts = np.unpackbits(independent, axis=1, bitorder="little")[:, :b].astype(np.int64)
+    counts = np.unpackbits(independent, axis=1, bitorder="little").astype(np.int64)
     for v in range(n):  # sum each row into the rows of its supersets
-        pairs = counts.reshape(1 << (n - 1 - v), 2, 1 << v, b)
+        pairs = counts.reshape(1 << (n - 1 - v), 2, 1 << v, -1)
         pairs[:, 1] += pairs[:, 0]
     sign = np.where(_subset_sizes(n) % 2 == n % 2, 1, -1)
     covers = (sign[:, None] * counts ** (k - 1)).sum(axis=0)
     return covers == 0
 
 
-def _matching_at_least_block(masks: np.ndarray, k: int) -> np.ndarray:
+def _matching_at_least_block(adj: np.ndarray, k: int) -> np.ndarray:
     """Some 2k vertices have a perfect matching. Row S of ``perfect`` is
     filled from the partners u of S's highest vertex h: the rows holding h
     and u are a strided view of the table, as are the same rows without
     them, which are already filled."""
-    adj = _words(masks)
-    b, n = masks.shape
+    n, _, w = adj.shape
     if k <= 0 or 2 * k > n:
-        return np.full(b, k <= 0)
-    perfect = np.zeros((1 << n, adj.shape[2]), dtype=np.uint64)
+        return _every_lane(adj, k <= 0)
+    perfect = np.zeros((1 << n, w), dtype=np.uint64)
     perfect[0] = _ALL
     for h in range(1, n):
         for u in range(h):
             view = perfect[: 2 << h].reshape(2, 1 << (h - u - 1), 2, 1 << u, -1)
             view[1, :, 1] |= adj[h, u] & view[0, :, 0]
-    return _lanes(_any_of_size(perfect, n, 2 * k), b)
+    return _lanes(_any_of_size(perfect, n, 2 * k))
 
 
-def _hamiltonian_block(masks: np.ndarray) -> np.ndarray:
-    """Held-Karp over end-vertex masks: row S (S holding vertex 0) of ``ends``
-    marks the vertices at which a path from 0 through exactly S can end;
-    a Hamilton cycle closes such a path on all n vertices back to 0."""
-    cols = _columns(masks)
-    n, b = cols.shape
+def _hamiltonian_block(adj: np.ndarray) -> np.ndarray:
+    """Held-Karp: word [S, v] of ``ends`` holds the graphs with a path from
+    vertex 0 through exactly the vertices of S that ends at v. The subsets
+    holding 0 are filled size by size, each path through S ending at v
+    extending one through S without v at a neighbour of v, and a Hamilton
+    cycle closes a path through all n vertices at a neighbour of 0."""
+    n, _, w = adj.shape
     if n < 3:
-        return np.zeros(b, dtype=bool)
-    subsets = np.arange(1 << n, dtype=np.int64)
-    sizes = _subset_sizes(n)
-    ends = np.zeros((1 << n, b), dtype=np.int64)
-    ends[1] = 1
+        return _every_lane(adj, False)
+    subsets = np.arange(1 << n)
+    ends = np.zeros((1 << n, n, w), dtype=np.uint64)
+    ends[1, 0] = _ALL
     for size in range(2, n + 1):
-        layer = subsets[(sizes == size) & (subsets & 1 == 1)]
-        for v in range(1, n):
-            into = layer[(layer >> v) & 1 == 1]
-            reached = (ends[into ^ (1 << v)] & cols[v]) != 0
-            ends[into] |= reached.astype(np.int64) << v
-    return (ends[-1] & cols[0]) != 0
+        layer = subsets[(_subset_sizes(n) == size) & (subsets & 1 == 1)]
+        rows, v = np.nonzero(layer[:, None] >> np.arange(1, n) & 1)
+        into, v = layer[rows], v + 1
+        ends[into, v] = np.bitwise_or.reduce(ends[into ^ (1 << v)] & adj[v], axis=1)
+    return _lanes(np.bitwise_or.reduce(ends[-1] & adj[0], axis=0))
 
 
-def _dominating_at_most_block(masks: np.ndarray, k: int) -> np.ndarray:
+def _dominating_at_most_block(adj: np.ndarray, k: int) -> np.ndarray:
     """Some k vertices' closed neighbourhoods cover every vertex: row S,
     vertex v of ``cover`` holds the graphs in which v is in or next to S."""
-    adj = _words(masks)
-    b, n = masks.shape
+    n = len(adj)
     if k >= n or k <= 0:
-        return np.full(b, k >= n)
+        return _every_lane(adj, k >= n)
     closed = adj.copy()
     closed[np.arange(n), np.arange(n)] = _ALL
     cover = np.zeros((1 << n, *closed.shape[1:]), dtype=np.uint64)
     for u in range(n):
         np.bitwise_or(cover[: 1 << u], closed[u], out=cover[1 << u : 2 << u])
     dominated = np.bitwise_and.reduce(cover[_subset_sizes(n) == k], axis=1)
-    return _lanes(np.bitwise_or.reduce(dominated, axis=0), b)
+    return _lanes(np.bitwise_or.reduce(dominated, axis=0))
 
 
-def _edge_count_block(masks: np.ndarray) -> np.ndarray:
-    return np.bitwise_count(_columns(masks)).sum(axis=0, dtype=np.int64) // 2
-
-
-@lru_cache(maxsize=None)
-def _byte_neighbor_masks(space: EdgeSpace) -> tuple[np.ndarray, ...]:
-    """Table j, row x: the (n,) neighbour masks of the graph whose only edges
-    are those of byte value x at bits 8j..8j+7 of the realization; a
-    realization's masks are the OR of its bytes' rows. Built once per space."""
-    u, v = (e.tolist() for e in space.endpoints)
-    values = np.arange(256, dtype=np.int64)
-    tables = []
-    for start in range(0, space.m, 8):
-        table = np.zeros((256, space.n), dtype=np.int64)
-        for i in range(start, min(start + 8, space.m)):
-            present = (values >> (i - start)) & 1
-            table[:, u[i]] |= present << v[i]
-            table[:, v[i]] |= present << u[i]
-        tables.append(table)
-    return tuple(tables)
+def _edge_count_block(adj: np.ndarray) -> np.ndarray:
+    """Edges per lane: half the set bits of the words, each edge being set at
+    [u, v] and at [v, u]."""
+    bits = np.unpackbits(adj.view(np.uint8), axis=2, bitorder="little")
+    return bits.sum(axis=(0, 1), dtype=np.int64) // 2
 
 
 # ---------------------------------------------------------------------------
@@ -791,16 +753,17 @@ class PropertyOracle:
     increasing except the deliberately non-monotone ``exactly-k-edges``
     plant used to exercise certification failure paths.
 
-    ``decide_block``, when set, decides many graphs in one call: it takes a
-    (B, n) int64 array whose row b holds graph b's neighbour masks (bit u of
-    entry v set iff uv is an edge) and returns B booleans, each equal to
-    ``decide`` on that graph. :func:`decide_bits`, through which the exact
-    sweep and the sampled tests decide every batch, calls it and builds no
-    :class:`Realization`; oracles without one are decided one graph at a
-    time. The shipped ones refuse n > ``BLOCK_MAX_N`` (10), and ``chrom``
-    refuses n > ``CHROMATIC_BLOCK_MAX_N`` (8), where its int64 count could
-    overflow. The cap of 10 was measured: at n = 10 every shipped block
-    decider, masks included, costs less per graph than ``decide`` does.
+    ``decide_block``, when set, decides many graphs in one call: it takes
+    (n, n, W) uint64 adjacency words, bit g % 64 of word [v, u, g // 64] set
+    iff uv is an edge of graph g, and returns 64 * W booleans, lane g's equal
+    to ``decide`` on graph g. :func:`decide_bits`, through which the exact
+    sweep and the sampled tests decide every batch, builds the words, calls
+    it only at n <= ``BLOCK_MAX_N`` (10), keeps the decisions of its graphs'
+    lanes and builds no :class:`Realization`; oracles without one are decided
+    one graph at a time. ``chrom``'s refuses n > ``CHROMATIC_BLOCK_MAX_N``
+    (8), where its int64 count could overflow. The cap of 10 was measured:
+    at n = 10 every shipped block decider, words included, costs less per
+    graph than ``decide`` does.
 
     ``check_scale``, when set, raises :class:`UnsupportedScaleError` for a
     vertex count at which ``decide`` refuses every graph, with the message
@@ -816,7 +779,7 @@ class PropertyOracle:
     check_scale: Optional[Callable[[int], None]] = None
 
 
-# name -> (comparison, decide(g, k), decide_block(masks, k), check_scale(n))
+# name -> (comparison, decide(g, k), decide_block(adj, k), check_scale(n))
 # of each thresholded family; its oracle "name<comparison>k" is the CLI
 # spelling. Only the clique cap holds for every k: the others answer small
 # or large k without their search.
@@ -835,7 +798,7 @@ def _threshold_oracle(family: str, k: int) -> PropertyOracle:
         f"{family}{comparison}{k}",
         lambda g: decide(g, k),
         k,
-        decide_block=lambda masks: decide_block(masks, k),
+        decide_block=lambda adj: decide_block(adj, k),
         check_scale=check_scale,
     )
 
@@ -867,7 +830,7 @@ def exactly_edges_oracle(k: int) -> PropertyOracle:
         lambda g: g.edge_count() == k,
         k,
         direction="none",
-        decide_block=lambda masks: _edge_count_block(masks) == k,
+        decide_block=lambda adj: _edge_count_block(adj) == k,
     )
 
 
@@ -899,16 +862,36 @@ def parse_property(text: str) -> PropertyOracle:
 # deciding a batch of graphs
 
 
+def _adjacency_words(space: EdgeSpace, bits: np.ndarray) -> np.ndarray:
+    """The (n, n, W) adjacency words of the graphs whose realization bitmasks
+    are the (B,) int64 ``bits``, W = ceil(B / 64): bit g % 64 of word
+    [v, u, g // 64] is set iff uv is an edge of graph g. The padding lanes of
+    the last word are zero. The bitmasks' bytes are unpacked to one row of m
+    edge bits per graph, and the columns packed into (m, W) edge words."""
+    w = -(-bits.size // 64)
+    padded = np.zeros(64 * w, dtype="<i8")
+    padded[: bits.size] = bits
+    edges = np.unpackbits(
+        padded.view(np.uint8).reshape(-1, 8), axis=1, count=space.m, bitorder="little"
+    )
+    # packbits along a contiguous axis is several times faster
+    edge_words = np.packbits(edges.T.copy(), axis=1, bitorder="little").view("<u8")
+    adj = np.zeros((space.n, space.n, w), dtype=np.uint64)
+    u, v = (e.astype(np.intp) for e in space.endpoints)
+    adj[u, v] = adj[v, u] = edge_words
+    return adj
+
+
 def decide_bits(oracle: PropertyOracle, space: EdgeSpace, bits) -> np.ndarray:
     """The oracle's decisions on the graphs of ``space`` whose realization
     bitmasks are ``bits``, as a (B,) bool array: the one way the library
     decides a batch of graphs, sampled or exhaustive.
 
-    At n <= BLOCK_MAX_N the (B, n) neighbour masks are read off byte tables,
-    one lookup per byte of the bitmask, and handed to ``decide_block``. The
-    int64 tables of ``chrom`` and ``ham`` hold 2^n rows per graph, so a batch
-    of any size is split into calls of ``BLOCK_CELLS >> n`` graphs: 4096 at
-    n = 6, 256 at n = 10.
+    At n <= BLOCK_MAX_N the bitmasks become adjacency words, handed to
+    ``decide_block``, and the decisions of the graphs' lanes are kept. The
+    int64 table of ``chrom`` holds 2^n rows per graph, so a batch of any size
+    is split into calls of ``BLOCK_CELLS >> n`` graphs: 4096 at n = 6, 256 at
+    n = 10.
     An oracle without ``decide_block``, or one whose block decider refuses n,
     gets ``decide(Realization(space, b))`` for each b in order, the reference.
     """
@@ -919,10 +902,8 @@ def decide_bits(oracle: PropertyOracle, space: EdgeSpace, bits) -> np.ndarray:
         try:
             for lo in range(0, block.size, step):
                 part = block[lo : lo + step]
-                masks = np.zeros((part.size, space.n), dtype=np.int64)
-                for j, table in enumerate(_byte_neighbor_masks(space)):
-                    masks |= table[(part >> (8 * j)) & 0xFF]
-                decided[lo : lo + step] = oracle.decide_block(masks)
+                lanes = oracle.decide_block(_adjacency_words(space, part))
+                decided[lo : lo + step] = lanes[: part.size]
             return decided
         except UnsupportedScaleError:
             pass

@@ -81,6 +81,19 @@ class TestIntervals:
                 estimate_property(er_model(3, 0.5), PropertyOracle("never", never), 10, 1,
                                   confidence=confidence)
 
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_workers_below_one_rejected_before_sampling(self, workers):
+        def never(g):
+            raise AssertionError("sampled despite a bad worker count")
+
+        oracle = PropertyOracle("never", never)
+        message = f"workers must be >= 1, got {workers}"
+        with pytest.raises(DomainError, match=message):
+            estimate_property(er_model(3, 0.5), oracle, 10, 1, workers=workers)
+        with pytest.raises(DomainError, match=message):
+            coupled_domination_test(CouplingParams(0.5, er_model(3, 0.5)), oracle, 10, 1,
+                                    workers=workers)
+
     def test_returns_plain_floats(self):
         for s in (0, 3, 10):
             assert all(type(v) is float for v in wilson_interval(s, 10))

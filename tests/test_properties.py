@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import bruteforce as bf
+from probust import properties
 from probust import (
     DomainError,
     EdgeSpace,
@@ -421,8 +422,6 @@ class TestCertification:
         "oracle", [matching_oracle(3), exactly_edges_oracle(3)], ids=lambda o: o.name
     )
     def test_part_and_call_sizes_change_nothing(self, oracle, n, monkeypatch):
-        from probust import properties
-
         default = certify_monotone(oracle, n, 2000, derive_rng(7, 0, n))
         monkeypatch.setattr(properties, "_part_rows", lambda width: 7)
         monkeypatch.setattr(properties, "BLOCK_CELLS", 7 << n)
@@ -453,10 +452,16 @@ def every_shipped_oracle(n):
     return oracles
 
 
-def block_of(graphs):
-    """The (B, n) neighbour-mask block of some realizations, row by row."""
-    n = graphs[0].space.n
-    return np.array([g.neighbor_masks for g in graphs], dtype=np.int64).reshape(-1, n)
+def block_of(space, graphs):
+    """The (n, n, W) adjacency words of some realizations, graph g in lane g,
+    read off their neighbour masks: bit g % 64 of word [v, u, g // 64] is bit
+    u of graph g's mask of v."""
+    n, w = space.n, -(-len(graphs) // 64)
+    masks = np.zeros((64 * w, n), dtype=np.int64)
+    masks[: len(graphs)] = np.array([g.neighbor_masks for g in graphs], dtype=np.int64).reshape(-1, n)
+    bits = (masks[:, :, None] >> np.arange(n)) & 1  # [g, v, u]
+    lanes = np.packbits(bits.astype(np.uint8), axis=0, bitorder="little")  # [byte, v, u]
+    return np.ascontiguousarray(lanes.transpose(1, 2, 0)).view("<u8")
 
 
 class TestDecideBlock:
@@ -466,11 +471,12 @@ class TestDecideBlock:
     def test_equals_decide_on_every_realization(self, n):
         space = EdgeSpace(n)
         graphs = [Realization(space, bits) for bits in range(1 << space.m)]
-        masks = block_of(graphs)
+        words = block_of(space, graphs)
         for oracle in every_shipped_oracle(n):
-            got = oracle.decide_block(masks)
-            assert got.dtype == bool and got.shape == (len(graphs),), oracle.name
-            assert got.tolist() == [bool(oracle.decide(g)) for g in graphs], oracle.name
+            got = oracle.decide_block(words)
+            assert got.dtype == bool and got.shape == (64 * words.shape[2],), oracle.name
+            want = [bool(oracle.decide(g)) for g in graphs]
+            assert got[: len(graphs)].tolist() == want, oracle.name
 
     @pytest.mark.parametrize("n,count", [(7, 20_000), (9, 2000), (BLOCK_MAX_N, 2000)])
     def test_equals_decide_on_random_graphs(self, n, count):
@@ -481,7 +487,8 @@ class TestDecideBlock:
         present = rng.random((count, space.m)) < rng.random((count, 1))  # any density
         bits = (present.astype(np.int64) << np.arange(space.m)).sum(axis=1)
         graphs = [Realization(space, b) for b in bits.tolist()]
-        blocks = np.array_split(block_of(graphs), max(1, count // 1000))  # 2^n table rows per graph
+        parts = [graphs[lo : lo + 1000] for lo in range(0, count, 1000)]  # 2^n table rows per graph
+        blocks = [block_of(space, part) for part in parts]
         for oracle in every_shipped_oracle(n):
             want = [bool(oracle.decide(g)) for g in graphs]
             if oracle.name.startswith("chrom") and n > CHROMATIC_BLOCK_MAX_N:
@@ -489,34 +496,58 @@ class TestDecideBlock:
                     oracle.decide_block(blocks[0])
                 got = decide_bits(oracle, space, bits)
             else:
-                got = np.concatenate([oracle.decide_block(block) for block in blocks])
+                got = np.concatenate([
+                    oracle.decide_block(block)[: len(part)] for block, part in zip(blocks, parts)
+                ])
             assert got.tolist() == want, oracle.name
 
     @pytest.mark.parametrize("n", [7, BLOCK_MAX_N])
     def test_every_lane_and_block_size(self, n):
         """The deciders hold 64 graphs per word, the last word padded: each
         graph is decided alike in a block of the first b graphs and in one of
-        the last b, so at another lane, for b around the word size."""
+        the last b, so at another lane, for b around the word size, and each
+        padding lane holds the edgeless graph's decision."""
         space = EdgeSpace(n)
         rng = np.random.default_rng(64 + n)
         present = rng.random((129, space.m)) < rng.random((129, 1))  # any density
         bits = (present.astype(np.int64) << np.arange(space.m)).sum(axis=1)
         graphs = [Realization(space, b) for b in bits.tolist()]
-        masks = block_of(graphs)
         for oracle in every_shipped_oracle(n):
             if oracle.name.startswith("chrom") and n > CHROMATIC_BLOCK_MAX_N:
                 continue  # refused, as test_equals_decide_on_random_graphs checks
             want = [bool(oracle.decide(g)) for g in graphs]
+            edgeless = bool(oracle.decide(Realization(space, 0)))
             for b in (0, 1, 63, 64, 65, 129):
                 for lo in (0, 129 - b):
-                    got = oracle.decide_block(masks[lo : lo + b])
-                    assert got.dtype == bool and got.tolist() == want[lo : lo + b], (oracle.name, b, lo)
+                    got = oracle.decide_block(block_of(space, graphs[lo : lo + b]))
+                    assert got.dtype == bool, (oracle.name, b, lo)
+                    assert got[:b].tolist() == want[lo : lo + b], (oracle.name, b, lo)
+                    assert (got[b:] == edgeless).all(), (oracle.name, b, lo)
+
+    @pytest.mark.parametrize("n", range(1, BLOCK_MAX_N + 1))
+    def test_words_are_the_neighbor_masks(self, n):
+        space = EdgeSpace(n)
+        rng = np.random.default_rng(n)
+        present = rng.random((129, space.m)) < rng.random((129, 1))  # any density
+        bits = (present.astype(np.int64) << np.arange(space.m)).sum(axis=1)
+        for b in (0, 1, 63, 64, 65, 129):
+            words = properties._adjacency_words(space, bits[:b])
+            graphs = [Realization(space, x) for x in bits[:b].tolist()]
+            assert words.dtype == np.uint64 and words.shape == (n, n, -(-b // 64)), b
+            assert np.array_equal(words, block_of(space, graphs)), b
 
     def test_refuses_above_the_block_cap(self):
-        masks = np.zeros((2, BLOCK_MAX_N + 1), dtype=np.int64)
-        for oracle in every_shipped_oracle(2):
-            with pytest.raises(UnsupportedScaleError):
-                oracle.decide_block(masks)
+        n = BLOCK_MAX_N + 1
+        space = EdgeSpace(n)
+        bits = [0, (1 << space.m) - 1]
+        graphs = [Realization(space, b) for b in bits]
+
+        def refuse(adj):
+            raise AssertionError("block decider called above BLOCK_MAX_N")
+
+        for oracle in every_shipped_oracle(n):
+            got = decide_bits(dataclasses.replace(oracle, decide_block=refuse), space, bits)
+            assert got.tolist() == [bool(oracle.decide(g)) for g in graphs], oracle.name
 
 
 class TestDecideBits:
@@ -528,7 +559,7 @@ class TestDecideBits:
         bits = [int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little") for row in present]
         graphs = [Realization(space, b) for b in bits]
 
-        def refuse(masks):
+        def refuse(adj):
             raise AssertionError("block decider called above BLOCK_MAX_N")
 
         for oracle in every_shipped_oracle(n):
@@ -547,22 +578,29 @@ class TestDecideBits:
             got = decide_bits(oracle, space, bits)
             assert got.tolist() == [bool(oracle.decide(g)) for g in graphs], oracle.name
 
-    def test_splits_any_batch_into_block_calls(self):
+    def test_splits_any_batch_into_block_calls(self, monkeypatch):
         space = EdgeSpace(8)
         rng = np.random.default_rng(8)
         present = rng.random((5000, space.m)) < rng.random((5000, 1))
         bits = (present.astype(np.int64) << np.arange(space.m)).sum(axis=1)
         graphs = [Realization(space, b) for b in bits.tolist()]
+        words = properties._adjacency_words
         for oracle in [*SHIPPED_MONOTONE, exactly_edges_oracle(12)]:
-            sizes = []
+            sizes, calls = [], []
 
-            def counted(masks, decide_block=oracle.decide_block):
-                sizes.append(len(masks))
-                return decide_block(masks)
+            def counted(adj, decide_block=oracle.decide_block):
+                calls.append(adj.shape)
+                return decide_block(adj)
 
+            def built(space, part):
+                sizes.append(len(part))
+                return words(space, part)
+
+            monkeypatch.setattr(properties, "_adjacency_words", built)
             got = decide_bits(dataclasses.replace(oracle, decide_block=counted), space, bits)
             assert got.tolist() == [bool(oracle.decide(g)) for g in graphs], oracle.name
             assert sizes == [1024] * 4 + [904], oracle.name
+            assert calls == [(8, 8, 16)] * 4 + [(8, 8, 15)], oracle.name
 
 
 class TestPropertyGrammar:

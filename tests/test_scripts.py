@@ -1,4 +1,4 @@
-"""Smoke runs of the experiment scripts: each exits 0 on a small input."""
+"""Smoke runs of the scripts: each exits 0 on a small input."""
 
 import os
 import subprocess
@@ -18,8 +18,9 @@ SRC = str(Path(probust.__file__).resolve().parent.parent)
     [
         ["scripts/coupling_experiment.py", "--n", "3", "--samples", "50"],
         ["scripts/asymptotics_experiment.py", "--samples", "1"],
+        ["scripts/code_lines.py", "src/probust"],
     ],
-    ids=["coupling_experiment", "asymptotics_experiment"],
+    ids=["coupling_experiment", "asymptotics_experiment", "code_lines"],
 )
 def test_script_runs(argv):
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
