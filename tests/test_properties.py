@@ -458,7 +458,8 @@ def block_of(space, graphs):
     u of graph g's mask of v."""
     n, w = space.n, -(-len(graphs) // 64)
     masks = np.zeros((64 * w, n), dtype=np.int64)
-    masks[: len(graphs)] = np.array([g.neighbor_masks for g in graphs], dtype=np.int64).reshape(-1, n)
+    rows = np.array([g.neighbor_masks for g in graphs], dtype=np.int64)
+    masks[: len(graphs)] = rows.reshape(-1, n)
     bits = (masks[:, :, None] >> np.arange(n)) & 1  # [g, v, u]
     lanes = np.packbits(bits.astype(np.uint8), axis=0, bitorder="little")  # [byte, v, u]
     return np.ascontiguousarray(lanes.transpose(1, 2, 0)).view("<u8")
