@@ -49,9 +49,11 @@ from .models import MODELS, ModelDescriptor, sample_block
 from .montecarlo import (
     FORMULAS,
     asymptotic_report,
+    check_run,
     coupled_domination_test,
     degree_count_formula,
     domination_test,
+    er_reference,
 )
 from .properties import (
     certify_monotone,
@@ -224,6 +226,12 @@ def cmd_verify(args) -> int:
     seed = _resolve_seed(args)
     model = _build_model(args)
     oracle = parse_property(args.property)
+    # refuse the test's arguments before the certification that precedes it
+    if args.mode == "coupled":
+        params = CouplingParams(args.base, model)
+    else:
+        er_reference(model, args.base)
+    check_run(args.samples, args.threads)
     cert = certify_monotone(oracle, args.n, args.certify_trials, derive_rng(seed, 0, 0))
     if not cert.ok:
         g_before, g_after, edge = cert.counterexample
@@ -233,42 +241,37 @@ def cmd_verify(args) -> int:
             counterexample=cert.counterexample,
         )
     out = _Output(args.output)
+    payload = {
+        "mode": args.mode,
+        "model": _descriptor_json(model),
+        "base": args.base,
+        "property": oracle.name,
+        "samples": args.samples,
+        "seed": seed,
+    }
     if args.mode == "coupled":
-        params = CouplingParams(args.base, model)
         report = coupled_domination_test(
             params, oracle, args.samples, seed, workers=args.threads
         )
-        payload = {
-            "mode": "coupled",
-            "model": _descriptor_json(model),
-            "base": args.base,
-            "property": oracle.name,
-            "samples": report.samples,
-            "seed": seed,
-            "count_g1": report.count_g1,
-            "count_union": report.count_union,
-            "freq_g1": report.freq_g1,
-            "freq_union": report.freq_union,
-            "violations": report.violations,
-            "verdict": "consistent",
-        }
+        payload.update(
+            count_g1=report.count_g1,
+            count_union=report.count_union,
+            freq_g1=report.freq_g1,
+            freq_union=report.freq_union,
+            violations=report.violations,
+            verdict="consistent",
+        )
         code = 0
     else:
         report = domination_test(
             model, args.base, oracle, args.samples, seed, workers=args.threads
         )
-        payload = {
-            "mode": "independent",
-            "model": _descriptor_json(model),
-            "base": args.base,
-            "property": oracle.name,
-            "samples": args.samples,
-            "seed": seed,
-            "est_er": _estimate_json(report.est_er),
-            "est_model": _estimate_json(report.est_model),
-            "margin": report.margin,
-            "verdict": report.verdict,
-        }
+        payload.update(
+            est_er=_estimate_json(report.est_er),
+            est_model=_estimate_json(report.est_model),
+            margin=report.margin,
+            verdict=report.verdict,
+        )
         code = 0 if report.verdict == "consistent" else 5
     out.line(_dumps(payload))
     out.close()

@@ -37,8 +37,8 @@ import numpy as np
 
 from .errors import DomainError, RobustnessViolationError
 from .graphs import Realization, SuffixHistory, union
-from .models import EdgeModel, _checked, _kernel_masks
-from .rngstreams import check_count, derive_rng, index_blocks
+from .models import EdgeModel, _checked, _kernel_masks, _part_rows
+from .rngstreams import _bounds, check_count, derive_rng
 
 
 def p_prime(p: float, q: float) -> float:
@@ -176,7 +176,7 @@ def coupled_stream(
     """
     check_count(count)
     space = params.model.space
-    for lo, hi in index_blocks(count, start_index):
+    for lo, hi in _bounds(start_index, start_index + count, _part_rows(2 * space.m)):
         for idx, bits in zip(range(lo, hi), coupled_block(params, master_seed, lo, hi)):
             yield idx, CouplingTriple(*(Realization(space, b) for b in bits))
 

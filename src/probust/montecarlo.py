@@ -18,9 +18,9 @@ Both tests decide samples a block at a time: the block samplers
 each block's bitmasks go straight to
 :func:`~probust.properties.decide_bits`, the decision path the exact sweep
 uses too, so no ``Realization`` is built per sample. At n <= 10 (``chrom``:
-n <= 8) it runs the oracle's block decider on neighbour masks read off byte
-tables; above that, or for an oracle without one, it calls ``decide`` graph
-by graph. A paired violation is found over the block as g1 & ~union; the
+n <= 8) it runs the oracle's block decider on adjacency words built from the
+bitmasks; above that, or for an oracle without one, it calls ``decide``
+graph by graph. A paired violation is found over the block as g1 & ~union; the
 first one, by sample and then by oracle, is raised with its triple, the only
 :class:`~probust.coupling.CouplingTriple` the test builds.
 
@@ -44,7 +44,7 @@ import numpy as np
 from .coupling import CouplingParams, CouplingTriple, _require_floor, coupled_block
 from .errors import DomainError, PairedViolationError, RobustnessViolationError
 from .graphs import EdgeSpace, Realization, degree_histogram
-from .models import EdgeModel, er_model, sample_block
+from .models import EdgeModel, _part_rows, er_model, sample_block
 from .properties import (
     PropertyOracle,
     chromatic_number,
@@ -55,7 +55,7 @@ from .properties import (
     max_independent_set_size,
     min_dominating_set_size,
 )
-from .rngstreams import derive_rng, index_blocks
+from .rngstreams import _bounds, derive_rng
 
 DEFAULT_CONFIDENCE = 0.99
 
@@ -192,34 +192,41 @@ def hoeffding_interval(successes: int, samples: int, confidence: float = DEFAULT
 _INTERVALS = {"wilson": wilson_interval, "hoeffding": hoeffding_interval}
 
 
-def _map_blocks(work: Callable[[int, int], object], count: int, workers: int = 1) -> list:
-    """``[work(lo, hi) for (lo, hi) in index_blocks(count)]``, in block order.
+def _map_blocks(work: Callable[[int, int], object], count: int, workers: int, width: int) -> list:
+    """``[work(lo, hi) for (lo, hi) in blocks]``, in block order, where the
+    blocks cut 0..count-1 into runs of ``min(models._part_rows(width),
+    ceil(count / workers))`` indices: one block-kernel call of ``width``
+    coins a row each, and work for every worker.
 
-    With workers > 1 the blocks are dealt round-robin to forked processes,
-    at most one per block and per CPU, which inherit ``work`` instead of
-    receiving it pickled, so arbitrary sources and oracles work. The blocks
-    never depend on ``workers`` and per-index streams make each block's
-    result independent of who computes it. If blocks fail, the error of the
-    first failing block is raised, as the serial loop would raise it.
+    With workers > 1, at most one process per block and per CPU is forked.
+    Each takes one contiguous share of the blocks and inherits ``work``
+    instead of receiving it pickled, so arbitrary sources and oracles work;
+    the parent joins the shares in order. Every index has its own stream and
+    callers sum counts, so results do not depend on who computes a block or
+    on the cut. A worker stops at its first failing block and the first
+    failure in block order is raised, so the error is the one at the lowest
+    failing block, as the serial loop would raise it. A block draws all its
+    samples before it decides any, so if one block holds both a sample that
+    fails to draw and an earlier sample whose decision fails, the draw's
+    error is raised, and the cut can decide which of the two is raised.
     """
-    blocks = index_blocks(count)
-    workers = min(workers, len(blocks), os.cpu_count() or 1)
+    workers = min(workers, os.cpu_count() or 1)
+    blocks = _bounds(0, count, min(_part_rows(width), -(-count // workers)))
+    workers = min(workers, len(blocks))
     if workers <= 1:
         return [work(lo, hi) for lo, hi in blocks]
     ctx = multiprocessing.get_context("fork")
     conns, procs = [], []
     try:
         for w in range(workers):
+            share = blocks[w * len(blocks) // workers : (w + 1) * len(blocks) // workers]
             recv, send = ctx.Pipe(duplex=False)
-            proc = ctx.Process(target=_serve_blocks, args=(work, blocks[w::workers], send))
+            proc = ctx.Process(target=_serve_blocks, args=(work, share, send))
             proc.start()
             send.close()
             conns.append(recv)
             procs.append(proc)
-        outcomes = [None] * len(blocks)
-        for w, conn in enumerate(conns):
-            for k, outcome in enumerate(conn.recv()):
-                outcomes[w + k * workers] = outcome
+        outcomes = [outcome for conn in conns for outcome in conn.recv()]
     finally:
         for conn in conns:
             conn.close()
@@ -246,6 +253,14 @@ def _serve_blocks(work, blocks, conn) -> None:
     conn.close()
 
 
+def check_run(samples: int, workers: int) -> None:
+    """Refuse a sample or worker count below 1, as both tests do first."""
+    if samples < 1:
+        raise DomainError(f"samples must be >= 1, got {samples}")
+    if workers < 1:
+        raise DomainError(f"workers must be >= 1, got {workers}")
+
+
 def _check_scales(oracles: Sequence[PropertyOracle], n: int) -> None:
     """Refuse, before any sample is drawn, an oracle that refuses every graph
     on n vertices."""
@@ -270,10 +285,7 @@ def estimate_property(
     sample i is derived from (master_seed, *branch, i); the hit count, and
     therefore the result, does not depend on ``workers``.
     """
-    if samples < 1:
-        raise DomainError(f"samples must be >= 1, got {samples}")
-    if workers < 1:
-        raise DomainError(f"workers must be >= 1, got {workers}")
+    check_run(samples, workers)
     if method not in _INTERVALS:
         raise DomainError(f"unknown interval method {method!r}")
     _check_confidence(confidence)
@@ -283,7 +295,7 @@ def estimate_property(
         bits = list(sample_block(source, master_seed, branch, lo, hi))
         return int(decide_bits(oracle, source.space, bits).sum())
 
-    hits = sum(_map_blocks(count_hits, samples, workers))
+    hits = sum(_map_blocks(count_hits, samples, workers, source.space.m))
     low, high = _INTERVALS[method](hits, samples, confidence)
     estimate = hits / samples
     # at 0 or all hits a Wilson bound can land a few ulps past the estimate
@@ -316,6 +328,15 @@ def compare_estimates(est_er: EstimateResult, est_model: EstimateResult) -> str:
     return "refuted" if est_er.ci_low > est_model.ci_high else "consistent"
 
 
+def er_reference(model: EdgeModel, base: float) -> EdgeModel:
+    """G(n, base), the graph the independent test compares ``model`` with;
+    refused above the model's floor."""
+    _require_floor(model)
+    if base > model.floor:
+        raise RobustnessViolationError(f"base {base} exceeds the model floor {model.floor}")
+    return er_model(model.space.n, base)
+
+
 def domination_test(
     model: EdgeModel,
     base: float,
@@ -331,12 +352,7 @@ def domination_test(
     not a proof; "refuted" means the one-sided contradiction holds at the
     interval confidence on each side. ``workers`` never changes the result.
     """
-    _require_floor(model)
-    if base > model.floor:
-        raise RobustnessViolationError(
-            f"base {base} exceeds the model floor {model.floor}"
-        )
-    reference = er_model(model.space.n, base)
+    reference = er_reference(model, base)
     est_er = estimate_property(
         reference, oracle, samples, master_seed, branch=(0,), method=method, workers=workers
     )
@@ -386,10 +402,7 @@ def coupled_domination_test(
     """
     single = isinstance(oracles, PropertyOracle)
     oracle_list = [oracles] if single else list(oracles)
-    if samples < 1:
-        raise DomainError(f"samples must be >= 1, got {samples}")
-    if workers < 1:
-        raise DomainError(f"workers must be >= 1, got {workers}")
+    check_run(samples, workers)
     space = params.model.space
     _check_scales(oracle_list, space.n)
 
@@ -412,7 +425,8 @@ def coupled_domination_test(
             )
         return np.array([on_g1.sum(axis=1), on_union.sum(axis=1)])
 
-    g1_counts, u_counts = np.sum(_map_blocks(count_pairs, samples, workers), axis=0).tolist()
+    counts = _map_blocks(count_pairs, samples, workers, 2 * space.m)
+    g1_counts, u_counts = np.sum(counts, axis=0).tolist()
     reports = [
         PairedReport(
             oracle_name=oracle.name,

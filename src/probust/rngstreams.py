@@ -8,9 +8,7 @@ scheduled or how many workers consume it.
 
 Batched samplers take any range of indices; each index still draws from its
 own stream, so a range's samples equal the one-at-a-time ones however the
-range is split. ``BLOCK`` is the unit that ``montecarlo._map_blocks`` deals
-to forked workers and the step of ``coupling.coupled_stream``; its bounds
-never depend on the worker count.
+range is split.
 
 A block's streams are seeded at once. Building one ``SeedSequence`` per index
 costs more than deciding a small graph, so :func:`block_rngs` computes numpy's
@@ -33,7 +31,6 @@ from numpy.random.bit_generator import ISeedSequence
 from .errors import DomainError
 
 MAX_SEED = 2**64 - 1
-BLOCK = 256  # indices per forked work unit and per coupled_stream step
 
 # numpy's SeedSequence constants (numpy/random/bit_generator.pyx)
 _MASK32 = 0xFFFFFFFF
@@ -60,12 +57,6 @@ def derive_rng(master_seed: int, *key: int) -> np.random.Generator:
     """Generator for stream ``key`` under ``master_seed``."""
     seq = np.random.SeedSequence(entropy=check_seed(master_seed), spawn_key=tuple(key))
     return np.random.Generator(np.random.PCG64(seq))
-
-
-def index_blocks(count: int, start: int = 0) -> list[tuple[int, int]]:
-    """Bounds (lo, hi) of the consecutive ``BLOCK``-sized blocks of
-    start..start+count-1; the last block may be shorter."""
-    return _bounds(start, start + count, BLOCK)
 
 
 def _bounds(lo: int, hi: int, size: int) -> list[tuple[int, int]]:

@@ -468,6 +468,31 @@ class TestUsage:
         assert captured.out == ""
         assert message in captured.err
 
+    @pytest.mark.parametrize("prop", ["connected", "exactly-3-edges"])  # the second is not monotone
+    @pytest.mark.parametrize("mode", ["coupled", "independent"])
+    @pytest.mark.parametrize(
+        "bad,code,message",
+        [
+            ("--samples 0", 2, "error: samples must be >= 1, got 0"),
+            ("--threads 0", 2, "error: workers must be >= 1, got 0"),
+            ("--base -1", 2, "must be in [0, 1], got -1.0"),
+            ("--base 0.9", 3, "robustness violation: base 0.9 exceeds the model"),
+        ],
+    )
+    def test_bad_argument_refused_before_certifying(
+        self, bad, code, message, mode, prop, monkeypatch, capsys
+    ):
+        def no_certify(*args):
+            raise AssertionError("certified before the bad argument was refused")
+
+        monkeypatch.setattr(cli, "certify_monotone", no_certify)
+        argv = (f"verify --model adjcount --n 6 --base 0.3 --property {prop} --samples 300 "
+                f"--mode {mode} --certify-trials 200000 --seed 4 {bad}")
+        assert cli.main(argv.split()) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
     def test_clique_cli_cap(self, tmp_path):
         code, _ = run(
             tmp_path, "verify", "--model", "er", "--n", "600", "--p", "0.5",
@@ -625,7 +650,7 @@ class TestBlockSampledOutput:
         kernel_calls.clear()
         model = conditioned_adjacency_model(10)
         per_block = [
-            bits for lo, hi in rngstreams.index_blocks(1000)
+            bits for lo, hi in rngstreams._bounds(0, 1000, 256)
             for bits in models.sample_block(model, 55, (), lo, hi)
         ]
         records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
@@ -657,9 +682,9 @@ class TestBlockSampledOutput:
         seen = []
         map_blocks = montecarlo._map_blocks
 
-        def spy(work, count, workers=1):
+        def spy(work, count, workers, width):
             seen.append(workers)
-            return map_blocks(work, count, workers)
+            return map_blocks(work, count, workers, width)
 
         monkeypatch.setattr(montecarlo, "_map_blocks", spy)
         outputs = []
@@ -785,7 +810,7 @@ class TestFuzz:
 
 
 # seeded calls whose stdout must not depend on the process, the hash seed,
-# the thread count or the block size; 300 samples cross a 256-index block
+# the thread count or the work unit
 _SEED = str(2**64 - 1)
 DETERMINISM_CALLS = [
     f"couple --model adjcount --n 7 --base 0.3 --samples 300 --seed {_SEED}",
@@ -811,11 +836,23 @@ print(json.dumps(results))
 """
 
 
+# failing calls whose exit code and stderr must not depend on the thread
+# count or the work unit either: a paired violation, whose message names the
+# first violating sample and its triple, and a refusal raised while deciding
+FAILING_CALLS = [
+    "verify --model adjcount --n 6 --base 0.3 --property exactly-3-edges --samples 2000 "
+    "--certify-trials 0 --seed 13",
+    *(f"verify --model adjcount --n 21 --base 0.3 --property chrom>=3 --samples 300 "
+      f"--certify-trials 0 --mode {mode} --seed 1" for mode in ("coupled", "independent")),
+]
+
+
 def run_calls(calls, capsys):
     results = []
     for argv in calls:
         code = cli.main(argv.split())
-        results.append([code, capsys.readouterr().out])
+        captured = capsys.readouterr()
+        results.append([code, captured.out, captured.err])
     return results
 
 
@@ -836,10 +873,16 @@ class TestDeterminism:
         assert all(code == 0 for code, _ in outputs[0])
         assert outputs[0][1][1] == outputs[0][2][1]  # --threads 1 and 2
 
-    def test_same_bytes_for_any_block_size(self, monkeypatch, capsys):
-        default = run_calls(DETERMINISM_CALLS, capsys)
-        monkeypatch.setattr(rngstreams, "BLOCK", 7)
-        assert run_calls(DETERMINISM_CALLS, capsys) == default
+    @pytest.mark.parametrize("unit", [1, 7, 256, None])  # None: the kernel's own part size
+    def test_same_bytes_for_any_block_size(self, unit, set_work_unit, capsys):
+        calls = DETERMINISM_CALLS + FAILING_CALLS
+        default = run_calls(calls, capsys)
+        assert [code for code, _, _ in default[-3:]] == [5, 4, 4]
+        assert default[-3][2].startswith("paired dominance violation: sample ")
+        set_work_unit(unit)
+        for threads in (1, 2, 3):
+            argvs = [f"{a} --threads {threads}" if a.startswith("verify") else a for a in calls]
+            assert run_calls(argvs, capsys) == default
 
 
 # one small call of each subcommand, both verify modes, every exact check and

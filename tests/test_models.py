@@ -25,7 +25,7 @@ from probust import (
 )
 from probust import models
 from probust.models import _mask_ints, sample_block, satisfies_min_adjacent
-from probust.rngstreams import index_blocks
+from probust.rngstreams import _bounds
 
 
 def history_with_count(space, i, k):
@@ -291,7 +291,7 @@ def blocked(source, seed, branch, count):
     """Every sample of 0..count-1 through the block sampler, block by block."""
     return [
         bits
-        for lo, hi in index_blocks(count)
+        for lo, hi in _bounds(0, count, 256)
         for bits in sample_block(source, seed, branch, lo, hi)
     ]
 

@@ -14,8 +14,10 @@ from probust import (
     PairedViolationError,
     PropertyOracle,
     RobustnessViolationError,
+    SamplingFailureError,
     adjacency_count_model,
     asymptotic_report,
+    conditioned_adjacency_model,
     coupled_domination_test,
     degree_count_formula,
     degree_distribution_test,
@@ -38,8 +40,9 @@ from probust.montecarlo import (
     hoeffding_interval,
     wilson_interval,
 )
+from probust.models import sample_block
 from probust.properties import exactly_edges_oracle, max_clique_size, min_dominating_set_size
-from probust.rngstreams import BLOCK, index_blocks
+from probust.rngstreams import _bounds
 
 ALWAYS = PropertyOracle("always", lambda g: True)
 
@@ -217,6 +220,32 @@ class TestEstimateProperty:
         assert 0 < est.successes < 600
         assert realizations_built == []
 
+    def test_one_kernel_call_when_the_range_fits_one(self, kernel_calls):
+        estimate_property(er_model(3, 0.5), parse_property("clique>=3"), 2000, 5)
+        assert kernel_calls == [2000]
+
+    def test_rejection_rounds_pool_over_the_whole_range(self, kernel_calls):
+        model = conditioned_adjacency_model(10)
+        estimate_property(model, parse_property("connected"), 1000, 55)
+        pooled = len(kernel_calls)
+        kernel_calls.clear()
+        for lo, hi in _bounds(0, 1000, 256):
+            sample_block(model, 55, (), lo, hi)
+        assert pooled < len(kernel_calls)
+
+    @pytest.mark.parametrize("unit", [1, 7, 256, None])  # None: the kernel's own part size
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_rejection_failure_for_any_cut(self, workers, unit, set_work_unit):
+        model = conditioned_adjacency_model(6, budget=1)
+        with pytest.raises(SamplingFailureError) as scalar_err:
+            for idx in range(300):
+                model.sample(derive_rng(5, idx))
+        set_work_unit(unit)
+        with pytest.raises(SamplingFailureError) as err:
+            estimate_property(model, parse_property("connected"), 300, 5, workers=workers)
+        assert str(err.value) == str(scalar_err.value)
+        assert err.value.attempts == scalar_err.value.attempts
+
 
 class InlineFork:
     """A fork context whose processes run their target at ``start`` in this
@@ -247,19 +276,19 @@ class TestMapBlocks:
         fork = InlineFork()
         monkeypatch.setattr(multiprocessing, "get_context", lambda method: fork)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        count = 10 * BLOCK + 3
-        blocks = _map_blocks(lambda lo, hi: (lo, hi), count, workers=5000)
+        count = 10 * 256 + 3
+        blocks = _map_blocks(lambda lo, hi: (lo, hi), count, workers=5000, width=10)
         assert fork.started == started
-        assert blocks == index_blocks(count)
+        assert blocks == _bounds(0, count, -(-count // max(started, 1)))
 
     def test_counts_do_not_depend_on_the_clamp(self, monkeypatch):
         model = adjacency_count_model(5)
         oracle = parse_property("connected")
-        serial = estimate_property(model, oracle, 3 * BLOCK, 9)
+        serial = estimate_property(model, oracle, 3 * 256, 9)
         fork = InlineFork()
         monkeypatch.setattr(multiprocessing, "get_context", lambda method: fork)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        assert estimate_property(model, oracle, 3 * BLOCK, 9, workers=5000) == serial
+        assert estimate_property(model, oracle, 3 * 256, 9, workers=5000) == serial
         assert fork.started == 2
 
 
@@ -315,8 +344,9 @@ class TestCoupledDominationTest:
         par = coupled_domination_test(params, oracle, 2500, 14, workers=4)
         assert seq == par
 
-    @pytest.mark.parametrize("workers", [1, 3])
-    def test_first_violation_is_reported_for_any_worker_count(self, workers):
+    @pytest.mark.parametrize("unit", [1, 7, 256, None])  # None: the kernel's own part size
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_first_violation_is_reported_for_any_worker_count(self, workers, unit, set_work_unit):
         params = CouplingParams(0.3, adjacency_count_model(6))
         oracle = exactly_edges_oracle(3)
 
@@ -325,6 +355,7 @@ class TestCoupledDominationTest:
             return oracle.decide(t.g1) and not oracle.decide(t.u)
 
         first = next(idx for idx in range(2000) if violates(idx))
+        set_work_unit(unit)
         with pytest.raises(PairedViolationError) as err:
             coupled_domination_test(params, oracle, 2000, 13, workers=workers)
         assert str(err.value).startswith(f"sample {first}:")

@@ -52,8 +52,8 @@ class TestCoinRows:
 
     @pytest.mark.parametrize("lo", [2**32 - 128, 2**64 - 128])
     def test_full_block_straddling_a_word(self, lo):
-        """A 256-index block whose indices gain a 32-bit word half-way."""
-        hi = lo + rngstreams.BLOCK
+        """A 256-row range whose indices gain a 32-bit word half-way."""
+        hi = lo + 256
         for seed in SEEDS:
             got = coin_rows(seed, (3, 5), lo, hi, 45)
             assert got.tobytes() == reference_rows(seed, (3, 5), lo, hi, 45).tobytes()

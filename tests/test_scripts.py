@@ -19,8 +19,9 @@ SRC = str(Path(probust.__file__).resolve().parent.parent)
         ["scripts/coupling_experiment.py", "--n", "3", "--samples", "50"],
         ["scripts/asymptotics_experiment.py", "--samples", "1"],
         ["scripts/code_lines.py", "src/probust"],
+        ["scripts/throughput.py", "--repeats", "1", "--scale", "0.01"],
     ],
-    ids=["coupling_experiment", "asymptotics_experiment", "code_lines"],
+    ids=["coupling_experiment", "asymptotics_experiment", "code_lines", "throughput"],
 )
 def test_script_runs(argv):
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
