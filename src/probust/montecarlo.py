@@ -20,9 +20,9 @@ each block's bitmasks go straight to
 uses too, so no ``Realization`` is built per sample. At n <= 10 (``chrom``:
 n <= 8) it runs the oracle's block decider on adjacency words built from the
 bitmasks; above that, or for an oracle without one, it calls ``decide``
-graph by graph. A paired violation is found over the block as g1 & ~union; the
-first one, by sample and then by oracle, is raised with its triple, the only
-:class:`~probust.coupling.CouplingTriple` the test builds.
+graph by graph. A paired violation is found over the block as g1 & ~union;
+the first one, by sample and then by oracle, is raised with its triple, the
+only :class:`~probust.coupling.CouplingTriple` the test builds.
 
 The Wilson interval's z comes from ``_ndtri``, a port of the Cephes routine
 that ``scipy.stats.norm.ppf`` calls, so its bounds carry the same bits as
@@ -194,9 +194,10 @@ _INTERVALS = {"wilson": wilson_interval, "hoeffding": hoeffding_interval}
 
 def _map_blocks(work: Callable[[int, int], object], count: int, workers: int, width: int) -> list:
     """``[work(lo, hi) for (lo, hi) in blocks]``, in block order, where the
-    blocks cut 0..count-1 into runs of ``min(models._part_rows(width),
-    ceil(count / workers))`` indices: one block-kernel call of ``width``
-    coins a row each, and work for every worker.
+    blocks cut 0..count-1 (count >= 1) into runs of
+    ``min(models._part_rows(width), ceil(count / workers))`` indices, with
+    ``workers`` first capped at the CPU count: one block-kernel call of
+    ``width`` coins a row each, and work for every worker.
 
     With workers > 1, at most one process per block and per CPU is forked.
     Each takes one contiguous share of the blocks and inherits ``work``
