@@ -1,10 +1,13 @@
 #!/usr/bin/env python3
 """In-process CLI throughput, in samples per second, at n = 10 / 30 / 64.
 
-Runs `couple`, `generate --model adjcount` and `verify --mode coupled`, the
-last with `connected` and with `diam<=3`, on the adjacency-count model at
-base 0.3 with `--threads 1`; `verify` also gets `--certify-trials 0`, so
-only its sampling and deciding are timed. Each call goes through
+Runs `couple`, `generate --model adjcount`, `verify --mode coupled` with
+`connected` and with `diam<=3`, and `verify --mode independent` with
+`connected`, on the adjacency-count model at base 0.3 with `--threads 1`,
+plus `generate --model adjcount-cond`, the rejection sampler. `verify` also
+gets `--certify-trials 0`, so only its sampling and deciding are timed. The
+independent mode draws each sample count twice, once from G(n, 0.3) and
+once from the model; its rate counts `--samples` once. Each call goes through
 ``probust.cli.main`` in this process, with its output captured in memory,
 and is timed with ``time.perf_counter``. The best of ``--repeats`` walls
 gives samples / wall. The sample counts are 4096, 1024 and 256 at
@@ -33,6 +36,9 @@ COMMANDS = {
         "verify --model adjcount --base 0.3 --mode coupled --property connected",
     "verify --mode coupled --property diam<=3":
         "verify --model adjcount --base 0.3 --mode coupled --property diam<=3",
+    "verify --mode independent --property connected":
+        "verify --model adjcount --base 0.3 --mode independent --property connected",
+    "generate --model adjcount-cond": "generate --model adjcount-cond",
 }
 
 

@@ -131,14 +131,25 @@ def _write(path: str, write) -> None:
         raise DomainError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
+def _record_template(space, seed: int, keys: tuple) -> str:
+    """A ``str.format`` template whose ``format(index, *masks)`` is
+    ``_dumps({"index": index, "n": space.n, "seed": seed, **hexes})``, where
+    ``hexes`` maps ``keys[j]`` to ``masks[j]`` in ``space.hex_format``: keys
+    in sorted order, no spaces, and neither ints nor hex digits need
+    escaping."""
+    fields = {"index": "{0}", "n": str(space.n), "seed": str(seed)}
+    fields.update({key: f'"{{{j}:{space.hex_format}}}"' for j, key in enumerate(keys, 1)})
+    return "{{" + ",".join(f'"{key}":{fields[key]}' for key in sorted(fields)) + "}}"
+
+
 def cmd_generate(args) -> int:
     check_count(args.samples)
     seed = _resolve_seed(args)
     model = _build_model(args)
-    n, spec = model.space.n, model.space.hex_format
+    record = _record_template(model.space, seed, ("g",))
     out = _Output(args.output)
     for idx, bits in enumerate(sample_block(model, seed, (), 0, args.samples)):
-        out.line(_dumps({"index": idx, "n": n, "seed": seed, "g": format(bits, spec)}))
+        out.line(record.format(idx, bits))
     out.close()
     return 0
 
@@ -147,11 +158,10 @@ def cmd_couple(args) -> int:
     seed = _resolve_seed(args)
     model = _build_model(args)
     params = CouplingParams(args.base, model)
-    n, spec = model.space.n, model.space.hex_format
+    record = _record_template(model.space, seed, ("g1", "g2", "u"))
     out = _Output(args.output)
-    for idx, (g1, g2, u) in enumerate(coupled_block(params, seed, 0, check_count(args.samples))):
-        hexes = {"g1": format(g1, spec), "g2": format(g2, spec), "u": format(u, spec)}
-        out.line(_dumps({"index": idx, "n": n, "seed": seed, **hexes}))
+    for idx, masks in enumerate(coupled_block(params, seed, 0, check_count(args.samples))):
+        out.line(record.format(idx, *masks))
     out.close()
     return 0
 

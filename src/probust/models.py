@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
-from typing import Callable, NoReturn, Optional
+from typing import Callable, Iterable, NoReturn, Optional
 
 import numpy as np
 
@@ -47,15 +47,15 @@ from .errors import (
     UnsupportedScaleError,
 )
 from .graphs import EdgeSpace, Realization, SuffixHistory
-from .rngstreams import _bounds, block_rngs, coin_rows, derive_rng
+from .rngstreams import _bounds, block_streams, coin_rows, derive_rng
 
 EXHAUSTIVE_FLOOR_CHECK_MAX_M = 24
 # coin floats' worth of memory handed to one block-kernel call (32 MiB),
-# counting each row's seeded stream (about 780 bytes) as STREAM_COINS coins: a
-# larger range is decided in parts of whole rows, and rows are independent
+# counting each row's stream (its 32-byte PCG64 state) as STREAM_COINS coins:
+# a larger range is decided in parts of whole rows, and rows are independent
 # streams, so the parts give the same bits as one call
 KERNEL_COINS = 1 << 22
-STREAM_COINS = 96
+STREAM_COINS = 4
 
 
 @dataclass(frozen=True)
@@ -255,30 +255,29 @@ class ConditionedAdjacencyModel:
             attempts=self.budget,
         )
 
-    def _sample_rows(self, master_seed: int, branch: tuple, lo: int, hi: int) -> Optional[list]:
+    def _sample_rows(self, master_seed: int, branch: tuple, lo: int, hi: int) -> Optional[Iterable]:
         """Masks of ``sample(derive_rng(master_seed, *branch, idx))`` for idx
         in lo..hi-1, all rejection rounds batched: every still-pending stream
         of a part (see :func:`_part_rows`) draws its next m coins, the base
         model decides them in one block-kernel call, and acceptance is read
         off the final degrees at once, so a round's few pending rows are
         pooled over the whole part. None when the kernel refuses a round (see
-        :func:`_decide_block`). An empty range checks nothing, as the scalar
-        path draws nothing."""
+        :func:`_decide_block`). If a part's budget runs out, the masks
+        accepted before its first pending row are yielded lazily and then
+        the scalar error is raised, as the scalar path would. An empty range
+        checks nothing, as the scalar path draws nothing."""
         m = self.space.m
         u, v = self.space.endpoints
         masks = []
         for start, stop in _bounds(lo, hi, _part_rows(m)):
             self._check_event()
-            rngs = block_rngs(master_seed, branch, start, stop)
+            streams = block_streams(master_seed, branch, start, stop)
             out = np.zeros((m, stop - start), dtype=bool)
             pending = np.arange(stop - start)
-            coins = np.empty((stop - start, m))
             for _ in range(self.budget):
                 if not pending.size:
                     break
-                for r in pending.tolist():
-                    rngs[r].random(out=coins[r])
-                decided = _decide_block(self.base_model, coins[pending])
+                decided = _decide_block(self.base_model, streams.random(pending, m))
                 if decided is None:
                     return None
                 degrees, (present,) = decided
@@ -288,9 +287,14 @@ class ConditionedAdjacencyModel:
                 out[:, pending[accepted]] = present[:, accepted]
                 pending = pending[~accepted]
             if pending.size:
-                self._exhausted()
+                return self._exhausted_after(masks + _mask_ints(out[:, : pending[0]]))
             masks += _mask_ints(out)
         return masks
+
+    def _exhausted_after(self, masks: list):
+        """``masks``, then the exhausted budget's error."""
+        yield from masks
+        self._exhausted()
 
 
 def conditioned_adjacency_model(
@@ -472,7 +476,8 @@ def sample_block(source, master_seed: int, branch: tuple, lo: int, hi: int):
     the block kernel, in parts of :func:`_part_rows` rows, for any n, and
     give the same bits. Any other source, and any range the kernel refuses,
     takes the scalar path lazily, so it raises exactly where and what the
-    scalar path does.
+    scalar path does; a rejection budget that runs out also raises only
+    after the masks before it are taken.
     """
     masks = None
     if isinstance(source, ConditionedAdjacencyModel) and source.base_model.conditionals:

@@ -37,7 +37,7 @@ import math
 import multiprocessing
 import os
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -206,10 +206,10 @@ def _map_blocks(work: Callable[[int, int], object], count: int, workers: int, wi
     callers sum counts, so results do not depend on who computes a block or
     on the cut. A worker stops at its first failing block and the first
     failure in block order is raised, so the error is the one at the lowest
-    failing block, as the serial loop would raise it. A block draws all its
-    samples before it decides any, so if one block holds both a sample that
-    fails to draw and an earlier sample whose decision fails, the draw's
-    error is raised, and the cut can decide which of the two is raised.
+    failing block, as the serial loop would raise it. Within a block, the
+    callers decide the samples drawn before a draw that fails and raise the
+    draw's error only if none of them fails, so the error raised is the one
+    at the lowest failing index however the range is cut.
     """
     workers = min(workers, os.cpu_count() or 1)
     blocks = _bounds(0, count, min(_part_rows(width), -(-count // workers)))
@@ -254,6 +254,18 @@ def _serve_blocks(work, blocks, conn) -> None:
     conn.close()
 
 
+def _drawn(samples: Iterable) -> tuple[list, Optional[Exception]]:
+    """The samples ``samples`` yields before it raises, and what it raised
+    (None if it ran out)."""
+    drawn = []
+    try:
+        for sample in samples:
+            drawn.append(sample)
+    except Exception as exc:  # raised by the caller once the drawn samples are decided
+        return drawn, exc
+    return drawn, None
+
+
 def check_run(samples: int, workers: int) -> None:
     """Refuse a sample or worker count below 1, as both tests do first."""
     if samples < 1:
@@ -293,8 +305,11 @@ def estimate_property(
     _check_scales([oracle], source.space.n)
 
     def count_hits(lo: int, hi: int) -> int:
-        bits = list(sample_block(source, master_seed, branch, lo, hi))
-        return int(decide_bits(oracle, source.space, bits).sum())
+        bits, error = _drawn(sample_block(source, master_seed, branch, lo, hi))
+        hits = int(decide_bits(oracle, source.space, bits).sum())
+        if error is not None:
+            raise error
+        return hits
 
     hits = sum(_map_blocks(count_hits, samples, workers, source.space.m))
     low, high = _INTERVALS[method](hits, samples, confidence)
@@ -410,9 +425,9 @@ def coupled_domination_test(
     def count_pairs(lo: int, hi: int) -> np.ndarray:
         """(2, oracles) counts of the block's samples with each property on
         g1 and on the union; the first violation, by sample and then by
-        oracle, raises."""
-        triples = list(coupled_block(params, master_seed, lo, hi))
-        g1_bits, _, u_bits = zip(*triples)
+        oracle, raises, and then a failed draw."""
+        triples, error = _drawn(coupled_block(params, master_seed, lo, hi))
+        g1_bits, u_bits = [t[0] for t in triples], [t[2] for t in triples]
         on_g1 = np.array([decide_bits(oracle, space, g1_bits) for oracle in oracle_list])
         on_union = np.array([decide_bits(oracle, space, u_bits) for oracle in oracle_list])
         lost = (on_g1 & ~on_union).T  # (samples, oracles)
@@ -424,6 +439,8 @@ def coupled_domination_test(
                 f"does not (g1={triple.g1.to_hex()}, u={triple.u.to_hex()})",
                 triple=triple,
             )
+        if error is not None:
+            raise error
         return np.array([on_g1.sum(axis=1), on_union.sum(axis=1)])
 
     counts = _map_blocks(count_pairs, samples, workers, 2 * space.m)

@@ -10,23 +10,30 @@ Batched samplers take any range of indices; each index still draws from its
 own stream, so a range's samples equal the one-at-a-time ones however the
 range is split.
 
-A block's streams are seeded at once. Building one ``SeedSequence`` per index
-costs more than deciding a small graph, so :func:`block_rngs` computes numpy's
-SeedSequence hash (numpy 1.17+, unchanged under NEP 19) for every index of a
-block in uint32 lanes. The words that depend only on the master seed and the
-branch are mixed once; the index words are mixed row-wise. That gives each
-row's ``generate_state(4, uint64)`` words, which seed numpy's own PCG64
-through :class:`_SeedWords`. numpy still draws every coin, so no stream bit
-changes from :func:`derive_rng`, which stays the scalar reference. At import
-one row of the block path, hashing, seeding and drawing, is compared with
-``derive_rng``; if it differs, :func:`block_rngs` falls back to
-``derive_rng`` itself.
+A block's streams are 32-byte PCG64 states, not Python objects. Building one
+``SeedSequence``, ``PCG64`` and ``Generator`` per index costs more than
+deciding a small graph, so :class:`Streams` computes every index's state in
+numpy lanes: numpy's SeedSequence hash (numpy 1.17+, unchanged under NEP 19)
+in uint32 lanes, the seed and branch words mixed once and the index words
+row-wise, then numpy's PCG64 seeding step in uint64 lanes. One PCG64 and one
+Generator serve the whole block: for each row, its state is copied into the
+generator's ``pcg64_random_t`` (found through the documented
+``ctypes.state_address``), ``Generator.random`` draws, and the state is
+copied back, so a later draw continues the stream. numpy still draws every
+coin, so no stream bit changes from :func:`derive_rng`, which stays the
+scalar reference.
+
+At import a read-only guard checks that memory layout, and one row of
+:class:`Streams` (two-word seed and index, a branch, two draws) is compared
+with ``derive_rng``. If either fails, :func:`block_streams` hands out
+``derive_rng`` generators instead.
 """
 
 from __future__ import annotations
 
+import ctypes
+
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 from .errors import DomainError
 
@@ -39,6 +46,8 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _XSHIFT = 16
+# PCG64's 128-bit multiplier (numpy/random/src/pcg64/pcg64.h), as uint64 halves
+_MULT_HI, _MULT_LO = np.uint64(0x2360ED051FC65DA4), np.uint64(0x4385DF649FCCF645)
 
 
 def check_seed(seed: int) -> int:
@@ -123,58 +132,132 @@ def _seed_words(master_seed: int, branch: tuple, lo: int, hi: int) -> np.ndarray
     return state.view("<u8")
 
 
-class _SeedWords(ISeedSequence):
-    """A seed sequence whose state is already computed: the four uint64
-    words PCG64 asks for."""
-
-    def __init__(self, words: np.ndarray):
-        self.words = words
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        assert n_words == 4 and np.dtype(dtype) == np.uint64
-        return self.words
+def _mulhi(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The high 64 bits of the 128-bit products ``a * b``, from 32-bit pieces."""
+    a0, a1, b0, b1 = a & _MASK32, a >> 32, b & _MASK32, b >> 32
+    p01, p10 = a0 * b1, a1 * b0
+    mid = (a0 * b0 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
+    return a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
 
 
-def _fast_rngs(master_seed: int, branch: tuple, lo: int, hi: int) -> list:
-    rngs = []
+def _pcg_states(master_seed: int, branch: tuple, lo: int, hi: int) -> np.ndarray:
+    """Row r: the ``pcg64_random_t`` that ``derive_rng(master_seed, *branch,
+    lo + r)`` starts from, as uint64 words state_lo, state_hi, inc_lo,
+    inc_hi.
+
+    numpy seeds PCG64 from SeedSequence words w0..w3 with
+    ``pcg_setseq_128_srandom_r``: ``inc = (w2:w3 << 1) | 1`` and
+    ``state = ((inc + w0:w1) * MULT + inc) mod 2^128``, high word first in
+    each pair. The sums carry and the product is formed from 64-bit halves.
+    """
+    parts = [np.empty((0, 4), dtype=np.uint64)]
     # hash each run of indices whose words past the first agree separately
     while lo < hi:
         stop = min(hi, (lo | _MASK32) + 1)
-        words = _seed_words(master_seed, branch, lo, stop)
-        rngs += [np.random.Generator(np.random.PCG64(_SeedWords(row))) for row in words]
+        parts.append(_seed_words(master_seed, branch, lo, stop))
         lo = stop
-    return rngs
+    w0, w1, w2, w3 = np.concatenate(parts).T
+    inc_hi, inc_lo = w2 << 1 | w3 >> 63, w3 << 1 | 1
+    sum_lo = inc_lo + w1
+    sum_hi = inc_hi + w0 + (sum_lo < inc_lo)
+    prod_lo = sum_lo * _MULT_LO
+    prod_hi = _mulhi(sum_lo, _MULT_LO) + sum_lo * _MULT_HI + sum_hi * _MULT_LO
+    state_lo = prod_lo + inc_lo
+    state_hi = prod_hi + inc_hi + (state_lo < prod_lo)
+    return np.stack([state_lo, state_hi, inc_lo, inc_hi], axis=1)
+
+
+def _state_view(bitgen: np.random.PCG64) -> np.ndarray:
+    """A writable view, as four uint64 words, of the ``pcg64_random_t`` that
+    ``bitgen``'s state struct points to. Used only once
+    :func:`_layout_matches` has passed on this numpy."""
+    address = ctypes.c_void_p.from_address(bitgen.ctypes.state_address).value
+    return np.ctypeslib.as_array((ctypes.c_uint64 * 4).from_address(address))
+
+
+def _layout_matches(bitgen: np.random.PCG64) -> bool:
+    """Read-only guard of :func:`_state_view`: the pointer stored at
+    ``state_address`` points into ``bitgen`` itself, past ``state_address``,
+    and the 32 bytes there are the state and inc that ``bitgen.state``
+    reports, each low word first."""
+    start = id(bitgen)  # the object's address
+    end = start + type(bitgen).__basicsize__
+    address = bitgen.ctypes.state_address
+    if not start <= address <= end - 8:
+        return False
+    pointer = ctypes.c_void_p.from_address(address).value or 0
+    if not address < pointer <= end - 32:
+        return False
+    state = bitgen.state["state"]
+    want = b"".join(state[key].to_bytes(16, "little") for key in ("state", "inc"))
+    return ctypes.string_at(pointer, 32) == want
+
+
+class Streams:
+    """The streams ``derive_rng(master_seed, *branch, idx)`` for idx in
+    lo..hi-1, stream r held as its 32-byte PCG64 state in row r of
+    ``states``. One PCG64 and one Generator serve the block: each draw
+    copies a row's state into the generator, draws, and copies it back."""
+
+    def __init__(self, master_seed: int, branch: tuple, lo: int, hi: int):
+        self.states = _pcg_states(check_seed(master_seed), branch, lo, hi)
+        bitgen = np.random.PCG64(0)
+        self._rng = np.random.Generator(bitgen)
+        self._slot = _state_view(bitgen)
+
+    def random(self, rows: np.ndarray, width: int) -> np.ndarray:
+        """Row k: the next ``width`` uniforms of stream ``rows[k]``, which
+        later draws read on from."""
+        out = np.empty((len(rows), width))
+        states, slot, draw = self.states[rows], self._slot, self._rng.random
+        for state, row in zip(states, out):
+            slot[...] = state
+            draw(out=row)
+            state[...] = slot
+        self.states[rows] = states
+        return out
+
+
+class _ReferenceStreams:
+    """The same streams as :func:`derive_rng` generators, for when the
+    self-check fails."""
+
+    def __init__(self, master_seed: int, branch: tuple, lo: int, hi: int):
+        self.rngs = [derive_rng(master_seed, *branch, idx) for idx in range(lo, hi)]
+
+    def random(self, rows: np.ndarray, width: int) -> np.ndarray:
+        out = np.empty((len(rows), width))
+        for r, row in zip(rows, out):
+            self.rngs[r].random(out=row)
+        return out
 
 
 def _self_check() -> bool:
-    """One row of the block path, with two-word seed and index and a
-    branch, against :func:`derive_rng`."""
+    """The layout guard, then two draws from one :class:`Streams` row, with
+    two-word seed and index and a branch, against :func:`derive_rng`."""
     seed, branch, idx = MAX_SEED, (3, 1 << 40), (1 << 32) + 5
-    expected = derive_rng(seed, *branch, idx).random(3)
     try:
-        (rng,) = _fast_rngs(seed, branch, idx, idx + 1)
-        return rng.random(3).tobytes() == expected.tobytes()
-    except (AssertionError, TypeError, ValueError):  # a PCG64 that asks for other words
+        if not _layout_matches(np.random.PCG64(seed)):
+            return False
+    except (AttributeError, KeyError, TypeError):  # a PCG64 without this interface
         return False
+    streams = Streams(seed, branch, idx, idx + 1)
+    got = np.concatenate([streams.random(np.zeros(1, dtype=int), 3) for _ in range(2)], axis=1)
+    return got.tobytes() == derive_rng(seed, *branch, idx).random(6).tobytes()
 
 
 BLOCK_SEEDING = _self_check()
 
 
-def block_rngs(master_seed: int, branch: tuple, lo: int, hi: int) -> list:
-    """``derive_rng(master_seed, *branch, idx)`` for idx in lo..hi-1: the
-    same streams, seeded a block at a time."""
-    check_seed(master_seed)
-    if BLOCK_SEEDING:
-        return _fast_rngs(master_seed, branch, lo, hi)
-    return [derive_rng(master_seed, *branch, idx) for idx in range(lo, hi)]
+def block_streams(master_seed: int, branch: tuple, lo: int, hi: int):
+    """The streams ``derive_rng(master_seed, *branch, idx)`` for idx in
+    lo..hi-1, drawn by ``random(rows, width)``: a :class:`Streams` unless the
+    self-check failed, then the generators themselves."""
+    return (Streams if BLOCK_SEEDING else _ReferenceStreams)(master_seed, branch, lo, hi)
 
 
 def coin_rows(master_seed: int, branch: tuple, lo: int, hi: int, width: int) -> np.ndarray:
     """Row r holds the first ``width`` uniforms of stream (*branch, lo + r),
     exactly what ``derive_rng(master_seed, *branch, lo + r).random(width)``
     returns."""
-    coins = np.empty((hi - lo, width))
-    for rng, row in zip(block_rngs(master_seed, branch, lo, hi), coins):
-        rng.random(out=row)
-    return coins
+    return block_streams(master_seed, branch, lo, hi).random(np.arange(hi - lo), width)

@@ -16,6 +16,7 @@ from probust import (
     FORMULAS,
     CouplingParams,
     DomainError,
+    EdgeSpace,
     ModelDescriptor,
     SamplingFailureError,
     adjacency_count_model,
@@ -431,6 +432,23 @@ class TestPinnedBytes:
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1] and outputs[0].count("\n") == 4
         assert ModelDescriptor(kind, 5, params).build().descriptor.kind == kind
+
+
+    @pytest.mark.parametrize("index", [0, 10**6])
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    @pytest.mark.parametrize("n", [2, 3, 11, 12, 64])
+    def test_record_template_equals_dumps(self, n, seed, index):
+        """couple's and generate's lines, from one template, against the
+        records _dumps spells."""
+        space = EdgeSpace(n)
+        full = (1 << space.m) - 1
+        for keys in [("g",), ("g1", "g2", "u")]:
+            template = cli._record_template(space, seed, keys)
+            k = len(keys)
+            for masks in [[0] * k, [full] * k, [full // 3 >> j for j in range(k)]]:
+                hexes = {key: format(bits, space.hex_format) for key, bits in zip(keys, masks)}
+                record = {"index": index, "n": n, "seed": seed, **hexes}
+                assert template.format(index, *masks) == cli._dumps(record)
 
 
 _CLIQUE_CAP = "scale cap: exact clique search capped at n=512, got 600"

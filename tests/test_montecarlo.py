@@ -247,6 +247,29 @@ class TestEstimateProperty:
         assert err.value.attempts == scalar_err.value.attempts
 
 
+    @pytest.mark.parametrize("unit", [1, 7, 256, None])  # None: the kernel's own part size
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_decision_error_before_a_failed_draw_for_any_cut(self, workers, unit, set_work_unit):
+        """An oracle that fails on sample 10 is raised ahead of the rejection
+        budget that first runs out at sample 76, whatever the cut."""
+        model = conditioned_adjacency_model(10, budget=8)
+        drawn = []
+        with pytest.raises(SamplingFailureError):
+            for idx in range(300):
+                drawn.append(model.sample(derive_rng(3, idx)).bits)
+        assert len(drawn) == 76
+        trap = drawn[10]
+
+        def decide(g):
+            if g.bits == trap:
+                raise ValueError("trapped")
+            return False
+
+        set_work_unit(unit)
+        with pytest.raises(ValueError, match="trapped"):
+            estimate_property(model, PropertyOracle("trap", decide), 300, 3, workers=workers)
+
+
 class InlineFork:
     """A fork context whose processes run their target at ``start`` in this
     process, recording how many would have started."""
@@ -360,6 +383,32 @@ class TestCoupledDominationTest:
             coupled_domination_test(params, oracle, 2000, 13, workers=workers)
         assert str(err.value).startswith(f"sample {first}:")
         assert err.value.triple == generate_coupled(params, derive_rng(13, first))
+
+    @pytest.mark.parametrize("unit", [1, 7, 256, None])  # None: the kernel's own part size
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_violation_before_a_failed_draw_for_any_cut(self, workers, unit, set_work_unit):
+        """Sample 144 violates, sample 2067 is the first to fail to draw: the
+        violation is raised, whatever the cut."""
+        space = EdgeSpace(6)
+
+        def conditional(i, history):
+            return 0.2 if i == 2 and history.present_count() == 13 else 0.6
+
+        def conditionals(i, degrees):
+            return np.where((i == 2) & (degrees.sum(axis=0) // 2 == 13), 0.2, 0.6)
+
+        params = CouplingParams(0.5, EdgeModel(space, 0.5, conditional, conditionals=conditionals))
+        oracle = exactly_edges_oracle(3)
+        violations = []
+        with pytest.raises(RobustnessViolationError):
+            for idx in range(4000):
+                t = generate_coupled(params, derive_rng(8, idx))
+                if oracle.decide(t.g1) and not oracle.decide(t.u):
+                    violations.append(idx)
+        assert (violations[0], idx) == (144, 2067)
+        set_work_unit(unit)
+        with pytest.raises(PairedViolationError, match="^sample 144:"):
+            coupled_domination_test(params, oracle, 4000, 8, workers=workers)
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_model_errors_cross_the_fork(self, workers):

@@ -1,5 +1,7 @@
 """Block-seeded streams against the scalar reference ``derive_rng``, bit for bit."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 from probust import DomainError, conditioned_adjacency_model, derive_rng, rngstreams
 from probust.coupling import CouplingParams, coupled_block, generate_coupled
 from probust.models import adjacency_count_model, sample_block
-from probust.rngstreams import block_rngs, coin_rows
+from probust.rngstreams import Streams, block_streams, coin_rows
 
 SEEDS = [0, 2**32 - 1, 2**32, 2**64 - 1]
 BRANCHES = [(), (1,), (60,), (3, 5)]
@@ -35,6 +37,22 @@ def corrupt_hash(monkeypatch):
     must notice it."""
     words = rngstreams._seed_words
     monkeypatch.setattr(rngstreams, "_seed_words", lambda *args: words(*args) ^ np.uint64(1))
+
+
+@pytest.fixture
+def layout_mismatch(monkeypatch):
+    """A layout guard that reports a PCG64 whose state bytes sit elsewhere."""
+    monkeypatch.setattr(rngstreams, "_layout_matches", lambda bitgen: False)
+
+
+class _OtherInc(np.random.PCG64):
+    """A PCG64 whose public state reports an inc its memory does not hold."""
+
+    @property
+    def state(self):
+        state = super().state
+        state["state"]["inc"] ^= 2
+        return state
 
 
 class TestCoinRows:
@@ -75,24 +93,39 @@ class TestCoinRows:
         with pytest.raises(DomainError):
             coin_rows(2**64, (), 0, 3, 5)
         with pytest.raises(DomainError):
-            block_rngs(-1, (), 0, 3)
+            block_streams(-1, (), 0, 3)
+
+    @pytest.mark.parametrize("width", [0, 3])
+    def test_empty_range(self, width):
+        for lo in (0, 2**32, 2**64 - 1):
+            assert coin_rows(7, (1,), lo, lo, width).shape == (0, width)
+        streams = Streams(7, (1,), 5, 5)
+        assert streams.states.shape == (0, 4)
+        assert streams.random(np.arange(0), width).shape == (0, width)
+        assert list(sample_block(conditioned_adjacency_model(6), 7, (1,), 9, 9)) == []
+        params = CouplingParams(0.3, adjacency_count_model(6))
+        assert list(coupled_block(params, 7, 9, 9)) == []
 
 
-class TestBlockRngs:
+class TestStreams:
     def test_draws_continue_each_stream(self):
-        """Consecutive draws read on along each stream, as derive_rng's do."""
-        rngs = block_rngs(9, (2,), 250, 262)
-        for idx, rng in zip(range(250, 262), rngs):
-            reference = derive_rng(9, 2, idx)
-            for width in (3, 0, 45, 1):
-                assert rng.random(width).tobytes() == reference.random(width).tobytes()
+        """Consecutive draws read on along each stream, as derive_rng's do,
+        and a draw for some rows leaves the others where they were."""
+        streams = block_streams(9, (2,), 250, 262)
+        references = [derive_rng(9, 2, idx) for idx in range(250, 262)]
+        for width, rows in [(3, range(12)), (0, range(12)), (45, range(1, 12, 2)), (1, range(12))]:
+            got = streams.random(np.array(rows), width)
+            want = [references[r].random(width) for r in rows]
+            assert got.tobytes() == np.array(want).reshape(len(rows), width).tobytes()
 
-    def test_state_words_are_four_uint64(self):
-        (rng,) = block_rngs(9, (), 0, 1)
-        seq = rng.bit_generator.seed_seq
-        assert seq.generate_state(4, np.uint64).dtype == np.uint64
-        with pytest.raises(AssertionError):
-            seq.generate_state(8)
+    def test_states_are_what_numpy_seeds(self):
+        lo = 2**32 - 3
+        for seed in SEEDS:
+            got = Streams(seed, (60,), lo, 2**32 + 3).states
+            for idx, row in zip(range(lo, 2**32 + 3), got.tolist()):
+                state = derive_rng(seed, 60, idx).bit_generator.state["state"]
+                words = [w >> shift & 2**64 - 1 for w in state.values() for shift in (0, 64)]
+                assert row == words
 
     @pytest.mark.parametrize("n", range(4, 11))
     def test_rejection_sampler_rows(self, n):
@@ -100,6 +133,23 @@ class TestBlockRngs:
         rows = source._sample_rows(21, (1,), 0, 64)
         want = [source.sample(derive_rng(21, 1, idx)).bits for idx in range(64)]
         assert rows == want
+
+
+class TestLayoutGuard:
+    def test_passes_on_this_numpy(self):
+        for seed in SEEDS:
+            assert rngstreams._layout_matches(np.random.PCG64(seed))
+
+    def test_rejects_bytes_that_differ_from_the_public_state(self):
+        assert not rngstreams._layout_matches(_OtherInc(5))
+
+    def test_rejects_a_state_address_outside_the_object(self):
+        outside = np.random.PCG64(5).ctypes.state_address
+        fake = SimpleNamespace(ctypes=SimpleNamespace(state_address=outside))
+        assert not rngstreams._layout_matches(fake)
+
+    def test_mismatch_fails_the_self_check(self, layout_mismatch):
+        assert not rngstreams._self_check()
 
 
 class TestSelfCheck:
@@ -111,8 +161,11 @@ class TestSelfCheck:
         # the corruption is real: the fast path now gives other coins
         assert coin_rows(5, (), 0, 4, 3).tobytes() != reference_rows(5, (), 0, 4, 3).tobytes()
 
-    def test_fallback_gives_the_same_bytes(self, corrupt_hash, monkeypatch):
+    @pytest.mark.parametrize("fault", ["corrupt_hash", "layout_mismatch"])
+    def test_fallback_gives_the_same_bytes(self, fault, request, monkeypatch):
+        request.getfixturevalue(fault)
         monkeypatch.setattr(rngstreams, "BLOCK_SEEDING", rngstreams._self_check())
+        assert not rngstreams.BLOCK_SEEDING
         lo, hi = 2**32 - 4, 2**32 + 4
         for width in (0, 3, 90):
             got = coin_rows(7, (1,), lo, hi, width)
