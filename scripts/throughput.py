@@ -4,7 +4,9 @@
 Runs `couple`, `generate --model adjcount`, `verify --mode coupled` with
 `connected` and with `diam<=3`, and `verify --mode independent` with
 `connected`, on the adjacency-count model at base 0.3 with `--threads 1`,
-plus `generate --model adjcount-cond`, the rejection sampler. `verify` also
+plus `verify --mode coupled --property connected` with `--threads 2` (the
+fork path: this process and one forked worker), and
+`generate --model adjcount-cond`, the rejection sampler. `verify` also
 gets `--certify-trials 0`, so only its sampling and deciding are timed. The
 independent mode draws each sample count twice, once from G(n, 0.3) and
 once from the model; its rate counts `--samples` once. Each call goes through
@@ -33,11 +35,13 @@ COMMANDS = {
     "couple": "couple --model adjcount --base 0.3",
     "generate --model adjcount": "generate --model adjcount",
     "verify --mode coupled --property connected":
-        "verify --model adjcount --base 0.3 --mode coupled --property connected",
+        "verify --model adjcount --base 0.3 --mode coupled --property connected --threads 1",
+    "verify --mode coupled --property connected --threads 2":
+        "verify --model adjcount --base 0.3 --mode coupled --property connected --threads 2",
     "verify --mode coupled --property diam<=3":
-        "verify --model adjcount --base 0.3 --mode coupled --property diam<=3",
+        "verify --model adjcount --base 0.3 --mode coupled --property diam<=3 --threads 1",
     "verify --mode independent --property connected":
-        "verify --model adjcount --base 0.3 --mode independent --property connected",
+        "verify --model adjcount --base 0.3 --mode independent --property connected --threads 1",
     "generate --model adjcount-cond": "generate --model adjcount-cond",
 }
 
@@ -70,7 +74,7 @@ def main() -> None:
         for n, count in samples.items():
             argv = f"{command} --n {n} --samples {count} --seed {args.seed}".split()
             if argv[0] == "verify":
-                argv += ["--threads", "1", "--certify-trials", "0"]
+                argv += ["--certify-trials", "0"]
             rates[name][n] = round(count / best_wall(argv, args.repeats), 1)
     print(json.dumps({"samples": samples, "samples_per_s": rates}, indent=1))
 

@@ -177,15 +177,16 @@ def cmd_exact(args) -> int:
     if args.check == "joint":
         dist = exact_joint(model)
         total = float(dist.probs.sum())
+        low = float(dist.probs.min())
         report = {
             "check": "joint",
             "model": _descriptor_json(model),
             "m": model.space.m,
             "sum": total,
             "sum_error": abs(total - 1.0),
-            "min_probability": float(dist.probs.min()),
+            "min_probability": low,
             "tolerance": PROB_TOL,
-            "ok": abs(total - 1.0) <= PROB_TOL and float(dist.probs.min()) >= -PROB_TOL,
+            "ok": abs(total - 1.0) <= PROB_TOL and low >= -PROB_TOL,
         }
         if args.export_dist:
             _write(args.export_dist, dist.to_csv)

@@ -19,10 +19,12 @@ from .errors import CertificationError, DomainError, UnsupportedScaleError
 from .graphs import EdgeSpace, Realization
 from .models import EdgeModel, _level_conditionals, _patch_probabilities, er_model
 from .properties import PropertyOracle, decide_bits
+from .rngstreams import _bounds
 
 MAX_JOINT_M = 21  # n = 7
 MAX_COUPLING_M = 10  # n = 5
 PROB_TOL = 1e-12
+_CSV_SLICE = 1 << 16  # rows per pass of ExactDistribution.to_csv
 
 
 @dataclass(frozen=True)
@@ -53,12 +55,20 @@ class ExactDistribution:
             yield Realization(self.space, bits), float(self.probs[bits])
 
     def to_csv(self, path) -> None:
-        """Two columns: realization hex, probability."""
-        spec = self.space.hex_format
+        """Two columns: realization hex, probability (``repr`` of the float).
+
+        The table is written ``_CSV_SLICE`` rows at a time. Within a slice each
+        distinct bit pattern is formatted once, so ``0.0`` and ``-0.0`` stay
+        apart, and memory beyond the table is bounded by the slice.
+        """
+        row = f"{{:{self.space.hex_format}}},{{}}\n".format
+        probs = np.asarray(self.probs, dtype=np.float64)
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("realization,probability\n")
-            for bits in range(1 << self.space.m):
-                fh.write(f"{bits:{spec}},{float(self.probs[bits])!r}\n")
+            for lo, hi in _bounds(0, probs.size, _CSV_SLICE):
+                keys, inverse = np.unique(probs[lo:hi].view(np.uint64), return_inverse=True)
+                texts = list(map(repr, keys.view(np.float64).tolist()))
+                fh.writelines(map(row, range(lo, hi), map(texts.__getitem__, inverse.tolist())))
 
 
 def exact_joint(model: EdgeModel) -> ExactDistribution:

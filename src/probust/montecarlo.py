@@ -199,58 +199,70 @@ def _map_blocks(work: Callable[[int, int], object], count: int, workers: int, wi
     ``workers`` first capped at the CPU count: one block-kernel call of
     ``width`` coins a row each, and work for every worker.
 
-    With workers > 1, at most one process per block and per CPU is forked.
-    Each takes one contiguous share of the blocks and inherits ``work``
-    instead of receiving it pickled, so arbitrary sources and oracles work;
-    the parent joins the shares in order. Every index has its own stream and
-    callers sum counts, so results do not depend on who computes a block or
-    on the cut. A worker stops at its first failing block and the first
-    failure in block order is raised, so the error is the one at the lowest
-    failing block, as the serial loop would raise it. Within a block, the
-    callers decide the samples drawn before a draw that fails and raise the
-    draw's error only if none of them fails, so the error raised is the one
-    at the lowest failing index however the range is cut.
+    With workers > 1, the blocks are cut into one contiguous share per
+    worker (at most one per block and per CPU). The calling process computes
+    the first share itself and forks one process for each of the others;
+    those inherit ``work`` instead of receiving it pickled, so arbitrary
+    sources and oracles work. Every child's outcomes are received, even when
+    the first share fails, and the shares are joined in order. Every index
+    has its own stream and callers sum counts, so results do not depend on
+    who computes a block or on the cut. A share stops at its first failing
+    block and the first failure in block order is raised, so the error is
+    the one at the lowest failing block, as the serial loop would raise it.
+    Within a block, the callers decide the samples drawn before a draw that
+    fails and raise the draw's error only if none of them fails, so the
+    error raised is the one at the lowest failing index however the range is
+    cut.
     """
     workers = min(workers, os.cpu_count() or 1)
     blocks = _bounds(0, count, min(_part_rows(width), -(-count // workers)))
     workers = min(workers, len(blocks))
     if workers <= 1:
         return [work(lo, hi) for lo, hi in blocks]
+    shares = [blocks[w * len(blocks) // workers : (w + 1) * len(blocks) // workers]
+              for w in range(workers)]
     ctx = multiprocessing.get_context("fork")
     conns, procs = [], []
     try:
-        for w in range(workers):
-            share = blocks[w * len(blocks) // workers : (w + 1) * len(blocks) // workers]
+        for share in shares[1:]:
             recv, send = ctx.Pipe(duplex=False)
             proc = ctx.Process(target=_serve_blocks, args=(work, share, send))
             proc.start()
             send.close()
             conns.append(recv)
             procs.append(proc)
-        outcomes = [outcome for conn in conns for outcome in conn.recv()]
+        outcomes = _run_share(work, shares[0])
+        for conn in conns:
+            outcomes += conn.recv()
     finally:
         for conn in conns:
             conn.close()
         for proc in procs:
             proc.join()
     results = []
-    for ok, value in outcomes:  # a worker stops at its first failing block
+    for ok, value in outcomes:  # a share stops at its first failing block
         if not ok:
             raise value
         results.append(value)
     return results
 
 
-def _serve_blocks(work, blocks, conn) -> None:
-    """Forked worker body: send [(True, result) ..., (False, error)?] back."""
+def _run_share(work, blocks) -> list:
+    """``[(True, result) ..., (False, error)?]``: ``work`` over ``blocks``
+    up to and including the first that raises."""
     outcomes = []
     for lo, hi in blocks:
         try:
             outcomes.append((True, work(lo, hi)))
-        except Exception as exc:  # handed to the parent, which raises it
+        except Exception as exc:  # raised by _map_blocks in block order
             outcomes.append((False, exc))
             break
-    conn.send(outcomes)
+    return outcomes
+
+
+def _serve_blocks(work, blocks, conn) -> None:
+    """Forked worker body: send ``_run_share(work, blocks)`` back."""
+    conn.send(_run_share(work, blocks))
     conn.close()
 
 

@@ -518,6 +518,47 @@ class TestDistributionTable:
         assert hexes == [format(b, "01x") for b in range(8)]
         assert total == pytest.approx(1.0, abs=1e-12)
 
+    @staticmethod
+    def reference_csv(dist) -> str:
+        """The table written one row at a time, as the writer's bytes must read."""
+        spec = dist.space.hex_format
+        return "realization,probability\n" + "".join(
+            f"{b:{spec}},{float(p)!r}\n" for b, p in enumerate(dist.probs)
+        )
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            adjacency_count_model(5),
+            adjacency_count_model(6),
+            er_model(6, 0.3),
+            er_model(5, 0.15),
+            global_count_model(5),
+        ],
+        ids=["adjcount-5", "adjcount-6", "er-6-0.3", "er-5-0.15", "globalcount-5"],
+    )
+    def test_csv_bytes_equal_the_row_by_row_reference(self, model, tmp_path):
+        dist = exact_joint(model)
+        path = tmp_path / "dist.csv"
+        dist.to_csv(path)
+        assert path.read_text(encoding="utf-8") == self.reference_csv(dist)
+
+    def test_csv_keeps_signed_zeros_and_repeats_apart(self, tmp_path):
+        probs = np.array([0.25, 0.0, -0.0, 0.25, 0.125, 0.125, 0.25, -0.0])
+        dist = ExactDistribution(EdgeSpace(3), probs)
+        path = tmp_path / "dist.csv"
+        dist.to_csv(path)
+        text = path.read_text(encoding="utf-8")
+        assert text == self.reference_csv(dist)
+        assert text.splitlines()[2:4] == ["1,0.0", "2,-0.0"]
+
+    def test_csv_bytes_across_slices(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(exact_module, "_CSV_SLICE", 7)
+        dist = exact_joint(adjacency_count_model(4))
+        path = tmp_path / "dist.csv"
+        dist.to_csv(path)
+        assert path.read_text(encoding="utf-8") == self.reference_csv(dist)
+
 
 class TestMonteCarloConsistency:
     def test_sampler_matches_exact_table(self):

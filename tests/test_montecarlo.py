@@ -294,7 +294,7 @@ class InlineFork:
 
 
 class TestMapBlocks:
-    @pytest.mark.parametrize("cpus,started", [(None, 0), (1, 0), (2, 2), (3, 3)])
+    @pytest.mark.parametrize("cpus,started", [(None, 0), (1, 0), (2, 1), (3, 2)])
     def test_forks_at_most_one_process_per_cpu(self, cpus, started, monkeypatch):
         fork = InlineFork()
         monkeypatch.setattr(multiprocessing, "get_context", lambda method: fork)
@@ -302,7 +302,7 @@ class TestMapBlocks:
         count = 10 * 256 + 3
         blocks = _map_blocks(lambda lo, hi: (lo, hi), count, workers=5000, width=10)
         assert fork.started == started
-        assert blocks == _bounds(0, count, -(-count // max(started, 1)))
+        assert blocks == _bounds(0, count, -(-count // (started + 1)))
 
     def test_counts_do_not_depend_on_the_clamp(self, monkeypatch):
         model = adjacency_count_model(5)
@@ -312,7 +312,7 @@ class TestMapBlocks:
         monkeypatch.setattr(multiprocessing, "get_context", lambda method: fork)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         assert estimate_property(model, oracle, 3 * 256, 9, workers=5000) == serial
-        assert fork.started == 2
+        assert fork.started == 1
 
 
 class TestDominationTest:
