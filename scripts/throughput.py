@@ -11,12 +11,17 @@ gets `--certify-trials 0`, so only its sampling and deciding are timed. The
 independent mode draws each sample count twice, once from G(n, 0.3) and
 once from the model; its rate counts `--samples` once. Each call goes through
 ``probust.cli.main`` in this process, with its output captured in memory,
-and is timed with ``time.perf_counter``. The best of ``--repeats`` walls
-gives samples / wall. The sample counts are 4096, 1024 and 256 at
-n = 10 / 30 / 64, times ``--scale``.
+and is timed with ``time.perf_counter`` between two runs of the benchmark's
+calibration loop (``bench/spec.py``). Each wall is scaled, as the benchmark
+scales its walls, to the speed at which that loop takes
+``CALIBRATION_REF_S``, so that rows taken while the machine runs at another
+speed stay comparable. The best of ``--repeats`` scaled walls gives
+samples / wall. The sample counts are 4096, 1024 and 256 at n = 10 / 30 / 64,
+times ``--scale``.
 
-Prints one JSON object: the sample count per n, and samples/s per command
-and n.
+Prints one JSON object: the sample count per n, the calibration loop's
+reference wall, samples/s per command and n, and per command and n the two
+calibration walls, in seconds, taken beside the best call.
 
 Usage:
     python scripts/throughput.py [--repeats 3] [--scale 1.0] [--seed 7]
@@ -26,9 +31,14 @@ import argparse
 import contextlib
 import io
 import json
+import sys
 import time
+from pathlib import Path
 
 from probust import cli
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+from spec import CALIBRATION_REF_S, at_reference_speed, calibrate  # noqa: E402
 
 SAMPLES = {10: 4096, 30: 1024, 64: 256}
 COMMANDS = {
@@ -46,18 +56,24 @@ COMMANDS = {
 }
 
 
-def best_wall(argv: list[str], repeats: int) -> float:
-    """The shortest of ``repeats`` walls of ``cli.main(argv)``, which must exit 0."""
-    walls = []
+def best_wall(argv: list[str], repeats: int) -> tuple[float, list[float]]:
+    """The shortest of ``repeats`` calibrated walls of ``cli.main(argv)``,
+    which must exit 0, and the two calibration walls taken beside it."""
+    best = None
     for _ in range(repeats):
         out = io.StringIO()
+        before = calibrate()
         start = time.perf_counter()
         with contextlib.redirect_stdout(out):
             code = cli.main(argv)
-        walls.append(time.perf_counter() - start)
+        wall = time.perf_counter() - start
+        walls = [before, calibrate()]
         if code != 0:
             raise SystemExit(f"{' '.join(argv)} exited {code}")
-    return min(walls)
+        scaled = at_reference_speed(wall, walls)
+        if best is None or scaled < best[0]:
+            best = (scaled, walls)
+    return best
 
 
 def main() -> None:
@@ -68,15 +84,22 @@ def main() -> None:
     args = ap.parse_args()
 
     samples = {n: max(1, round(count * args.scale)) for n, count in SAMPLES.items()}
-    rates = {}
+    rates, calibration = {}, {}
     for name, command in COMMANDS.items():
-        rates[name] = {}
+        rates[name], calibration[name] = {}, {}
         for n, count in samples.items():
             argv = f"{command} --n {n} --samples {count} --seed {args.seed}".split()
             if argv[0] == "verify":
                 argv += ["--certify-trials", "0"]
-            rates[name][n] = round(count / best_wall(argv, args.repeats), 1)
-    print(json.dumps({"samples": samples, "samples_per_s": rates}, indent=1))
+            wall, walls = best_wall(argv, args.repeats)
+            rates[name][n] = round(count / wall, 1)
+            calibration[name][n] = [round(w, 5) for w in walls]
+    print(json.dumps({
+        "samples": samples,
+        "calibration_ref_s": CALIBRATION_REF_S,
+        "samples_per_s": rates,
+        "calibration_s": calibration,
+    }, indent=1))
 
 
 if __name__ == "__main__":

@@ -325,6 +325,10 @@ def _csv_cell(value) -> str:
 
 
 def cmd_report(args) -> int:
+    if args.preset:
+        for flag in ("formula", "p", "d", "k"):
+            if getattr(args, flag) is not None:
+                raise DomainError(f"--preset {args.preset} takes no --{flag}")
     seed = _resolve_seed(args)
     out = _Output(args.output)
     if args.preset:

@@ -370,7 +370,10 @@ def _level_conditionals(model: EdgeModel, base: float = 0.0):
     """
     space = model.space
     m = space.m
-    # the exact engines cap m at 24 (n <= 7), so every degree fits a byte
+    # the x257 int16 step below keeps every degree in its byte while the
+    # degree is at most 126; the callers cap m at 21 (exact.MAX_JOINT_M), 10
+    # (exact.MAX_COUPLING_M) and 24 (the exhaustive floor check), so n <= 7
+    # and no degree exceeds 6
     buffers = np.zeros((2, space.n, 1 << max(m - 1, 0)), dtype=np.int8)
     degrees = buffers[0, :, :1]
     for i in range(m, 0, -1):

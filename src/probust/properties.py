@@ -34,12 +34,12 @@ DOMSET_MAX_N = 26
 HAMILTONIAN_MAX_N = 20
 MATCHING_MAX_N = 26
 LONGEST_CYCLE_MAX_N = 16
-BLOCK_MAX_N = 10  # block deciders build tables of 2^n rows
+SUBSET_BLOCK_MAX_N = 10  # the block deciders with a table row per vertex subset
 CHROMATIC_BLOCK_MAX_N = 8  # above it the chromatic block decider's int64 count can overflow
+REACH_BLOCK_MAX_N = 64  # diam's (n, n, n) reach temporary fills BLOCK_WORDS with one word
 _DIAMETER_GATHER_WORDS = 1 << 20  # uint64 words of neighbour rows gathered at once
-# table cells, 2^n per graph, of one decide_block call: 2 MiB in the int64
-# table of chrom; the bit-sliced tables hold one bit per cell
-BLOCK_CELLS = 1 << 18
+# uint64 words of the largest table one decide_block call allocates: 2 MiB
+BLOCK_WORDS = 1 << 18
 
 
 def _check_cap(n: int, cap: int, what: str) -> None:
@@ -575,12 +575,63 @@ def has_matching_at_least(g: Realization, k: int) -> bool:
 # Each takes (n, n, W) uint64 adjacency words, bit g % 64 of word [v, u, g // 64]
 # set iff uv is an edge of graph g, and returns 64 * W decisions, lane g's equal
 # to the matching scalar decider on graph g (lanes past the block's graphs hold
-# the edgeless graph). One uint64 operation serves 64 graphs, and the tables are
-# indexed [vertex subset, ..., word], with one Python step serving a whole
-# family of subsets. Only ``chrom`` (an int64 count) holds one int64 cell per
-# graph per subset.
+# the edgeless graph). One uint64 operation serves 64 graphs. The subset-table
+# deciders index their tables [vertex subset, ..., word], with one Python step
+# serving a whole family of subsets, and refuse n > SUBSET_BLOCK_MAX_N; only
+# ``chrom`` (an int64 count) holds one int64 cell per graph per subset. The
+# reach deciders hold no subset table and refuse n > REACH_BLOCK_MAX_N.
+#
+# Each decider's size function gives the uint64 words of the largest table
+# one call allocates per word of its input at n, and refuses the n its
+# decider refuses, so that decide_bits falls back before building any words.
 
 _ALL = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
+
+
+def _check_subset_block(n: int) -> None:
+    _check_cap(n, SUBSET_BLOCK_MAX_N, "the subset-table block deciders")
+
+
+def _check_chromatic_block(n: int) -> None:
+    _check_cap(n, CHROMATIC_BLOCK_MAX_N, "the chromatic block decider")
+
+
+def _check_reach_block(n: int) -> None:
+    _check_cap(n, REACH_BLOCK_MAX_N, "the reach block deciders")
+
+
+def _subset_words(n: int) -> int:
+    """``clique``, ``match``: one word per vertex subset."""
+    _check_subset_block(n)
+    return 1 << n
+
+
+def _subset_vertex_words(n: int) -> int:
+    """``ham``, ``domset``: n words per vertex subset."""
+    return n * _subset_words(n)
+
+
+def _chromatic_words(n: int) -> int:
+    """``chrom``: one int64 per vertex subset and lane."""
+    _check_chromatic_block(n)
+    return 64 << n
+
+
+def _pair_words(n: int) -> int:
+    """``connected``: the (n, n) step of :func:`_reach`."""
+    _check_reach_block(n)
+    return n * n
+
+
+def _triple_words(n: int) -> int:
+    """``diam<=k``: the (n, n, n) step of :func:`_reach`."""
+    _check_reach_block(n)
+    return n**3
+
+
+def _edge_count_words(n: int) -> int:
+    """``exactly-k-edges``: the words unpacked to one byte per lane."""
+    return 8 * n * n
 
 
 def _lanes(words: np.ndarray) -> np.ndarray:
@@ -636,6 +687,7 @@ def _reach(start: np.ndarray, adj: np.ndarray, steps: int) -> np.ndarray:
 
 def _connected_block(adj: np.ndarray) -> np.ndarray:
     """Vertex 0 reaches every vertex."""
+    _check_reach_block(len(adj))
     reach = np.zeros(adj.shape[1:], dtype=np.uint64)
     reach[0] = _ALL
     return _lanes(np.bitwise_and.reduce(_reach(reach, adj, len(adj) - 1), axis=0))
@@ -644,6 +696,7 @@ def _connected_block(adj: np.ndarray) -> np.ndarray:
 def _diameter_at_most_block(adj: np.ndarray, k: int) -> np.ndarray:
     """Every vertex's ball of radius k is the whole vertex set."""
     n = len(adj)
+    _check_reach_block(n)
     if k < 0:
         return _every_lane(adj, False)
     balls = np.zeros(adj.shape, dtype=np.uint64)
@@ -654,6 +707,7 @@ def _diameter_at_most_block(adj: np.ndarray, k: int) -> np.ndarray:
 
 def _clique_at_least_block(adj: np.ndarray, k: int) -> np.ndarray:
     n = len(adj)
+    _check_subset_block(n)
     if k <= 1 or k > n:
         return _every_lane(adj, k <= n)
     return _lanes(_any_of_size(_clique_table(adj), n, k))
@@ -669,7 +723,7 @@ def _chromatic_at_least_block(adj: np.ndarray, k: int) -> np.ndarray:
     int64 is exact only up to CHROMATIC_BLOCK_MAX_N = 8, and larger n is
     refused."""
     n = len(adj)
-    _check_cap(n, CHROMATIC_BLOCK_MAX_N, "the chromatic block decider")
+    _check_chromatic_block(n)
     if k <= 1 or k > n:
         return _every_lane(adj, k <= 1)
     independent = _clique_table(~adj).view(np.uint8)
@@ -688,6 +742,7 @@ def _matching_at_least_block(adj: np.ndarray, k: int) -> np.ndarray:
     and u are a strided view of the table, as are the same rows without
     them, which are already filled."""
     n, _, w = adj.shape
+    _check_subset_block(n)
     if k <= 0 or 2 * k > n:
         return _every_lane(adj, k <= 0)
     perfect = np.zeros((1 << n, w), dtype=np.uint64)
@@ -706,6 +761,7 @@ def _hamiltonian_block(adj: np.ndarray) -> np.ndarray:
     extending one through S without v at a neighbour of v, and a Hamilton
     cycle closes a path through all n vertices at a neighbour of 0."""
     n, _, w = adj.shape
+    _check_subset_block(n)
     if n < 3:
         return _every_lane(adj, False)
     subsets = np.arange(1 << n)
@@ -723,6 +779,7 @@ def _dominating_at_most_block(adj: np.ndarray, k: int) -> np.ndarray:
     """Some k vertices' closed neighbourhoods cover every vertex: row S,
     vertex v of ``cover`` holds the graphs in which v is in or next to S."""
     n = len(adj)
+    _check_subset_block(n)
     if k >= n or k <= 0:
         return _every_lane(adj, k >= n)
     closed = adj.copy()
@@ -757,13 +814,19 @@ class PropertyOracle:
     (n, n, W) uint64 adjacency words, bit g % 64 of word [v, u, g // 64] set
     iff uv is an edge of graph g, and returns 64 * W booleans, lane g's equal
     to ``decide`` on graph g. :func:`decide_bits`, through which the exact
-    sweep and the sampled tests decide every batch, builds the words, calls
-    it only at n <= ``BLOCK_MAX_N`` (10), keeps the decisions of its graphs'
-    lanes and builds no :class:`Realization`; oracles without one are decided
-    one graph at a time. ``chrom``'s refuses n > ``CHROMATIC_BLOCK_MAX_N``
-    (8), where its int64 count could overflow. The cap of 10 was measured:
-    at n = 10 every shipped block decider, words included, costs less per
-    graph than ``decide`` does.
+    sweep and the sampled tests decide every batch, builds the words, keeps
+    the decisions of its graphs' lanes and builds no :class:`Realization`;
+    oracles without one are decided one graph at a time.
+
+    ``block_words(n)`` gives the uint64 words of the largest table one
+    ``decide_block`` call allocates per word (64 graphs) of its input at n,
+    and raises :class:`UnsupportedScaleError` at an n the block decider
+    refuses; :func:`decide_bits` sizes its calls by it. Unset, it is taken
+    as 64 * 2^n, the size of ``chrom``'s int64 table. The shipped subset-table
+    deciders refuse n > ``SUBSET_BLOCK_MAX_N`` (10), ``chrom``'s n >
+    ``CHROMATIC_BLOCK_MAX_N`` (8), where its int64 count could overflow, and
+    the reach deciders (``connected``, ``diam<=k``) n > ``REACH_BLOCK_MAX_N``
+    (64).
 
     ``check_scale``, when set, raises :class:`UnsupportedScaleError` for a
     vertex count at which ``decide`` refuses every graph, with the message
@@ -777,29 +840,33 @@ class PropertyOracle:
     direction: str = "increasing"
     decide_block: Optional[Callable[[np.ndarray], np.ndarray]] = None
     check_scale: Optional[Callable[[int], None]] = None
+    block_words: Optional[Callable[[int], int]] = None
 
 
-# name -> (comparison, decide(g, k), decide_block(adj, k), check_scale(n))
-# of each thresholded family; its oracle "name<comparison>k" is the CLI
-# spelling. Only the clique cap holds for every k: the others answer small
-# or large k without their search.
+# name -> (comparison, decide(g, k), decide_block(adj, k), check_scale(n),
+# block_words(n)) of each thresholded family; its oracle "name<comparison>k"
+# is the CLI spelling. Only the clique cap holds for every k: the others
+# answer small or large k without their search.
 THRESHOLD_FAMILIES = {
-    "clique": (">=", has_clique_at_least, _clique_at_least_block, check_clique_scale),
-    "chrom": (">=", has_chromatic_at_least, _chromatic_at_least_block, None),
-    "match": (">=", has_matching_at_least, _matching_at_least_block, None),
-    "diam": ("<=", has_diameter_at_most, _diameter_at_most_block, None),
-    "domset": ("<=", has_dominating_at_most, _dominating_at_most_block, None),
+    "clique": (">=", has_clique_at_least, _clique_at_least_block, check_clique_scale,
+               _subset_words),
+    "chrom": (">=", has_chromatic_at_least, _chromatic_at_least_block, None, _chromatic_words),
+    "match": (">=", has_matching_at_least, _matching_at_least_block, None, _subset_words),
+    "diam": ("<=", has_diameter_at_most, _diameter_at_most_block, None, _triple_words),
+    "domset": ("<=", has_dominating_at_most, _dominating_at_most_block, None,
+               _subset_vertex_words),
 }
 
 
 def _threshold_oracle(family: str, k: int) -> PropertyOracle:
-    comparison, decide, decide_block, check_scale = THRESHOLD_FAMILIES[family]
+    comparison, decide, decide_block, check_scale, block_words = THRESHOLD_FAMILIES[family]
     return PropertyOracle(
         f"{family}{comparison}{k}",
         lambda g: decide(g, k),
         k,
         decide_block=lambda adj: decide_block(adj, k),
         check_scale=check_scale,
+        block_words=block_words,
     )
 
 
@@ -816,11 +883,14 @@ def hamiltonian_oracle() -> PropertyOracle:
         has_hamiltonian_cycle,
         decide_block=_hamiltonian_block,
         check_scale=_check_hamiltonian_scale,
+        block_words=_subset_vertex_words,
     )
 
 
 def connected_oracle() -> PropertyOracle:
-    return PropertyOracle("connected", is_connected, decide_block=_connected_block)
+    return PropertyOracle(
+        "connected", is_connected, decide_block=_connected_block, block_words=_pair_words
+    )
 
 
 def exactly_edges_oracle(k: int) -> PropertyOracle:
@@ -831,6 +901,7 @@ def exactly_edges_oracle(k: int) -> PropertyOracle:
         k,
         direction="none",
         decide_block=lambda adj: _edge_count_block(adj) == k,
+        block_words=_edge_count_words,
     )
 
 
@@ -862,18 +933,30 @@ def parse_property(text: str) -> PropertyOracle:
 # deciding a batch of graphs
 
 
-def _adjacency_words(space: EdgeSpace, bits: np.ndarray) -> np.ndarray:
+def _adjacency_words(space: EdgeSpace, bits) -> np.ndarray:
     """The (n, n, W) adjacency words of the graphs whose realization bitmasks
-    are the (B,) int64 ``bits``, W = ceil(B / 64): bit g % 64 of word
-    [v, u, g // 64] is set iff uv is an edge of graph g. The padding lanes of
-    the last word are zero. The bitmasks' bytes are unpacked to one row of m
-    edge bits per graph, and the columns packed into (m, W) edge words."""
-    w = -(-bits.size // 64)
-    padded = np.zeros(64 * w, dtype="<i8")
-    padded[: bits.size] = bits
-    edges = np.unpackbits(
-        padded.view(np.uint8).reshape(-1, 8), axis=1, count=space.m, bitorder="little"
-    )
+    are ``bits``, W = ceil(B / 64): bit g % 64 of word [v, u, g // 64] is set
+    iff uv is an edge of graph g. The padding lanes of the last word are zero.
+
+    ``bits`` is an int64 array or a sequence of Python ints. Each bitmask
+    becomes a row of little-endian bytes, the bytes of an int64 while
+    m < 64 and ceil(m / 8) bytes of ``int.to_bytes`` above; the rows are
+    unpacked to m edge bits per graph, and the columns packed into (m, W)
+    edge words."""
+    m, b = space.m, len(bits)
+    w = -(-b // 64)
+    if m < 64:
+        rows = np.zeros(64 * w, dtype="<i8")
+        rows[:b] = bits
+        rows = rows.view(np.uint8).reshape(-1, 8)
+    else:
+        if isinstance(bits, np.ndarray):
+            bits = bits.tolist()
+        width = -(-m // 8)
+        rows = np.zeros((64 * w, width), dtype=np.uint8)
+        joined = b"".join([x.to_bytes(width, "little") for x in bits])
+        rows[:b] = np.frombuffer(joined, dtype=np.uint8).reshape(b, width)
+    edges = np.unpackbits(rows, axis=1, count=m, bitorder="little")
     # packbits along a contiguous axis is several times faster
     edge_words = np.packbits(edges.T.copy(), axis=1, bitorder="little").view("<u8")
     adj = np.zeros((space.n, space.n, w), dtype=np.uint64)
@@ -882,29 +965,38 @@ def _adjacency_words(space: EdgeSpace, bits: np.ndarray) -> np.ndarray:
     return adj
 
 
+def _decide_in_blocks(oracle: PropertyOracle, space: EdgeSpace, bits) -> np.ndarray:
+    """``decide_bits`` through the block decider, in calls of as many words
+    as keep its largest table within BLOCK_WORDS, and at least one."""
+    n = space.n
+    table = oracle.block_words(n) if oracle.block_words is not None else 64 << n
+    step = 64 * max(1, BLOCK_WORDS // table)
+    decided = np.empty(len(bits), dtype=bool)
+    for lo in range(0, len(bits), step):
+        part = bits[lo : lo + step]
+        decided[lo : lo + step] = oracle.decide_block(_adjacency_words(space, part))[: len(part)]
+    return decided
+
+
 def decide_bits(oracle: PropertyOracle, space: EdgeSpace, bits) -> np.ndarray:
     """The oracle's decisions on the graphs of ``space`` whose realization
     bitmasks are ``bits``, as a (B,) bool array: the one way the library
     decides a batch of graphs, sampled or exhaustive.
 
-    At n <= BLOCK_MAX_N the bitmasks become adjacency words, handed to
-    ``decide_block``, and the decisions of the graphs' lanes are kept. The
-    int64 table of ``chrom`` holds 2^n rows per graph, so a batch of any size
-    is split into calls of ``BLOCK_CELLS >> n`` graphs: 4096 at n = 6, 256 at
-    n = 10.
+    The bitmasks become adjacency words, handed to ``decide_block``, and the
+    decisions of the graphs' lanes are kept. A batch of any size is split
+    into calls of ``max(1, BLOCK_WORDS // block_words(n))`` words of 64
+    graphs each, so that no call's largest table exceeds BLOCK_WORDS (2 MiB)
+    unless a single word's does: 4096 graphs per call for ``chrom`` at n = 6,
+    65 536 for ``match`` at n = 8, 64 for ``diam`` at n = 64.
     An oracle without ``decide_block``, or one whose block decider refuses n,
-    gets ``decide(Realization(space, b))`` for each b in order, the reference.
+    gets ``decide(Realization(space, b))`` for each b in order, the reference;
+    the shipped deciders refuse through ``block_words``, before any words are
+    built.
     """
-    if oracle.decide_block is not None and space.n <= BLOCK_MAX_N:
-        block = np.asarray(bits, dtype=np.int64)
-        step = BLOCK_CELLS >> space.n
-        decided = np.empty(block.size, dtype=bool)
+    if oracle.decide_block is not None:
         try:
-            for lo in range(0, block.size, step):
-                part = block[lo : lo + step]
-                lanes = oracle.decide_block(_adjacency_words(space, part))
-                decided[lo : lo + step] = lanes[: part.size]
-            return decided
+            return _decide_in_blocks(oracle, space, bits)
         except UnsupportedScaleError:
             pass
     if isinstance(bits, np.ndarray):

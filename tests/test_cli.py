@@ -535,6 +535,16 @@ class TestUsage:
              "capped at n=512"),
             ("report --preset adjacency-bounds --n 8 --samples 0 --seed 1", None, 2,
              "samples must be >= 1"),
+            ("report --preset adjacency-bounds --formula clique --n 8 --samples 2 --seed 1", None,
+             2, "--preset adjacency-bounds takes no --formula"),
+            ("report --preset adjacency-bounds --n 8 --p 0.3 --samples 2 --seed 1", None, 2,
+             "--preset adjacency-bounds takes no --p"),
+            ("report --preset adjacency-bounds --n 8 --d 3 --samples 2 --seed 1", None, 2,
+             "--preset adjacency-bounds takes no --d"),
+            ("report --preset adjacency-bounds --n 8 --k 2 --samples 2 --seed 1", None, 2,
+             "--preset adjacency-bounds takes no --k"),
+            ("report --preset adjacency-bounds --n 8 --p 0 --samples 2 --seed 1", None, 2,
+             "--preset adjacency-bounds takes no --p"),
             ("report --formula clique --n , --p 0.5 --format csv --seed 1", None, 2,
              "at least one vertex count"),
             ("verify --model adjcount --n 6 --base 0.3 --property connected "
@@ -786,7 +796,9 @@ def _fuzz_argv(draw):
         if kind == "degree-count":
             argv += ["--k", str(draw(st.integers(0, 6)))]
         argv += ["--n", pick("n", st.integers(2, 64).map(str), ["-1", "0", "1", "4,x", ","])]
-        if draw(st.booleans()):
+        if kind == "preset":
+            pass  # the preset takes neither --p nor --d
+        elif draw(st.booleans()):
             argv += ["--p", pick("p", probability, bad_probability)]
         else:
             argv += ["--d", pick("p", st.sampled_from(["0", "1", "3", "10"]), ["-1", "nan", "100"])]

@@ -335,9 +335,10 @@ class TestEventIndicator:
         return np.random.default_rng(seed).random(size) < 0.1  # a subset at n = 6
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
-    @pytest.mark.parametrize("block", [7, properties_module.BLOCK_CELLS >> 6])  # 4096: n = 6's calls
-    def test_matches_scalar_loop_for_every_shipped_oracle(self, n, block, monkeypatch):
-        monkeypatch.setattr(properties_module, "BLOCK_CELLS", block << n)
+    # one word per call; at n = 6 one word for chrom and several for the others; the real bound
+    @pytest.mark.parametrize("bound", [1, 1 << 12, properties_module.BLOCK_WORDS])
+    def test_matches_scalar_loop_for_every_shipped_oracle(self, n, bound, monkeypatch):
+        monkeypatch.setattr(properties_module, "BLOCK_WORDS", bound)
         space = EdgeSpace(n)
         support = self.support(n, seed=n)
         for prop in SHIPPED_PROPERTIES:

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,9 +27,11 @@ from probust import (
     parse_property,
 )
 from probust.properties import (
-    BLOCK_MAX_N,
+    BLOCK_WORDS,
     CHROMATIC_BLOCK_MAX_N,
     CLIQUE_MAX_N,
+    REACH_BLOCK_MAX_N,
+    SUBSET_BLOCK_MAX_N,
     THRESHOLD_FAMILIES,
     PropertyOracle,
     certify_monotone,
@@ -405,7 +408,9 @@ class TestCertification:
             (PropertyOracle("raw-diam<=2", lambda g: diameter(g) <= 2), 7, 400),
             (matching_oracle(4), 10, 300),
             (chromatic_oracle(4), 10, 100),  # block decider refuses n = 10: scalar decide
-            (connected_oracle(), 12, 100),  # above BLOCK_MAX_N: scalar decide
+            (matching_oracle(5), 12, 100),  # block decider refuses n = 12: scalar decide
+            (connected_oracle(), 12, 100),  # block decider over masks of m = 66 bits
+            (diameter_oracle(3), 30, 100),
         ],
         ids=lambda v: getattr(v, "name", str(v)),
     )
@@ -424,7 +429,7 @@ class TestCertification:
     def test_part_and_call_sizes_change_nothing(self, oracle, n, monkeypatch):
         default = certify_monotone(oracle, n, 2000, derive_rng(7, 0, n))
         monkeypatch.setattr(properties, "_part_rows", lambda width: 7)
-        monkeypatch.setattr(properties, "BLOCK_CELLS", 7 << n)
+        monkeypatch.setattr(properties, "BLOCK_WORDS", 1)  # one word per call
         assert certify_monotone(oracle, n, 2000, derive_rng(7, 0, n)) == default
 
     @pytest.mark.parametrize("oracle,n", [(clique_oracle(3), 600), (hamiltonian_oracle(), 25)])
@@ -452,15 +457,52 @@ def every_shipped_oracle(n):
     return oracles
 
 
+def reach_oracles(n, ks=None):
+    """``connected``, and ``diam<=k`` at every k from 0 to n + 1 or at ``ks``:
+    the block deciders that hold no subset table."""
+    return [connected_oracle()] + [diameter_oracle(k) for k in (ks or range(n + 2))]
+
+
+def accepts(oracle, n):
+    """Whether the oracle's block decider takes n vertices."""
+    try:
+        oracle.block_words(n)
+    except UnsupportedScaleError:
+        return False
+    return True
+
+
+def random_bits(space, count, rng):
+    """``count`` random bitmasks as Python ints, each graph at its own density."""
+    present = rng.random((count, space.m)) < rng.random((count, 1))
+    return [int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
+            for row in present]
+
+
+def long_bits(space, count, rng):
+    """Bitmasks of connected graphs whose diameters spread over 1..n-1: a path
+    through the vertices in a random order, plus up to n / 2 random chords."""
+    n = space.n
+    out = []
+    for _ in range(count):
+        order = rng.permutation(n).tolist()
+        edges = list(zip(order, order[1:]))
+        for _ in range(int(rng.random() ** 2 * n / 2)):
+            u, v = rng.choice(n, 2, replace=False).tolist()
+            edges.append((u, v))
+        out.append(Realization.from_edges(space, set(map(tuple, map(sorted, edges)))).bits)
+    return out
+
+
 def block_of(space, graphs):
     """The (n, n, W) adjacency words of some realizations, graph g in lane g,
     read off their neighbour masks: bit g % 64 of word [v, u, g // 64] is bit
     u of graph g's mask of v."""
     n, w = space.n, -(-len(graphs) // 64)
-    masks = np.zeros((64 * w, n), dtype=np.int64)
-    rows = np.array([g.neighbor_masks for g in graphs], dtype=np.int64)
+    masks = np.zeros((64 * w, n), dtype=np.uint64)
+    rows = np.array([g.neighbor_masks for g in graphs], dtype=np.uint64)
     masks[: len(graphs)] = rows.reshape(-1, n)
-    bits = (masks[:, :, None] >> np.arange(n)) & 1  # [g, v, u]
+    bits = (masks[:, :, None] >> np.arange(n, dtype=np.uint64)) & np.uint64(1)  # [g, v, u]
     lanes = np.packbits(bits.astype(np.uint8), axis=0, bitorder="little")  # [byte, v, u]
     return np.ascontiguousarray(lanes.transpose(1, 2, 0)).view("<u8")
 
@@ -479,7 +521,7 @@ class TestDecideBlock:
             want = [bool(oracle.decide(g)) for g in graphs]
             assert got[: len(graphs)].tolist() == want, oracle.name
 
-    @pytest.mark.parametrize("n,count", [(7, 20_000), (9, 2000), (BLOCK_MAX_N, 2000)])
+    @pytest.mark.parametrize("n,count", [(7, 20_000), (9, 2000), (SUBSET_BLOCK_MAX_N, 2000)])
     def test_equals_decide_on_random_graphs(self, n, count):
         """Above CHROMATIC_BLOCK_MAX_N the chromatic block decider refuses,
         and ``chrom`` is checked through ``decide_bits``'s scalar path."""
@@ -502,18 +544,39 @@ class TestDecideBlock:
                 ])
             assert got.tolist() == want, oracle.name
 
-    @pytest.mark.parametrize("n", [7, BLOCK_MAX_N])
+    @pytest.mark.parametrize("n", [11, 12, 30, 63, REACH_BLOCK_MAX_N])
+    def test_reach_deciders_equal_decide_at_every_k(self, n):
+        """Random graphs at any density, and connected ones whose diameters
+        spread over 1..n-1, at every threshold from 0 to n + 1."""
+        space = EdgeSpace(n)
+        rng = np.random.default_rng(n)
+        bits = random_bits(space, 40, rng) + long_bits(space, 40, rng)
+        graphs = [Realization(space, b) for b in bits]
+        words = block_of(space, graphs)
+        for oracle in reach_oracles(n):
+            got = oracle.decide_block(words)
+            assert got.dtype == bool and got.shape == (64 * words.shape[2],), oracle.name
+            assert got[: len(graphs)].tolist() == [bool(oracle.decide(g)) for g in graphs], (
+                oracle.name)
+
+    @pytest.mark.parametrize("n", [7, SUBSET_BLOCK_MAX_N, 30, REACH_BLOCK_MAX_N])
     def test_every_lane_and_block_size(self, n):
         """The deciders hold 64 graphs per word, the last word padded: each
         graph is decided alike in a block of the first b graphs and in one of
         the last b, so at another lane, for b around the word size, and each
-        padding lane holds the edgeless graph's decision."""
+        padding lane holds the edgeless graph's decision. Above
+        SUBSET_BLOCK_MAX_N only the reach deciders take n."""
         space = EdgeSpace(n)
         rng = np.random.default_rng(64 + n)
-        present = rng.random((129, space.m)) < rng.random((129, 1))  # any density
-        bits = (present.astype(np.int64) << np.arange(space.m)).sum(axis=1)
-        graphs = [Realization(space, b) for b in bits.tolist()]
-        for oracle in every_shipped_oracle(n):
+        bits = random_bits(space, 129, rng)
+        graphs = [Realization(space, b) for b in bits]
+        if n > SUBSET_BLOCK_MAX_N:
+            bits[::3] = long_bits(space, 43, rng)
+            graphs = [Realization(space, b) for b in bits]
+            oracles = reach_oracles(n, ks=[0, 1, 2, 3, n // 2, n - 1, n + 1])
+        else:
+            oracles = every_shipped_oracle(n)
+        for oracle in oracles:
             if oracle.name.startswith("chrom") and n > CHROMATIC_BLOCK_MAX_N:
                 continue  # refused, as test_equals_decide_on_random_graphs checks
             want = [bool(oracle.decide(g)) for g in graphs]
@@ -525,53 +588,54 @@ class TestDecideBlock:
                     assert got[:b].tolist() == want[lo : lo + b], (oracle.name, b, lo)
                     assert (got[b:] == edgeless).all(), (oracle.name, b, lo)
 
-    @pytest.mark.parametrize("n", range(1, BLOCK_MAX_N + 1))
+    @pytest.mark.parametrize("n", [*range(1, SUBSET_BLOCK_MAX_N + 1), 11, 12, 30, 63, 64])
     def test_words_are_the_neighbor_masks(self, n):
+        """Bit for bit, from Python ints of any width and, below one machine
+        word of edges, from int64 arrays."""
         space = EdgeSpace(n)
-        rng = np.random.default_rng(n)
-        present = rng.random((129, space.m)) < rng.random((129, 1))  # any density
-        bits = (present.astype(np.int64) << np.arange(space.m)).sum(axis=1)
+        bits = random_bits(space, 129, np.random.default_rng(n))
         for b in (0, 1, 63, 64, 65, 129):
             words = properties._adjacency_words(space, bits[:b])
-            graphs = [Realization(space, x) for x in bits[:b].tolist()]
+            graphs = [Realization(space, x) for x in bits[:b]]
             assert words.dtype == np.uint64 and words.shape == (n, n, -(-b // 64)), b
             assert np.array_equal(words, block_of(space, graphs)), b
+            if space.m < 64:
+                int64 = properties._adjacency_words(space, np.array(bits[:b], dtype=np.int64))
+                assert np.array_equal(int64, words), b
 
-    def test_refuses_above_the_block_cap(self):
-        n = BLOCK_MAX_N + 1
-        space = EdgeSpace(n)
-        bits = [0, (1 << space.m) - 1]
-        graphs = [Realization(space, b) for b in bits]
-
-        def refuse(adj):
-            raise AssertionError("block decider called above BLOCK_MAX_N")
-
-        for oracle in every_shipped_oracle(n):
-            got = decide_bits(dataclasses.replace(oracle, decide_block=refuse), space, bits)
-            assert got.tolist() == [bool(oracle.decide(g)) for g in graphs], oracle.name
+    def test_deciders_refuse_above_their_caps(self):
+        words = {n: block_of(EdgeSpace(n), [Realization.empty(EdgeSpace(n))]) for n in (9, 11, 65)}
+        refusals = [
+            (chromatic_oracle(3), 9),
+            (clique_oracle(3), 11),
+            (matching_oracle(2), 11),
+            (dominating_oracle(2), 11),
+            (hamiltonian_oracle(), 11),
+            (connected_oracle(), 65),
+            (diameter_oracle(2), 65),
+        ]
+        for oracle, n in refusals:
+            with pytest.raises(UnsupportedScaleError, match=f"caps at n={n - 1}, got {n}"):
+                oracle.decide_block(words[n])
+            with pytest.raises(UnsupportedScaleError, match=f"caps at n={n - 1}, got {n}"):
+                oracle.block_words(n)
+            assert accepts(oracle, n - 1), oracle.name
 
 
 class TestDecideBits:
-    @pytest.mark.parametrize("n", [9, 10, 12])
+    @pytest.mark.parametrize("n", [9, 10, 11, 12])
     def test_equals_decide_for_every_shipped_oracle(self, n):
         space = EdgeSpace(n)
         rng = np.random.default_rng(n)
-        present = rng.random((300, space.m)) < rng.random((300, 1))  # any density
-        bits = [int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little") for row in present]
+        bits = random_bits(space, 300, rng)
         graphs = [Realization(space, b) for b in bits]
-
-        def refuse(adj):
-            raise AssertionError("block decider called above BLOCK_MAX_N")
-
         for oracle in every_shipped_oracle(n):
-            if n > BLOCK_MAX_N:  # at n = 12, m = 66 > 64: only the scalar path applies
-                oracle = dataclasses.replace(oracle, decide_block=refuse)
             got = decide_bits(oracle, space, bits)
             assert got.dtype == bool and got.shape == (len(bits),), oracle.name
             assert got.tolist() == [bool(oracle.decide(g)) for g in graphs], oracle.name
 
     def test_keeps_masks_on_both_sides_of_bit_63_exact(self):
-        # numpy promotes [1, 2^63] to float64; the scalar path must not
+        # numpy promotes [1, 2^63] to float64; neither path may
         space = EdgeSpace(12)
         bits = [1, 1 << 63, (1 << 63) | 1]
         graphs = [Realization(space, b) for b in bits]
@@ -579,7 +643,47 @@ class TestDecideBits:
             got = decide_bits(oracle, space, bits)
             assert got.tolist() == [bool(oracle.decide(g)) for g in graphs], oracle.name
 
-    def test_splits_any_batch_into_block_calls(self, monkeypatch):
+    @pytest.mark.parametrize("n", [9, 11, 65])
+    def test_refusing_decider_builds_no_words(self, n, monkeypatch):
+        """An oracle whose block decider refuses n is decided one graph at a
+        time, and no adjacency words are built for it."""
+        space = EdgeSpace(n)
+        bits = [0, (1 << space.m) - 1, 1 << (space.m - 1)]
+        graphs = [Realization(space, b) for b in bits]
+
+        def unbuilt(space, bits):
+            raise AssertionError("adjacency words built for a refusing decider")
+
+        def refuse(adj):
+            raise AssertionError("block decider called at an n it refuses")
+
+        monkeypatch.setattr(properties, "_adjacency_words", unbuilt)
+        oracles = every_shipped_oracle(n) if n < 65 else reach_oracles(n, ks=[0, 2, n + 1])
+        refusing = [o for o in oracles if not accepts(o, n)]
+        families = {o.name.rstrip("0123456789") for o in refusing}
+        assert families == {
+            9: {"chrom>="},
+            11: {"chrom>=", "clique>=", "match>=", "domset<=", "ham"},
+            65: {"connected", "diam<="},
+        }[n]
+        for oracle in refusing:
+            got = decide_bits(dataclasses.replace(oracle, decide_block=refuse), space, bits)
+            assert got.tolist() == [bool(oracle.decide(g)) for g in graphs], oracle.name
+
+    # graphs per call at n = 8, 64 * max(1, bound // block_words(8)), by family
+    CALL_GRAPHS = {
+        BLOCK_WORDS: {"chrom": 1024, "clique": 65536, "match": 65536, "ham": 8192,
+                      "domset": 8192, "connected": 262144, "diam": 32768, "exactly": 32768},
+        1 << 12: {"chrom": 64, "clique": 1024, "match": 1024, "ham": 128, "domset": 128,
+                  "connected": 4096, "diam": 512, "exactly": 512},
+    }
+
+    @pytest.mark.parametrize("bound", sorted(CALL_GRAPHS))
+    def test_splits_any_batch_into_block_calls(self, bound, monkeypatch):
+        """Each call holds as many words as keep its decider's largest table
+        within the bound: chrom's calls at the real bound are 1024 graphs at
+        n = 8, the size they had under the former 2^18 >> n rule."""
+        monkeypatch.setattr(properties, "BLOCK_WORDS", bound)
         space = EdgeSpace(8)
         rng = np.random.default_rng(8)
         present = rng.random((5000, space.m)) < rng.random((5000, 1))
@@ -600,8 +704,58 @@ class TestDecideBits:
             monkeypatch.setattr(properties, "_adjacency_words", built)
             got = decide_bits(dataclasses.replace(oracle, decide_block=counted), space, bits)
             assert got.tolist() == [bool(oracle.decide(g)) for g in graphs], oracle.name
-            assert sizes == [1024] * 4 + [904], oracle.name
-            assert calls == [(8, 8, 16)] * 4 + [(8, 8, 15)], oracle.name
+            step = self.CALL_GRAPHS[bound][oracle.name.split(">")[0].split("<")[0].split("-")[0]]
+            want = [step] * (5000 // step) + ([5000 % step] if 5000 % step else [])
+            assert sizes == want, oracle.name
+            assert calls == [(8, 8, -(-size // 64)) for size in want], oracle.name
+
+    @pytest.mark.parametrize("n", [6, 10, 30])
+    def test_decisions_do_not_depend_on_the_bound(self, n, monkeypatch):
+        space = EdgeSpace(n)
+        bits = random_bits(space, 300, np.random.default_rng(n))
+        oracles = every_shipped_oracle(n) if n <= SUBSET_BLOCK_MAX_N else reach_oracles(n)
+        default = [decide_bits(oracle, space, bits) for oracle in oracles]
+        monkeypatch.setattr(properties, "BLOCK_WORDS", 1)  # one word per call
+        for oracle, want in zip(oracles, default):
+            assert np.array_equal(decide_bits(oracle, space, bits), want), oracle.name
+
+    @pytest.mark.parametrize("n,count", [(6, 5000), (10, 5000), (30, 1000), (64, 300)])
+    def test_no_call_exceeds_the_bound(self, n, count):
+        """Every call's words times its decider's stated table size stay within
+        BLOCK_WORDS, and the memory a call allocates, traced, within four
+        tables of that size: the statement is honest."""
+        space = EdgeSpace(n)
+        bits = random_bits(space, count, np.random.default_rng(n))
+        oracles = [hamiltonian_oracle(), connected_oracle(), exactly_edges_oracle(3)]
+        for k in (2, 3, n // 2):
+            oracles += [factory(k) for factory in (clique_oracle, chromatic_oracle,
+                                                   matching_oracle, diameter_oracle,
+                                                   dominating_oracle)]
+        checked = 0
+        for oracle in oracles:
+            if not accepts(oracle, n):
+                continue
+            table = oracle.block_words(n)
+            calls = []
+
+            def traced(adj, decide_block=oracle.decide_block):
+                tracemalloc.reset_peak()
+                start = tracemalloc.get_traced_memory()[0]
+                got = decide_block(adj)
+                calls.append((adj.shape[2], tracemalloc.get_traced_memory()[1] - start))
+                return got
+
+            tracemalloc.start()
+            try:
+                decide_bits(dataclasses.replace(oracle, decide_block=traced), space, bits)
+            finally:
+                tracemalloc.stop()
+            assert calls, oracle.name
+            for w, peak in calls:
+                assert w * table <= BLOCK_WORDS or w == 1, (oracle.name, w)
+                assert peak <= 4 * 8 * w * table, (oracle.name, w, peak)
+            checked += 1
+        assert checked >= {6: 17, 10: 14, 30: 5, 64: 5}[n]
 
 
 class TestPropertyGrammar:

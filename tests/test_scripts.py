@@ -1,5 +1,6 @@
 """Smoke runs of the scripts: each exits 0 on a small input."""
 
+import json
 import os
 import subprocess
 import sys
@@ -31,3 +32,13 @@ def test_script_runs(argv):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout
+    if argv[0] == "scripts/throughput.py":
+        report = json.loads(result.stdout)
+        assert report["calibration_ref_s"] > 0
+        rates, calibration = report["samples_per_s"], report["calibration_s"]
+        assert calibration.keys() == rates.keys()
+        for name, by_n in calibration.items():
+            assert by_n.keys() == rates[name].keys() == report["samples"].keys(), name
+            for n, walls in by_n.items():
+                assert len(walls) == 2 and all(w > 0 for w in walls), (name, n)
+                assert rates[name][n] > 0, (name, n)
