@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""In-process CLI throughput, in samples per second, at n = 10 / 30 / 64.
+"""In-process CLI throughput: samples per second at n = 10 / 30 / 64, and
+rows per second of the exported joint table.
 
 Runs `couple`, `generate --model adjcount`, `verify --mode coupled` with
 `connected` and with `diam<=3`, and `verify --mode independent` with
@@ -19,9 +20,15 @@ speed stay comparable. The best of ``--repeats`` scaled walls gives
 samples / wall. The sample counts are 4096, 1024 and 256 at n = 10 / 30 / 64,
 times ``--scale``.
 
+The CSV writer is timed the same way, in rows per second: `exact --check
+joint --export-dist` into a temporary file for adjcount at n = 6 and er at
+n = 6, p = 0.3 (2^15 rows each, whatever ``--scale``). Its wall includes
+building the exact table and the check's stdout line.
+
 Prints one JSON object: the sample count per n, the calibration loop's
 reference wall, samples/s per command and n, and per command and n the two
-calibration walls, in seconds, taken beside the best call.
+calibration walls, in seconds, taken beside the best call; then the rows
+per export, its rows/s and its two calibration walls.
 
 Usage:
     python scripts/throughput.py [--repeats 3] [--scale 1.0] [--seed 7]
@@ -32,6 +39,7 @@ import contextlib
 import io
 import json
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -54,6 +62,11 @@ COMMANDS = {
         "verify --model adjcount --base 0.3 --mode independent --property connected --threads 1",
     "generate --model adjcount-cond": "generate --model adjcount-cond",
 }
+EXPORTS = {
+    "adjcount n=6": "exact --model adjcount --n 6 --check joint",
+    "er n=6 p=0.3": "exact --model er --n 6 --p 0.3 --check joint",
+}
+EXPORT_ROWS = 1 << 15  # 2^m rows at n = 6
 
 
 def best_wall(argv: list[str], repeats: int) -> tuple[float, list[float]]:
@@ -94,11 +107,21 @@ def main() -> None:
             wall, walls = best_wall(argv, args.repeats)
             rates[name][n] = round(count / wall, 1)
             calibration[name][n] = [round(w, 5) for w in walls]
+    row_rates, row_calibration = {}, {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, command in EXPORTS.items():
+            argv = [*command.split(), "--export-dist", str(Path(tmp) / "joint.csv")]
+            wall, walls = best_wall(argv, args.repeats)
+            row_rates[name] = round(EXPORT_ROWS / wall, 1)
+            row_calibration[name] = [round(w, 5) for w in walls]
     print(json.dumps({
         "samples": samples,
         "calibration_ref_s": CALIBRATION_REF_S,
         "samples_per_s": rates,
         "calibration_s": calibration,
+        "export_rows": EXPORT_ROWS,
+        "export_rows_per_s": row_rates,
+        "export_calibration_s": row_calibration,
     }, indent=1))
 
 

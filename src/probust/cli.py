@@ -112,8 +112,11 @@ class _Output:
         self.path = path
         self.pieces: list[str] = []
 
+    def write(self, text: str) -> None:
+        self.pieces.append(text)
+
     def line(self, text: str) -> None:
-        self.pieces.append(text + "\n")
+        self.write(text + "\n")
 
     def close(self) -> None:
         data = "".join(self.pieces)
@@ -131,25 +134,46 @@ def _write(path: str, write) -> None:
         raise DomainError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
-def _record_template(space, seed: int, keys: tuple) -> str:
-    """A ``str.format`` template whose ``format(index, *masks)`` is
-    ``_dumps({"index": index, "n": space.n, "seed": seed, **hexes})``, where
-    ``hexes`` maps ``keys[j]`` to ``masks[j]`` in ``space.hex_format``: keys
-    in sorted order, no spaces, and neither ints nor hex digits need
-    escaping."""
-    fields = {"index": "{0}", "n": str(space.n), "seed": str(seed)}
-    fields.update({key: f'"{{{j}:{space.hex_format}}}"' for j, key in enumerate(keys, 1)})
-    return "{{" + ",".join(f'"{key}":{fields[key]}' for key in sorted(fields)) + "}}"
+def _records(space, seed: int, keys: tuple, start: int, columns) -> str:
+    """The lines ``_dumps({"index": i, "n": space.n, "seed": seed, **hexes})``
+    for i = start, start + 1, ..., where ``hexes`` maps ``keys[j]`` to
+    ``columns[j][i - start]`` in ``space.hex_format``.
+
+    The constant text is ``_dumps`` of a record whose index and hexes are
+    ``#``, split there: keys are sorted, and neither ints nor hex digits need
+    escaping. Each column's hex digits are built once
+    (``EdgeSpace.hex_rows``). The range is cut where the index gains a decimal
+    digit, so each group is one fixed-width uint8 block: the constant texts
+    with the index digits and the hex columns between them."""
+    names = sorted(["index", *keys])
+    record = _dumps({"n": space.n, "seed": seed, **dict.fromkeys(names, "#")})
+    texts = [text.encode() for text in record.replace('"index":"#"', '"index":#').split("#")]
+    texts[-1] += b"\n"
+    hexes = {key: space.hex_rows(col) for key, col in zip(keys, columns)}
+    lo, stop, blocks = start, start + len(columns[0]), []
+    while lo < stop:
+        digits = len(str(lo))
+        hi = min(stop, 10**digits)
+        index = np.arange(lo, hi, dtype=np.int64)[:, None]
+        powers = 10 ** np.arange(digits - 1, -1, -1, dtype=np.int64)
+        cols = {key: rows[lo - start : hi - start] for key, rows in hexes.items()}
+        cols["index"] = (index // powers % 10 + ord("0")).astype(np.uint8)
+        block = [np.frombuffer(texts[0], dtype=np.uint8)]
+        for name, text in zip(names, texts[1:]):
+            block += [cols[name], np.frombuffer(text, dtype=np.uint8)]
+        block = [np.broadcast_to(part, (hi - lo, part.shape[-1])) for part in block]
+        blocks.append(np.hstack(block).tobytes().decode("ascii"))
+        lo = hi
+    return "".join(blocks)
 
 
 def cmd_generate(args) -> int:
     check_count(args.samples)
     seed = _resolve_seed(args)
     model = _build_model(args)
-    record = _record_template(model.space, seed, ("g",))
+    masks = list(sample_block(model, seed, (), 0, args.samples))
     out = _Output(args.output)
-    for idx, bits in enumerate(sample_block(model, seed, (), 0, args.samples)):
-        out.line(record.format(idx, bits))
+    out.write(_records(model.space, seed, ("g",), 0, [masks]))
     out.close()
     return 0
 
@@ -158,10 +182,9 @@ def cmd_couple(args) -> int:
     seed = _resolve_seed(args)
     model = _build_model(args)
     params = CouplingParams(args.base, model)
-    record = _record_template(model.space, seed, ("g1", "g2", "u"))
+    triples = list(coupled_block(params, seed, 0, check_count(args.samples)))
     out = _Output(args.output)
-    for idx, masks in enumerate(coupled_block(params, seed, 0, check_count(args.samples))):
-        out.line(record.format(idx, *masks))
+    out.write(_records(model.space, seed, ("g1", "g2", "u"), 0, list(zip(*triples)) or [()] * 3))
     out.close()
     return 0
 

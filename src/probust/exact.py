@@ -39,6 +39,8 @@ class ExactDistribution:
             raise DomainError(
                 f"need 2^{self.space.m} probabilities, got shape {self.probs.shape}"
             )
+        if not np.all(np.isfinite(self.probs)):  # NaN fails both checks below
+            raise DomainError("non-finite probability in exact table")
         if np.any(self.probs < -PROB_TOL):
             raise DomainError("negative probability in exact table")
         total = float(self.probs.sum())
@@ -57,18 +59,24 @@ class ExactDistribution:
     def to_csv(self, path) -> None:
         """Two columns: realization hex, probability (``repr`` of the float).
 
-        The table is written ``_CSV_SLICE`` rows at a time. Within a slice each
-        distinct bit pattern is formatted once, so ``0.0`` and ``-0.0`` stay
-        apart, and memory beyond the table is bounded by the slice.
+        The table is written ``_CSV_SLICE`` rows at a time, each slice as one
+        block of bytes, so memory beyond the table is bounded by the slice.
+        Within a slice each distinct bit pattern is formatted once, so ``0.0``
+        and ``-0.0`` stay apart, as ``,repr\\n`` padded with zero bytes to the
+        widest. A row is the hex of its index and its value's padded text;
+        the block is written without the padding.
         """
-        row = f"{{:{self.space.hex_format}}},{{}}\n".format
         probs = np.asarray(self.probs, dtype=np.float64)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("realization,probability\n")
+        with open(path, "wb") as fh:
+            fh.write(b"realization,probability\n")
             for lo, hi in _bounds(0, probs.size, _CSV_SLICE):
                 keys, inverse = np.unique(probs[lo:hi].view(np.uint64), return_inverse=True)
-                texts = list(map(repr, keys.view(np.float64).tolist()))
-                fh.writelines(map(row, range(lo, hi), map(texts.__getitem__, inverse.tolist())))
+                texts = [f",{x!r}\n" for x in keys.view(np.float64).tolist()]
+                width = max(map(len, texts))
+                padded = "".join([text.ljust(width, "\0") for text in texts]).encode()
+                pool = np.frombuffer(padded, dtype=np.uint8).reshape(-1, width)
+                rows = np.hstack([self.space.hex_rows(np.arange(lo, hi)), pool[inverse]])
+                fh.write(rows[rows != 0])
 
 
 def exact_joint(model: EdgeModel) -> ExactDistribution:

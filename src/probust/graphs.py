@@ -83,11 +83,40 @@ class EdgeSpace:
         inc = self._incident_masks
         return (inc[a] | inc[b]) & ~(1 << (i - 1))
 
+    @property
+    def hex_width(self) -> int:
+        """Hex digits of a realization bitmask: one per four edges, at least one."""
+        return max(1, (self.m + 3) // 4)
+
     @cached_property
     def hex_format(self) -> str:
-        """Format spec of a realization bitmask as lowercase hex, one digit
-        per four edges (at least one), least-significant bit = edge index 1."""
-        return f"0{max(1, (self.m + 3) // 4)}x"
+        """Format spec of a realization bitmask as ``hex_width`` lowercase hex
+        digits, least-significant bit = edge index 1."""
+        return f"0{self.hex_width}x"
+
+    def byte_rows(self, bits) -> np.ndarray:
+        """The (B, w) uint8 little-endian bytes of B realization bitmasks:
+        an int64's 8 bytes while m < 64, ceil(m / 8) bytes of
+        ``int.to_bytes`` above. ``bits`` is an int64 array or a sequence of
+        Python ints."""
+        if self.m < 64:
+            return np.ascontiguousarray(bits, dtype="<i8").view(np.uint8).reshape(-1, 8)
+        if isinstance(bits, np.ndarray):
+            bits = bits.tolist()
+        width = (self.m + 7) // 8
+        joined = b"".join([x.to_bytes(width, "little") for x in bits])
+        return np.frombuffer(joined, dtype=np.uint8).reshape(-1, width)
+
+    def hex_rows(self, bits) -> np.ndarray:
+        """The (B, hex_width) uint8 ASCII text of B realization bitmasks, each
+        row as ``hex_format`` spells it: the rows of :meth:`byte_rows`, most
+        significant byte first, as lowercase hex (``bytes.hex``, which
+        measured several times faster than a nibble table lookup), the last
+        ``hex_width`` digits kept."""
+        rows = self.byte_rows(bits)
+        text = np.ascontiguousarray(rows[:, ::-1]).tobytes().hex().encode()
+        hexes = np.frombuffer(text, dtype=np.uint8).reshape(len(rows), 2 * rows.shape[1])
+        return hexes[:, -self.hex_width :]
 
     def _check_index(self, i: int) -> None:
         if not 1 <= i <= self.m:

@@ -443,9 +443,20 @@ def _decide_block(model: EdgeModel, coins: np.ndarray, base: Optional[float] = N
 
 def _mask_ints(rows: np.ndarray) -> list:
     """Column c of ``rows``, an (m, B) bool array whose row i-1 is edge i,
-    as a Python int bitmask."""
-    packed = np.ascontiguousarray(np.packbits(rows, axis=0, bitorder="little").T)
-    if rows.shape[0] <= 64:  # one machine word: .tolist() is far cheaper than from_bytes
+    as a Python int bitmask.
+
+    Byte k of every column is the OR of rows 8k..8k+7, each shifted by its
+    bit position: eight passes over whole rows, several times faster than
+    ``np.packbits(rows, axis=0)``. The (ceil(m / 8), B) bytes are then read
+    by column."""
+    m, b = rows.shape
+    bits = rows.view(np.uint8)
+    packed = np.zeros((-(-m // 8), b), dtype=np.uint8)
+    for bit in range(8):
+        part = bits[bit::8]
+        packed[: len(part)] |= part << bit
+    packed = np.ascontiguousarray(packed.T)
+    if m <= 64:  # one machine word: .tolist() is far cheaper than from_bytes
         return np.pad(packed, ((0, 0), (0, 8 - packed.shape[1]))).view("<u8").ravel().tolist()
     return [int.from_bytes(row, "little") for row in packed]
 

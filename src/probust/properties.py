@@ -939,23 +939,14 @@ def _adjacency_words(space: EdgeSpace, bits) -> np.ndarray:
     iff uv is an edge of graph g. The padding lanes of the last word are zero.
 
     ``bits`` is an int64 array or a sequence of Python ints. Each bitmask
-    becomes a row of little-endian bytes, the bytes of an int64 while
-    m < 64 and ceil(m / 8) bytes of ``int.to_bytes`` above; the rows are
-    unpacked to m edge bits per graph, and the columns packed into (m, W)
-    edge words."""
+    becomes a row of little-endian bytes (``EdgeSpace.byte_rows``); the rows
+    are unpacked to m edge bits per graph, and the columns packed into
+    (m, W) edge words."""
     m, b = space.m, len(bits)
     w = -(-b // 64)
-    if m < 64:
-        rows = np.zeros(64 * w, dtype="<i8")
-        rows[:b] = bits
-        rows = rows.view(np.uint8).reshape(-1, 8)
-    else:
-        if isinstance(bits, np.ndarray):
-            bits = bits.tolist()
-        width = -(-m // 8)
-        rows = np.zeros((64 * w, width), dtype=np.uint8)
-        joined = b"".join([x.to_bytes(width, "little") for x in bits])
-        rows[:b] = np.frombuffer(joined, dtype=np.uint8).reshape(b, width)
+    raw = space.byte_rows(bits)
+    rows = np.zeros((64 * w, raw.shape[1]), dtype=np.uint8)
+    rows[:b] = raw
     edges = np.unpackbits(rows, axis=1, count=m, bitorder="little")
     # packbits along a contiguous axis is several times faster
     edge_words = np.packbits(edges.T.copy(), axis=1, bitorder="little").view("<u8")

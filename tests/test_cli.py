@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -31,6 +32,7 @@ from probust import (
     sample_direct,
 )
 from probust import montecarlo, rngstreams
+from probust.coupling import coupled_block
 from probust.models import MODELS
 
 SCHEMA_DIR = Path(cli.__file__).parent / "schemas"
@@ -434,21 +436,56 @@ class TestPinnedBytes:
         assert ModelDescriptor(kind, 5, params).build().descriptor.kind == kind
 
 
-    @pytest.mark.parametrize("index", [0, 10**6])
     @pytest.mark.parametrize("seed", [0, 2**64 - 1])
-    @pytest.mark.parametrize("n", [2, 3, 11, 12, 64])
-    def test_record_template_equals_dumps(self, n, seed, index):
-        """couple's and generate's lines, from one template, against the
-        records _dumps spells."""
+    @pytest.mark.parametrize("n", [2, 3, 10, 11, 12, 64])
+    def test_records_equal_dumps(self, n, seed):
+        """couple's and generate's lines, written as byte blocks cut where the
+        index gains a digit, against the records _dumps spells: empty, from
+        0 across 9 -> 10, and from above 0 across 99 -> 100, 999 -> 1000 and
+        999999 -> 1000000."""
         space = EdgeSpace(n)
         full = (1 << space.m) - 1
+        draw = random.Random(n)
         for keys in [("g",), ("g1", "g2", "u")]:
-            template = cli._record_template(space, seed, keys)
-            k = len(keys)
-            for masks in [[0] * k, [full] * k, [full // 3 >> j for j in range(k)]]:
-                hexes = {key: format(bits, space.hex_format) for key, bits in zip(keys, masks)}
-                record = {"index": index, "n": n, "seed": seed, **hexes}
-                assert template.format(index, *masks) == cli._dumps(record)
+            for start, count in [(0, 0), (0, 12), (95, 10), (990, 15), (10**6 - 2, 4)]:
+                columns = [[draw.getrandbits(space.m) for _ in range(count)] for _ in keys]
+                if count:
+                    columns[0][:2] = [0, full]
+                want = "".join(
+                    cli._dumps({
+                        "index": start + i, "n": n, "seed": seed,
+                        **{key: format(col[i], space.hex_format) for key, col in zip(keys, columns)},
+                    }) + "\n"
+                    for i in range(count)
+                )
+                assert cli._records(space, seed, keys, start, columns) == want, (keys, start)
+
+    @pytest.mark.parametrize("samples", [12, 101])
+    @pytest.mark.parametrize("command", ["couple", "generate"])
+    def test_stdout_and_output_file_hold_the_same_records(self, command, samples, tmp_path, capsys):
+        argv = f"{command} --model adjcount --n 10 --samples {samples} --seed 7".split()
+        if command == "couple":
+            argv += ["--base", "0.3"]
+        assert cli.main(argv) == 0
+        stdout = capsys.readouterr().out
+        path = tmp_path / "records.jsonl"
+        assert cli.main([*argv, "--output", str(path)]) == 0
+        assert capsys.readouterr().out == ""
+        assert path.read_bytes() == stdout.encode()
+        space, model = EdgeSpace(10), adjacency_count_model(10)
+        if command == "couple":
+            masks = coupled_block(CouplingParams(0.3, model), 7, 0, samples)
+            keys = ("g1", "g2", "u")
+        else:
+            masks = [(bits,) for bits in models.sample_block(model, 7, (), 0, samples)]
+            keys = ("g",)
+        assert stdout == "".join(
+            cli._dumps({
+                "index": i, "n": 10, "seed": 7,
+                **{key: format(bits, space.hex_format) for key, bits in zip(keys, triple)},
+            }) + "\n"
+            for i, triple in enumerate(masks)
+        )
 
 
 _CLIQUE_CAP = "scale cap: exact clique search capped at n=512, got 600"

@@ -507,6 +507,13 @@ class TestDistributionTable:
         with pytest.raises(DomainError):
             ExactDistribution(space, np.array([1.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        with pytest.raises(DomainError, match="non-finite probability"):
+            ExactDistribution(EdgeSpace(2), np.array([0.5, bad]))
+        with pytest.raises(DomainError, match="non-finite probability"):
+            ExactDistribution(EdgeSpace(1), np.array([bad]))
+
     def test_csv_export(self, tmp_path):
         dist = exact_joint(er_model(3, 0.25))
         path = tmp_path / "dist.csv"
@@ -530,13 +537,16 @@ class TestDistributionTable:
     @pytest.mark.parametrize(
         "model",
         [
+            er_model(1, 0.3),
+            adjacency_count_model(2),
             adjacency_count_model(5),
             adjacency_count_model(6),
             er_model(6, 0.3),
             er_model(5, 0.15),
             global_count_model(5),
         ],
-        ids=["adjcount-5", "adjcount-6", "er-6-0.3", "er-5-0.15", "globalcount-5"],
+        ids=["er-1-0.3", "adjcount-2", "adjcount-5", "adjcount-6", "er-6-0.3", "er-5-0.15",
+             "globalcount-5"],
     )
     def test_csv_bytes_equal_the_row_by_row_reference(self, model, tmp_path):
         dist = exact_joint(model)

@@ -196,6 +196,24 @@ class TestRealizationSerialization:
         assert Realization.empty(space).to_hex() == "00"
         assert Realization.complete(space).to_hex() == "3f"
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 11, 12, 30, 64])
+    def test_byte_and_hex_rows_spell_each_bitmask(self, n):
+        space = EdgeSpace(n)
+        draw = np.random.default_rng(n)
+        bits = [0, space.full_mask] + [
+            int.from_bytes(draw.bytes(space.m // 8 + 1), "little") & space.full_mask
+            for _ in range(9)
+        ]
+        inputs = [bits, tuple(bits)] + ([np.array(bits, dtype=np.int64)] if space.m < 64 else [])
+        for given_bits in inputs:
+            raw = space.byte_rows(given_bits)
+            assert raw.dtype == np.uint8 and raw.shape == (11, 8 if space.m < 64 else -(-space.m // 8))
+            assert [int.from_bytes(row.tobytes(), "little") for row in raw] == bits
+            text = space.hex_rows(given_bits)
+            assert text.shape == (11, space.hex_width)
+            assert [row.tobytes().decode() for row in text] == [format(b, space.hex_format) for b in bits]
+        assert space.hex_rows([]).shape == (0, space.hex_width)
+
     def test_from_hex_rejects_garbage(self):
         space = EdgeSpace(3)
         with pytest.raises(DomainError):

@@ -331,10 +331,12 @@ class TestSampleBlock:
 
     def test_mask_ints_across_word_boundaries(self):
         draw = np.random.default_rng(5)
-        for m in (0, 1, 8, 63, 64, 65, 128, 200):
-            rows = draw.random((m, 7)) < 0.5
-            want = [sum(1 << j for j in range(m) if rows[j, c]) for c in range(7)]
-            assert _mask_ints(rows) == want
+        for m in (0, 1, 7, 8, 9, 63, 64, 65, 128, 200):
+            for b in (0, 1, 7, 70):
+                rows = draw.random((m, b)) < 0.5
+                want = [sum(1 << j for j in range(m) if rows[j, c]) for c in range(b)]
+                assert _mask_ints(rows) == want
+                assert _mask_ints(np.ascontiguousarray(rows.T).T) == want  # a transposed view
 
     @pytest.mark.parametrize("build", [adjacency_count_model, conditioned_adjacency_model])
     def test_kernel_calls_bound_their_coins(self, build, monkeypatch):

@@ -42,3 +42,10 @@ def test_script_runs(argv):
             for n, walls in by_n.items():
                 assert len(walls) == 2 and all(w > 0 for w in walls), (name, n)
                 assert rates[name][n] > 0, (name, n)
+        assert report["export_rows"] == 1 << 15
+        exports = report["export_rows_per_s"]
+        assert exports.keys() == report["export_calibration_s"].keys() == {
+            "adjcount n=6", "er n=6 p=0.3"
+        }
+        for name, rate in exports.items():
+            assert rate > 0 and len(report["export_calibration_s"][name]) == 2, name
