@@ -94,4 +94,4 @@ from .properties import (
 )
 from .rngstreams import derive_rng
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"

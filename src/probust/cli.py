@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -456,6 +457,7 @@ def _add_common(sub, seed=True, output=True):
         sub.add_argument("--output", default=None, help="write to file instead of stdout")
 
 
+@functools.cache  # built once per process; parse_args leaves the parser as it was
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="probust",

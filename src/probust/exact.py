@@ -1,10 +1,11 @@
 """Exhaustive enumeration at tiny scale: the independent oracle for everything else.
 
 Joint distributions are stored as dense probability tables indexed by the
-realization's bitmask. The coupled generator gets the same treatment: all
-4^m per-edge coin outcomes are enumerated with their weights, which verifies
-that the union reproduces the model and the embedded layer reproduces the
-independent Bernoulli graph without trusting the sampling code.
+realization's bitmask. The coupled generator gets the same treatment: every
+(g1, union) pair its coins can reach, 3^m of them, is enumerated with its
+weight, which verifies that the union reproduces the model and the embedded
+layer reproduces the independent Bernoulli graph without trusting the
+sampling code.
 """
 
 from __future__ import annotations
@@ -104,37 +105,39 @@ def exact_joint(model: EdgeModel) -> ExactDistribution:
 
 @dataclass(frozen=True)
 class ExactCouplingJoint:
-    """Joint table over (g1, g2) pairs from the coupled generator.
+    """The coupled generator's reachable (g1, union) pairs with their weights.
 
-    ``table[g1_bits, g2_bits]`` is the probability of that coin outcome; the
-    union of an outcome is g1 | g2 by construction, so every supported pair
-    satisfies the containment invariant definitionally.
+    State j is the pair of realization bitmasks ``(g1[j], union[j])`` with
+    probability ``weights[j]``. Per edge a state takes one of three steps:
+    the edge is in neither graph, in the union through the patch coin only,
+    or in g1 (whatever the patch coin says). So g1 is a subset of the union
+    in every state, and there are 3^m states.
     """
 
     space: EdgeSpace
     base: float
-    table: np.ndarray
+    weights: np.ndarray
+    g1: np.ndarray
+    union: np.ndarray
+
+    def _marginal(self, bits: np.ndarray) -> ExactDistribution:
+        out = np.bincount(bits, weights=self.weights, minlength=1 << self.space.m)
+        return ExactDistribution(self.space, out)
 
     def g1_marginal(self) -> ExactDistribution:
-        return ExactDistribution(self.space, self.table.sum(axis=1))
-
-    def g2_marginal(self) -> ExactDistribution:
-        return ExactDistribution(self.space, self.table.sum(axis=0))
+        return self._marginal(self.g1)
 
     def union_marginal(self) -> ExactDistribution:
-        size = self.table.shape[0]
-        s1 = np.arange(size, dtype=np.int64)
-        or_index = np.bitwise_or.outer(s1, s1)
-        out = np.bincount(or_index.ravel(), weights=self.table.ravel(), minlength=size)
-        return ExactDistribution(self.space, out)
+        return self._marginal(self.union)
 
 
 def exact_coupling_joint(params: CouplingParams) -> ExactCouplingJoint:
-    """Enumerate all 4^m coin outcomes of the coupled generator, exactly.
+    """Enumerate the coupled generator's reachable (g1, union) pairs, exactly.
 
-    Per level, the conditional is evaluated once per distinct decided union
-    and broadcast over the (g1, g2) table with the two independent coins'
-    weights, mirroring the generator's edge-by-edge recursion.
+    Mirrors the generator's edge-by-edge recursion: per level, each state's
+    patch-coin probability is read from its decided union, and each state
+    splits into the three steps of :class:`ExactCouplingJoint`, stored as
+    three consecutive blocks. The edge just decided becomes the low bit.
     """
     model = params.model
     base = params.base
@@ -144,18 +147,16 @@ def exact_coupling_joint(params: CouplingParams) -> ExactCouplingJoint:
         raise UnsupportedScaleError(
             f"exact coupling joint caps at m={MAX_COUPLING_M} (n=5), got m={m}"
         )
-    table = np.ones((1, 1), dtype=np.float64)
+    weights = np.ones(1, dtype=np.float64)
+    g1 = union = np.zeros(1, dtype=np.int64)
     for _, q in _level_conditionals(model, base):
-        unions = np.arange(q.size, dtype=np.int64)
-        # the patch coin's probability per (g1, g2) cell, from their union
-        patch = _patch_probabilities(base, q)[np.bitwise_or.outer(unions, unions)]
-        g2_weights = (1.0 - patch, patch)
-        new = np.empty((q.size, 2, q.size, 2), dtype=np.float64)  # cell (2 g1 + b1, 2 g2 + b2)
-        for b1, g1_weight in enumerate((table * (1.0 - base), table * base)):
-            for b2, g2_weight in enumerate(g2_weights):
-                np.multiply(g1_weight, g2_weight, out=new[:, b1, :, b2])
-        table = new.reshape(2 * q.size, 2 * q.size)
-    return ExactCouplingJoint(space, base, table)
+        patch = _patch_probabilities(base, q)[union]
+        outside = weights * (1.0 - base)
+        weights = np.concatenate((outside * (1.0 - patch), outside * patch, weights * base))
+        g1, union = g1 << 1, union << 1
+        g1 = np.concatenate((g1, g1, g1 | 1))
+        union = np.concatenate((union, union | 1, union | 1))
+    return ExactCouplingJoint(space, base, weights, g1, union)
 
 
 def _event_indicator(

@@ -16,6 +16,7 @@ import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
 
 from probust import EdgeSpace, Realization
+from probust.models import _level_conditionals, _patch_probabilities
 
 INF = float("inf")
 
@@ -105,6 +106,36 @@ def ref_certify(oracle, n: int, trials: int, rng: np.random.Generator):
         if not oracle.decide(Realization(space, bits | 1 << edge)):
             return False, t + 1, productive, (bits, bits | 1 << edge, edge + 1)
     return True, trials, productive, None
+
+
+# ---------------------------------------------------------------------------
+# the coupled generator's 4^m coin cells, for the exact coupling engine
+
+
+def ref_coupling_marginals(params) -> tuple[np.ndarray, np.ndarray]:
+    """The g1 and union marginals of the coupled generator, from the table
+    ``table[g1, g2]`` of every outcome of the g1 coins and the patch coins,
+    all 4^m cells.
+
+    Per level, the patch coin's probability is evaluated for every (g1, g2)
+    cell from its union g1 | g2 and multiplied with both coins' weights.
+    """
+    base = params.base
+    table = np.ones((1, 1), dtype=np.float64)
+    for _, q in _level_conditionals(params.model, base):
+        unions = np.arange(q.size, dtype=np.int64)
+        patch = _patch_probabilities(base, q)[np.bitwise_or.outer(unions, unions)]
+        g2_weights = (1.0 - patch, patch)
+        new = np.empty((q.size, 2, q.size, 2), dtype=np.float64)  # cell (2 g1 + b1, 2 g2 + b2)
+        for b1, g1_weight in enumerate((table * (1.0 - base), table * base)):
+            for b2, g2_weight in enumerate(g2_weights):
+                np.multiply(g1_weight, g2_weight, out=new[:, b1, :, b2])
+        table = new.reshape(2 * q.size, 2 * q.size)
+    cells = np.arange(table.shape[0])
+    union = np.bincount(
+        np.bitwise_or.outer(cells, cells).ravel(), weights=table.ravel(), minlength=cells.size
+    )
+    return table.sum(axis=1), union
 
 
 def _adj_sets(g: Realization) -> list[set[int]]:

@@ -398,7 +398,9 @@ class TestReport:
 
 class TestPinnedBytes:
     @pytest.mark.parametrize("case", GOLDEN_CLI["cli"], ids=[c["argv"] for c in GOLDEN_CLI["cli"]])
-    def test_cli_bytes(self, case, capsys):
+    def test_cli_bytes(self, case, capsys, monkeypatch):
+        # argparse wraps help and usage text to the terminal's width
+        monkeypatch.setenv("COLUMNS", "80")
         assert cli.main(case["argv"].split()) == case["code"]
         captured = capsys.readouterr()
         assert captured.err == case["stderr"]

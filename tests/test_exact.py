@@ -189,17 +189,19 @@ class TestExactJoint:
 
 
 class TestExactCouplingJoint:
-    def test_er_at_base_patch_is_point_mass_empty(self):
+    def test_er_at_base_all_mass_has_g1_equal_union(self):
+        # at base = p the patch coin never fires
         joint = exact_coupling_joint(CouplingParams(0.5, er_model(4, 0.5)))
-        g2 = joint.g2_marginal()
-        assert g2.probs[0] == pytest.approx(1.0, abs=1e-12)
+        same = joint.g1 == joint.union
+        assert joint.weights[same].sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_base_zero_er_layer_empty(self):
         model = adjacency_count_model(4)
         joint = exact_coupling_joint(CouplingParams(0.0, model))
         assert joint.g1_marginal().probs[0] == pytest.approx(1.0, abs=1e-12)
         assert tv_distance(joint.union_marginal(), exact_joint(model)) <= 1e-12
-        assert tv_distance(joint.g2_marginal(), exact_joint(model)) <= 1e-12
+        # g1 is empty with certainty, so the union is the patch layer alone
+        assert not joint.weights[joint.g1 != 0].any()
 
     @pytest.mark.parametrize(
         "model_fn,base",
@@ -222,23 +224,39 @@ class TestExactCouplingJoint:
         with pytest.raises(UnsupportedScaleError):
             exact_coupling_joint(CouplingParams(0.3, adjacency_count_model(6)))
 
-    def test_table_is_a_distribution(self):
+    def test_weights_are_a_distribution(self):
         joint = exact_coupling_joint(CouplingParams(0.3, adjacency_count_model(4)))
-        assert joint.table.sum() == pytest.approx(1.0, abs=1e-12)
-        assert joint.table.min() >= 0.0
+        assert joint.weights.sum() == pytest.approx(1.0, abs=1e-12)
+        assert joint.weights.min() >= 0.0
 
     @pytest.mark.parametrize("base", [0.0, 0.1, 0.3])
-    def test_table_and_union_marginal_bit_for_bit(self, base):
+    def test_weights_and_union_marginal_bit_for_bit(self, base):
         model = adjacency_count_model(5)
         joint = exact_coupling_joint(CouplingParams(base, model))
         scalar = exact_coupling_joint(CouplingParams(base, scalar_path(model)))
-        assert joint.table.tobytes() == scalar.table.tobytes()
-        # reference: unbuffered in-place accumulation in row-major order
-        size = joint.table.shape[0]
-        s1 = np.arange(size)
-        want = np.zeros(size)
-        np.add.at(want, np.bitwise_or.outer(s1, s1), joint.table)
+        assert joint.weights.tobytes() == scalar.weights.tobytes()
+        # reference: unbuffered in-place accumulation over the states in order
+        want = np.zeros(1 << model.space.m)
+        np.add.at(want, joint.union, joint.weights)
         assert joint.union_marginal().probs.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("base", [0.0, 0.05, 0.3, "floor"])
+    @pytest.mark.parametrize("n", range(2, 6))
+    @pytest.mark.parametrize("build", BUILTINS, ids=["er", "globalcount", "adjcount"])
+    def test_states_against_coin_cells(self, build, n, base):
+        """The 3^m states against the 4^m coin-cell reference; er's floor is its p."""
+        model = build(n)
+        params = CouplingParams(model.floor if base == "floor" else base, model)
+        joint = exact_coupling_joint(params)
+        want_g1, want_union = bf.ref_coupling_marginals(params)
+        space = model.space
+        assert tv_distance(joint.g1_marginal(), ExactDistribution(space, want_g1)) <= 1e-12
+        assert tv_distance(joint.union_marginal(), ExactDistribution(space, want_union)) <= 1e-12
+        assert joint.weights.size == 3**space.m
+        assert not np.any(joint.g1 & ~joint.union)
+        assert abs(float(joint.weights.sum()) - 1.0) <= exact_module.PROB_TOL
+        scalar = exact_coupling_joint(dataclasses.replace(params, model=scalar_path(model)))
+        assert joint.weights.tobytes() == scalar.weights.tobytes()
 
 
 class TestExactProbability:
