@@ -6,8 +6,10 @@ Runs `couple`, `generate --model adjcount`, `verify --mode coupled` with
 `connected` and with `diam<=3`, and `verify --mode independent` with
 `connected`, on the adjacency-count model at base 0.3 with `--threads 1`,
 plus `verify --mode coupled --property connected` with `--threads 2` (the
-fork path: this process and one forked worker), and
-`generate --model adjcount-cond`, the rejection sampler. `verify` also
+fork path: this process and one forked worker),
+`generate --model adjcount-cond`, the rejection sampler, and
+`generate --model globalcount`, whose conditional reads the decided edge
+count. `verify` also
 gets `--certify-trials 0`, so only its sampling and deciding are timed. The
 independent mode draws each sample count twice, once from G(n, 0.3) and
 once from the model; its rate counts `--samples` once. Each call goes through
@@ -24,6 +26,13 @@ The CSV writer is timed the same way, in rows per second: `exact --check
 joint --export-dist` into a temporary file for adjcount at n = 6 and er at
 n = 6, p = 0.3 (2^15 rows each, whatever ``--scale``). Its wall includes
 building the exact table and the check's stdout line.
+
+The calibration loop is pure Python and does not track every swing of the
+machine's speed on the numpy-bound rows (n = 30 and 64 above all): one
+process's rows can differ by a third from the next one's with no code
+changed. To compare two trees, run this script in at least 8 fresh
+processes per tree, alternating the trees, and compare each row's median
+over the processes.
 
 Prints one JSON object: the sample count per n, the calibration loop's
 reference wall, samples/s per command and n, and per command and n the two
@@ -52,6 +61,7 @@ SAMPLES = {10: 4096, 30: 1024, 64: 256}
 COMMANDS = {
     "couple": "couple --model adjcount --base 0.3",
     "generate --model adjcount": "generate --model adjcount",
+    "generate --model globalcount": "generate --model globalcount",
     "verify --mode coupled --property connected":
         "verify --model adjcount --base 0.3 --mode coupled --property connected --threads 1",
     "verify --mode coupled --property connected --threads 2":

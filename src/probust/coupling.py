@@ -186,14 +186,14 @@ def coupled_block(params: CouplingParams, master_seed: int, lo: int, hi: int):
     ``t = generate_coupled(params, derive_rng(master_seed, idx))`` for each
     idx in lo..hi-1, in order, over any range the caller needs.
 
-    A model with batched ``conditionals`` decides the range in the block
+    A model with a conditional table decides the range in the block
     kernel, in parts of ``models._part_rows`` rows, for any n, and gives the
-    same bits. Other models, and any range in which a conditional leaves
+    same bits. Other models, and a model with a table entry that leaves
     [0, 1] or falls below the base, take the scalar path lazily, so errors
     are raised where and as the scalar path raises them.
     """
     model = params.model
-    masks = None if model.conditionals is None else _kernel_masks(
+    masks = None if model.table is None else _kernel_masks(
         model, master_seed, (), lo, hi, params.base
     )
     if masks is None:

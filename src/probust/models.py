@@ -14,11 +14,16 @@ neighbors; that conditioning destroys the closed form, so it is a rejection
 sampler and its claimed floor of 3/8 is a hypothesis to verify with the
 exact engine, not a contract.
 
-Every built-in conditional depends on the decided suffix only through the
-vertex degrees it leaves, so the batched paths keep those degrees as their
-one state: the block kernel (:func:`_decide_block`) decides edge i = m..1
-for a block of samples with one ``conditionals(i, degrees)`` call per edge,
-for any n, and the exact engine reads the same calls level by level
+Every built-in conditional is a function of one small integer, its *key*:
+nothing for the independent model, the number of decided present edges for
+the global count, and the decided degree sum of the edge's two endpoints for
+the adjacent count. Each states its conditional as that key and a table of
+float64 values over the keys reachable at n, built from the closed form once
+per key; its scalar ``conditional`` reads the same table, so the batched and
+scalar values are one set of floats. The block kernel
+(:func:`_decide_block`) decides edge i = m..1 for a block of samples, per
+edge one key, one ``take`` from the table and one compare, for any n, and
+the exact engine reads the same tables level by level
 (:func:`_level_conditionals`). :func:`sample_block` hands out the kernel's
 realization bitmasks as Python ints, for any index range, and builds no
 :class:`Realization`. The scalar ``conditional`` on a
@@ -56,6 +61,8 @@ EXHAUSTIVE_FLOOR_CHECK_MAX_M = 24
 # streams, so the parts give the same bits as one call
 KERNEL_COINS = 1 << 22
 STREAM_COINS = 4
+# the keys a conditional table is read through (see EdgeModel)
+KEYS = ("constant", "count", "degree_sum")
 
 
 @dataclass(frozen=True)
@@ -100,22 +107,36 @@ class EdgeModel:
     [0, 1] that is never below ``floor``, for every edge index i and every
     suffix history with start == i+1.
 
-    ``conditionals(i, degrees)``, when given, is the same conditional for
-    many decided suffixes at once, read through their vertex degrees:
-    ``degrees[v, c]`` counts the present decided edges at vertex v in suffix
-    c, an integer array of shape (n, B) whose type holds 4n (int8 up to
-    n = 32; cast it before forming larger values). It returns B float64 values
-    bit-identical to the scalar ones, so it only serves a conditional that
-    depends on the suffix through its degrees, as every built-in does. The
-    block samplers and the exact engine use it in place of one
-    ``conditional`` call per suffix; models without it take the scalar path.
+    ``key`` and ``table``, when given, state the same conditional for many
+    decided suffixes at once: edge i's conditional after a suffix is
+    ``table(i)[k]``, where k is the suffix's key, one of :data:`KEYS`:
+
+    - ``"constant"``: always 0;
+    - ``"count"``: the number of present decided edges;
+    - ``"degree_sum"``: deg(a) + deg(b) over the present decided edges, for
+      edge i = (a, b), which is the number of them adjacent to edge i.
+
+    ``table(i)`` returns float64 values over the keys reachable at n
+    (:func:`key_count` of them), equal to the scalar ones; a model whose
+    conditional is the same on every edge returns one shared array, so each
+    batched call checks it once. The block samplers and the exact engine
+    read the tables in place of one ``conditional`` call per suffix; models
+    without them take the scalar path.
     """
 
     space: EdgeSpace
     floor: float
     conditional: Callable[[int, SuffixHistory], float]
     descriptor: Optional[ModelDescriptor] = None
-    conditionals: Optional[Callable[[int, np.ndarray], np.ndarray]] = None
+    key: Optional[str] = None
+    table: Optional[Callable[[int], np.ndarray]] = None
+
+    def __post_init__(self):
+        if (self.key is None) != (self.table is None) or self.key not in (None, *KEYS):
+            raise DomainError(
+                f"a model takes a key out of {KEYS} together with a table, or neither; "
+                f"got key {self.key!r} and {'no ' if self.table is None else ''}table"
+            )
 
     @property
     def name(self) -> str:
@@ -125,20 +146,27 @@ class EdgeModel:
         return sample_direct(self, rng)
 
 
+def key_count(key: str, n: int) -> int:
+    """The number of keys reachable at n, the length of a table: a decided
+    suffix holds at most m - 1 edges, and at most n - 2 at each endpoint of
+    the undecided edge."""
+    m = n * (n - 1) // 2
+    return {"constant": 1, "count": m, "degree_sum": max(0, 2 * n - 3)}[key]
+
+
 def er_model(n: int, p: float) -> EdgeModel:
     """Independent edges, each present with probability p; floor is p itself."""
     if not 0.0 <= p <= 1.0:
         raise DomainError(f"edge probability must be in [0, 1], got {p}")
     space = EdgeSpace(n)
+    table = np.array([p], dtype=np.float64)
+    (value,) = table.tolist()
 
     def conditional(i: int, history: SuffixHistory) -> float:
-        return p
-
-    def conditionals(i: int, degrees: np.ndarray) -> np.ndarray:
-        return np.full(degrees.shape[1], p, dtype=np.float64)
+        return value
 
     return EdgeModel(
-        space, p, conditional, ModelDescriptor("er", n, {"p": p}), conditionals
+        space, p, conditional, ModelDescriptor("er", n, {"p": p}), "constant", lambda i: table
     )
 
 
@@ -151,17 +179,16 @@ def global_count_model(n: int) -> EdgeModel:
     if n < 2:
         raise DomainError(f"global-count model needs n >= 2, got {n}")
     space = EdgeSpace(n)
-    nsq = n * n
+    # 1 - (k + 1) / n^2 per key k; k + 1 and n^2 are exact doubles below 2^53,
+    # so numpy's division rounds as Python's int / int does
+    table = 1.0 - np.arange(1, space.m + 1) / (n * n)
+    values = table.tolist()
 
     def conditional(i: int, history: SuffixHistory) -> float:
-        k = history.bits.bit_count()
-        return 1.0 - (k + 1) / nsq
-
-    def conditionals(i: int, degrees: np.ndarray) -> np.ndarray:
-        return 1.0 - (degrees.sum(axis=0) // 2 + 1) / nsq
+        return values[history.bits.bit_count()]
 
     return EdgeModel(
-        space, 0.5, conditional, ModelDescriptor("global-count", n), conditionals
+        space, 0.5, conditional, ModelDescriptor("global-count", n), "count", lambda i: table
     )
 
 
@@ -174,22 +201,19 @@ def adjacency_count_model(n: int) -> EdgeModel:
     if n < 2:
         raise DomainError(f"adjacency-count model needs n >= 2, got {n}")
     space = EdgeSpace(n)
-    pairs = space.pairs
+    values = [0.5 - 1.0 / (k + 5) for k in range(key_count("degree_sum", n))]
+    table = np.array(values, dtype=np.float64)
 
     # a decided suffix never holds edge i itself, so the decided edges at
     # either endpoint of edge i are exactly its adjacent present edges
     def conditional(i: int, history: SuffixHistory) -> float:
-        a, b = pairs[i - 1]
+        a, b = space.pairs[i - 1]
         inc = space._incident_masks
-        k = (history.bits & (inc[a] | inc[b])).bit_count()
-        return 0.5 - 1.0 / (k + 5)
-
-    def conditionals(i: int, degrees: np.ndarray) -> np.ndarray:
-        a, b = pairs[i - 1]
-        return 0.5 - 1.0 / (degrees[a] + degrees[b] + 5)
+        return values[(history.bits & (inc[a] | inc[b])).bit_count()]
 
     return EdgeModel(
-        space, 0.3, conditional, ModelDescriptor("adjacency-count", n), conditionals
+        space, 0.3, conditional, ModelDescriptor("adjacency-count", n), "degree_sum",
+        lambda i: table,
     )
 
 
@@ -355,21 +379,42 @@ def _checked(
     return q
 
 
-def _level_conditionals(model: EdgeModel, base: float = 0.0):
-    """Yield (i, q) for edge i = m down to 1, where q[s] is edge i's
-    conditional after decided suffix s (edge i+1 is s's low bit, so its
-    mask is ``s << i``) for every s < 2^(m-i).
+def _edge_tables(model: EdgeModel, low: float) -> tuple[list, bool]:
+    """Per edge i = m down to 1, ``table(i)`` as float64; and whether every
+    entry of every table lies in [low, 1] (NaN does not). Each distinct
+    array is checked once, so a table shared by every edge is checked once
+    per call."""
+    m = model.space.m
+    tables = [model.table(i) for i in range(m, 0, -1)]
+    want = (key_count(model.key, model.space.n),)
+    checked = {}  # the list keeps every table alive, so ids are unique
+    for j, table in enumerate(tables):
+        if id(table) not in checked:
+            values = np.asarray(table, dtype=np.float64)
+            if values.shape != want:
+                raise ModelContractError(
+                    f"model {model.name!r} table for edge {m - j} has shape "
+                    f"{values.shape}, not {want}"
+                )
+            checked[id(table)] = values, bool(((values >= low) & (values <= 1.0)).all())
+    in_range = all(ok for _, ok in checked.values())
+    return [checked[id(table)][0] for table in tables], in_range
 
-    The suffixes' degrees come from an int8 table that doubles per level,
-    ``deg[:, 2s + b] = deg[:, s] + b (e_a + e_b)`` for the edge (a, b) just
-    decided, built into two preallocated buffers in turn. A model with
-    ``conditionals`` reads a whole level from it in one call; other models
-    take one scalar ``conditional`` call per suffix, the reference path.
-    Either way the first suffix, in ascending order, whose conditional
-    leaves [0, 1] or falls below ``base`` raises as :func:`_checked` does.
-    """
-    space = model.space
+
+def _level_keys(space: EdgeSpace, key: str):
+    """Yield (i, keys) for edge i = m down to 1, where keys[s] is edge i's
+    key after decided suffix s (edge i+1 is s's low bit), s < 2^(m-i); keys
+    is None for a constant.
+
+    Degree sums come from an int8 table of the suffixes' degrees that doubles
+    per level, ``deg[:, 2s + b] = deg[:, s] + b (e_a + e_b)`` for the edge
+    (a, b) just decided, built into two preallocated buffers in turn."""
     m = space.m
+    if key != "degree_sum":
+        for i in range(m, 0, -1):
+            suffixes = np.arange(1 << (m - i), dtype=np.uint32)
+            yield i, np.bitwise_count(suffixes) if key == "count" else None
+        return
     # the x257 int16 step below keeps every degree in its byte while the
     # degree is at most 126; the callers cap m at 21 (exact.MAX_JOINT_M), 10
     # (exact.MAX_COUPLING_M) and 24 (the exhaustive floor check), so n <= 7
@@ -385,16 +430,49 @@ def _level_conditionals(model: EdgeModel, base: float = 0.0):
             np.multiply(degrees, 257, out=doubled.view("<i2"), dtype=np.int16)
             doubled.view("<i2")[list(space.pairs[i])] += 256
             degrees = doubled
-        if model.conditionals is None:
-            histories = (SuffixHistory(space, i + 1, s << i) for s in range(degrees.shape[1]))
-            q = np.array([model.conditional(i, h) for h in histories], dtype=np.float64)
-        else:
-            q = model.conditionals(i, degrees)
-        bad = ~((q >= base) & (q <= 1.0))  # NaN counts as out of range
-        if bad.any():
-            s = int(np.argmax(bad))
-            _checked(float(q[s]), i, model.name, base, SuffixHistory(space, i + 1, s << i))
+        a, b = space.pairs[i - 1]
+        yield i, degrees[a] + degrees[b]
+
+
+def _level_conditionals(model: EdgeModel, base: float = 0.0):
+    """Yield (i, q) for edge i = m down to 1, where q[s] is edge i's
+    conditional after decided suffix s (edge i+1 is s's low bit, so its
+    mask is ``s << i``) for every s < 2^(m-i).
+
+    A model with a table reads a whole level from it through the suffixes'
+    keys (:func:`_level_keys`); other models take one scalar ``conditional``
+    call per suffix, the reference path. Either way the first suffix, in
+    ascending order, whose conditional leaves [0, 1] or falls below ``base``
+    raises as :func:`_checked` does. Tables whose entries all lie in
+    [base, 1] are checked once instead of once per suffix.
+    """
+    space = model.space
+    m = space.m
+    if model.table is None:
+        check = True
+        levels = ((i, _scalar_level(model, i)) for i in range(m, 0, -1))
+    else:
+        tables, in_range = _edge_tables(model, base)
+        check = not in_range
+        levels = (
+            (i, np.full(1 << (m - i), table[0]) if keys is None else table.take(keys))
+            for (i, keys), table in zip(_level_keys(space, model.key), tables)
+        )
+    for i, q in levels:
+        if check:
+            bad = ~((q >= base) & (q <= 1.0))  # NaN counts as out of range
+            if bad.any():
+                s = int(np.argmax(bad))
+                _checked(float(q[s]), i, model.name, base, SuffixHistory(space, i + 1, s << i))
         yield i, q
+
+
+def _scalar_level(model: EdgeModel, i: int) -> np.ndarray:
+    """Edge i's conditional after every decided suffix, in ascending order
+    of the suffix bits, one scalar ``conditional`` call each."""
+    space = model.space
+    histories = (SuffixHistory(space, i + 1, s << i) for s in range(1 << (space.m - i)))
+    return np.array([model.conditional(i, h) for h in histories], dtype=np.float64)
 
 
 def _patch_probabilities(base: float, q: np.ndarray) -> np.ndarray:
@@ -404,40 +482,63 @@ def _patch_probabilities(base: float, q: np.ndarray) -> np.ndarray:
 
 
 def _decide_block(model: EdgeModel, coins: np.ndarray, base: Optional[float] = None):
-    """Decide edges m down to 1 for a block of B samples, one batched
-    ``conditionals`` call per edge on the decided degrees.
+    """Decide edges m down to 1 for a block of B samples from the model's
+    conditional tables.
 
     Row r of ``coins`` holds the uniforms one sample's scalar path draws: m
     of them for :func:`sample_direct` (coin j decides edge m-j), or 2m for
     :func:`~probust.coupling.generate_coupled` when ``base`` is given (the g1
-    coin, then the patch coin, per edge). Returns the final degrees, shape
-    (n, B), and the decisions as (m, B) bool arrays whose row i-1 is edge i:
-    ``(u,)``, or ``(g1, g2, u)`` for a coupling, bit for bit those of the
-    scalar samplers; the same strict ``<`` tests and the same float
-    operations are applied. Returns None as soon as a conditional leaves
-    [0, 1] or falls below ``base``: the caller re-runs the block on the
-    scalar path, which raises the reference error for the first offending
-    sample.
+    coin, then the patch coin, per edge). Per edge the kernel forms each
+    sample's key from its decided degrees (or its running edge count), takes
+    its conditional from the table, or its patch-coin probability from the
+    patch table built once per distinct table, and compares. Returns the
+    final degrees, shape (n, B), and the decisions as (m, B) bool arrays
+    whose row i-1 is edge i: ``(u,)``, or ``(g1, g2, u)`` for a coupling,
+    bit for bit those of the scalar samplers; the same strict ``<`` tests
+    and the same float operations are applied. Each distinct table is
+    checked once, before any edge: if an entry leaves [0, 1] or falls below
+    ``base``, the kernel returns None and the caller re-runs the block on the
+    scalar path, which raises the reference error for the first sample that
+    reaches such an entry, if one does.
     """
     space = model.space
-    # the smallest integer type that holds 4n: room for deg(a) + deg(b) + a constant
-    degrees = np.zeros((space.n, len(coins)), dtype=np.min_scalar_type(-4 * space.n))
+    b = len(coins)
+    tables, in_range = _edge_tables(model, 0.0 if base is None else base)
+    if not in_range:
+        return None
+    # the smallest integer type that holds 4n: room for deg(a) + deg(b)
+    degrees = np.zeros((space.n, b), dtype=np.min_scalar_type(-4 * space.n))
     vertex_rows = list(degrees)  # one view per vertex, added to in place
-    u = np.empty((space.m, len(coins)), dtype=bool)
+    count = np.zeros(b, dtype=np.min_scalar_type(-space.m)) if model.key == "count" else None
+    key_out, q_out = np.empty(b, dtype=degrees.dtype), np.empty(b)  # reused by every edge
+    u = np.empty((space.m, b), dtype=bool)
     if base is not None:
         g1 = np.ascontiguousarray((coins[:, 0::2] < base).T[::-1])
         g2 = np.empty_like(u)
-    for j, i in enumerate(range(space.m, 0, -1)):
-        q = model.conditionals(i, degrees)
-        if q.size and not (q.min() >= (base or 0.0) and q.max() <= 1.0):  # NaN fails too
-            return None
+        patches = {}  # id(table): its patch table; _edge_tables keeps the ids unique
+    for j, table in enumerate(tables):
+        i = space.m - j
+        a, c = space.pairs[i - 1]
+        if model.key == "degree_sum":
+            keys = np.add(vertex_rows[a], vertex_rows[c], out=key_out)
+        else:
+            keys = count  # None for a constant: the table's one entry serves all
+        if base is not None:
+            if id(table) not in patches:
+                patches[id(table)] = _patch_probabilities(base, table)
+            table = patches[id(table)]
+        # key_count bounds every key, so "clip" never clips; unlike the
+        # default mode it writes to q_out without a buffer
+        q = table[0] if keys is None else table.take(keys, out=q_out, mode="clip")
         if base is None:
             np.less(coins[:, j], q, out=u[i - 1])
         else:
-            np.less(coins[:, 2 * j + 1], _patch_probabilities(base, q), out=g2[i - 1])
+            np.less(coins[:, 2 * j + 1], q, out=g2[i - 1])
             np.logical_or(g1[i - 1], g2[i - 1], out=u[i - 1])
-        for v in space.pairs[i - 1]:
-            vertex_rows[v] += u[i - 1]
+        vertex_rows[a] += u[i - 1]
+        vertex_rows[c] += u[i - 1]
+        if count is not None:
+            count += u[i - 1]
     return degrees, ((u,) if base is None else (g1, g2, u))
 
 
@@ -494,9 +595,9 @@ def sample_block(source, master_seed: int, branch: tuple, lo: int, hi: int):
     after the masks before it are taken.
     """
     masks = None
-    if isinstance(source, ConditionedAdjacencyModel) and source.base_model.conditionals:
+    if isinstance(source, ConditionedAdjacencyModel) and source.base_model.table is not None:
         masks = source._sample_rows(master_seed, branch, lo, hi)
-    elif isinstance(source, EdgeModel) and source.conditionals is not None:
+    elif isinstance(source, EdgeModel) and source.table is not None:
         masks = _kernel_masks(source, master_seed, branch, lo, hi)
         masks = None if masks is None else [u for (u,) in masks]
     if masks is None:

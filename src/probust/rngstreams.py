@@ -18,10 +18,12 @@ in uint32 lanes, the seed and branch words mixed once and the index words
 row-wise, then numpy's PCG64 seeding step in uint64 lanes. One PCG64 and one
 Generator serve the whole block: for each row, its state is copied into the
 generator's ``pcg64_random_t`` (found through the documented
-``ctypes.state_address``), ``Generator.random`` draws, and the state is
-copied back, so a later draw continues the stream. numpy still draws every
-coin, so no stream bit changes from :func:`derive_rng`, which stays the
-scalar reference.
+``ctypes.state_address``) and ``Generator.random`` draws. A draw of w
+doubles takes w steps of PCG64's LCG, so afterwards every row's state is
+advanced by w steps at once, in closed form (Brown, "Random Number
+Generation with Arbitrary Strides", 1994), and a later draw continues the
+stream. numpy still draws every coin, so no stream bit changes from
+:func:`derive_rng`, which stays the scalar reference.
 
 At import a read-only guard checks that memory layout, and one row of
 :class:`Streams` (two-word seed and index, a branch, two draws) is compared
@@ -46,8 +48,9 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _XSHIFT = 16
-# PCG64's 128-bit multiplier (numpy/random/src/pcg64/pcg64.h), as uint64 halves
-_MULT_HI, _MULT_LO = np.uint64(0x2360ED051FC65DA4), np.uint64(0x4385DF649FCCF645)
+# PCG64's 128-bit multiplier (numpy/random/src/pcg64/pcg64.h)
+_MULT = 0x2360ED051FC65DA4_4385DF649FCCF645
+_MASK64, _MASK128 = 2**64 - 1, 2**128 - 1
 
 
 def check_seed(seed: int) -> int:
@@ -140,6 +143,38 @@ def _mulhi(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
 
 
+def _times(lo: np.ndarray, hi: np.ndarray, c: int) -> tuple[np.ndarray, np.ndarray]:
+    """The low and high words of ``(hi:lo) * c mod 2^128``, ``c`` a Python int."""
+    c_lo, c_hi = np.uint64(c & _MASK64), np.uint64(c >> 64)
+    return lo * c_lo, _mulhi(lo, c_lo) + lo * c_hi + hi * c_lo
+
+
+def _stride(width: int) -> tuple[int, int]:
+    """``(MULT^w, sum of MULT^j over j < w)`` mod 2^128 for w = ``width``:
+    ``width`` LCG steps take ``state`` to ``state * MULT^w + inc * sum``.
+    Brown's square-and-multiply, O(log w) Python-int steps."""
+    mult, plus, acc_mult, acc_plus = _MULT, 1, 1, 0
+    while width:
+        if width & 1:
+            acc_mult = acc_mult * mult & _MASK128
+            acc_plus = (acc_plus * mult + plus) & _MASK128
+        plus = (mult + 1) * plus & _MASK128
+        mult = mult * mult & _MASK128
+        width >>= 1
+    return acc_mult, acc_plus
+
+
+def _advanced(states: np.ndarray, width: int) -> np.ndarray:
+    """``states`` (rows of state_lo, state_hi, inc_lo, inc_hi) after
+    ``width`` LCG steps each, in uint64 halves with carries."""
+    mult, plus = _stride(width)
+    state_lo, state_hi, inc_lo, inc_hi = states.T
+    s_lo, s_hi = _times(state_lo, state_hi, mult)
+    i_lo, i_hi = _times(inc_lo, inc_hi, plus)
+    lo = s_lo + i_lo
+    return np.stack([lo, s_hi + i_hi + (lo < s_lo), inc_lo, inc_hi], axis=1)
+
+
 def _pcg_states(master_seed: int, branch: tuple, lo: int, hi: int) -> np.ndarray:
     """Row r: the ``pcg64_random_t`` that ``derive_rng(master_seed, *branch,
     lo + r)`` starts from, as uint64 words state_lo, state_hi, inc_lo,
@@ -160,8 +195,7 @@ def _pcg_states(master_seed: int, branch: tuple, lo: int, hi: int) -> np.ndarray
     inc_hi, inc_lo = w2 << 1 | w3 >> 63, w3 << 1 | 1
     sum_lo = inc_lo + w1
     sum_hi = inc_hi + w0 + (sum_lo < inc_lo)
-    prod_lo = sum_lo * _MULT_LO
-    prod_hi = _mulhi(sum_lo, _MULT_LO) + sum_lo * _MULT_HI + sum_hi * _MULT_LO
+    prod_lo, prod_hi = _times(sum_lo, sum_hi, _MULT)
     state_lo = prod_lo + inc_lo
     state_hi = prod_hi + inc_hi + (state_lo < prod_lo)
     return np.stack([state_lo, state_hi, inc_lo, inc_hi], axis=1)
@@ -197,7 +231,8 @@ class Streams:
     """The streams ``derive_rng(master_seed, *branch, idx)`` for idx in
     lo..hi-1, stream r held as its 32-byte PCG64 state in row r of
     ``states``. One PCG64 and one Generator serve the block: each draw
-    copies a row's state into the generator, draws, and copies it back."""
+    copies a row's state into the generator and draws; then every drawn
+    row's state is advanced past the draw by :func:`_advanced`."""
 
     def __init__(self, master_seed: int, branch: tuple, lo: int, hi: int):
         self.states = _pcg_states(check_seed(master_seed), branch, lo, hi)
@@ -213,8 +248,7 @@ class Streams:
         for state, row in zip(states, out):
             slot[...] = state
             draw(out=row)
-            state[...] = slot
-        self.states[rows] = states
+        self.states[rows] = _advanced(states, width)
         return out
 
 

@@ -31,7 +31,7 @@ def ref_pairs(n: int) -> tuple[tuple[int, int], ...]:
 
 def ref_degrees(n: int, masks) -> np.ndarray:
     """Column c: the vertex degrees of bitmask ``masks[c]``, pair by pair;
-    the (n, B) layout a batched ``conditionals`` reads."""
+    the (n, B) layout the block kernel keeps."""
     out = np.zeros((n, len(masks)), dtype=np.int64)
     for c, bits in enumerate(masks):
         for j, (u, v) in enumerate(ref_pairs(n)):
@@ -106,6 +106,71 @@ def ref_certify(oracle, n: int, trials: int, rng: np.random.Generator):
         if not oracle.decide(Realization(space, bits | 1 << edge)):
             return False, t + 1, productive, (bits, bits | 1 << edge, edge + 1)
     return True, trials, productive, None
+
+
+# ---------------------------------------------------------------------------
+# the block kernel as it was before conditional tables: one batched
+# closed-form call per edge on the decided degrees
+
+
+def ref_batched_conditionals(model):
+    """A built-in model's conditional for B suffixes at once, from its closed
+    form on their (n, B) vertex degrees."""
+    n = model.space.n
+    pairs = ref_pairs(n)
+    kind = model.descriptor.kind
+    if kind == "er":
+        p = model.descriptor.params["p"]
+        return lambda i, degrees: np.full(degrees.shape[1], p, dtype=np.float64)
+    if kind == "global-count":
+        return lambda i, degrees: 1.0 - (degrees.sum(axis=0) // 2 + 1) / (n * n)
+
+    def adjacent(i, degrees):
+        a, b = pairs[i - 1]
+        return 0.5 - 1.0 / (degrees[a] + degrees[b] + 5)
+
+    return adjacent
+
+
+def ref_conditional(model):
+    """A built-in model's scalar conditional, computed from its closed form
+    per call: p, 1 - (k + 1) / n^2 over the k present decided edges, or
+    1/2 - 1/(k + 5) over the k present decided edges adjacent to edge i."""
+    n = model.space.n
+    kind = model.descriptor.kind
+    if kind == "er":
+        p = model.descriptor.params["p"]
+        return lambda i, history: p
+    if kind == "global-count":
+        return lambda i, history: 1.0 - (history.bits.bit_count() + 1) / (n * n)
+    adjacent = ref_edge_adjacency(n)
+    return lambda i, history: 0.5 - 1.0 / ((history.bits & adjacent[i - 1]).bit_count() + 5)
+
+
+def ref_decide_block(model, coins, base=None):
+    """The degrees and decisions of ``models._decide_block`` (same return
+    value), deciding each edge from ``ref_batched_conditionals``, with a
+    range check and patch probabilities per edge on all B lanes."""
+    conditionals = ref_batched_conditionals(model)
+    n, m = model.space.n, model.space.m
+    pairs = ref_pairs(n)
+    degrees = np.zeros((n, len(coins)), dtype=np.min_scalar_type(-4 * n))
+    u = np.empty((m, len(coins)), dtype=bool)
+    if base is not None:
+        g1 = np.ascontiguousarray((coins[:, 0::2] < base).T[::-1])
+        g2 = np.empty_like(u)
+    for j, i in enumerate(range(m, 0, -1)):
+        q = conditionals(i, degrees)
+        if q.size and not (q.min() >= (base or 0.0) and q.max() <= 1.0):
+            return None
+        if base is None:
+            np.less(coins[:, j], q, out=u[i - 1])
+        else:
+            np.less(coins[:, 2 * j + 1], _patch_probabilities(base, q), out=g2[i - 1])
+            np.logical_or(g1[i - 1], g2[i - 1], out=u[i - 1])
+        for v in pairs[i - 1]:
+            degrees[v] += u[i - 1]
+    return degrees, ((u,) if base is None else (g1, g2, u))
 
 
 # ---------------------------------------------------------------------------

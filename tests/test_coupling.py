@@ -248,10 +248,11 @@ class TestCoupledBlock:
         def conditional(i, history):
             return 0.25 if i == 6 and history.present_count() == 3 else 0.6
 
-        def conditionals(i, degrees):
-            return np.where((i == 6) & (degrees.sum(axis=0) // 2 == 3), 0.25, 0.6)
+        def table(i):  # over the count of present decided edges
+            return np.where((i == 6) & (np.arange(space.m) == 3), 0.25, 0.6)
 
-        params = CouplingParams(0.5, EdgeModel(space, 0.5, conditional, conditionals=conditionals))
+        model = EdgeModel(space, 0.5, conditional, key="count", table=table)
+        params = CouplingParams(0.5, model)
         with pytest.raises(RobustnessViolationError) as block_err:
             list(coupled_stream(params, 45, 300))
         with pytest.raises(RobustnessViolationError) as scalar_err:
@@ -266,10 +267,11 @@ class TestCoupledBlock:
         def conditional(i, history):
             return 0.2 if i == 1 and history.bits.bit_count() == 5 else 0.6
 
-        def conditionals(i, degrees):
-            return np.where((i == 1) & (degrees.sum(axis=0) // 2 == 5), 0.2, 0.6)
+        def table(i):  # over the count of present decided edges
+            return np.where((i == 1) & (np.arange(space.m) == 5), 0.2, 0.6)
 
-        params = CouplingParams(0.5, EdgeModel(space, 0.5, conditional, conditionals=conditionals))
+        model = EdgeModel(space, 0.5, conditional, key="count", table=table)
+        params = CouplingParams(0.5, model)
         stream = coupled_stream(params, 46, 300)
         seen = []
         with pytest.raises(RobustnessViolationError):

@@ -36,15 +36,16 @@ from probust import (
 )
 from probust import exact as exact_module
 from probust import properties as properties_module
-from probust.models import satisfies_min_adjacent
+from probust.models import KEYS, _level_conditionals, _level_keys, key_count, satisfies_min_adjacent
 
 ALWAYS = PropertyOracle("always", lambda g: True)
 BUILTINS = [lambda n: er_model(n, 0.37), global_count_model, adjacency_count_model]
 
 
 def scalar_path(model):
-    """The same model without its batched conditionals: the reference path."""
-    return dataclasses.replace(model, conditionals=None)
+    """The same model without its conditional table, its scalar conditional
+    computed from the closed form: the reference path."""
+    return dataclasses.replace(model, conditional=bf.ref_conditional(model), key=None, table=None)
 
 
 def dented_model(n, batched, overshoot=True):
@@ -60,49 +61,94 @@ def dented_model(n, batched, overshoot=True):
             return 1.5
         return 0.5
 
-    def conditionals(i, degrees):
-        k = degrees.sum(axis=0) // 2
-        q = np.full(k.size, 0.5)
+    def table(i):  # over the count of present decided edges
+        q = np.full(space.m, 0.5)
         if i == 2:
-            q[k == 3] = 0.1
+            q[3] = 0.1
             if overshoot:
-                q[k == 4] = 1.5
+                q[4] = 1.5
         return q
 
-    return EdgeModel(space, 0.5, conditional, None, conditionals if batched else None)
+    if not batched:
+        return EdgeModel(space, 0.5, conditional)
+    return EdgeModel(space, 0.5, conditional, None, "count", table)
+
+
+def suffix_histories(space, i):
+    """Edge i's decided suffixes in ascending order of their bits."""
+    bits = range(0, 1 << space.m, 1 << i)
+    return list(map(SuffixHistory, repeat(space), repeat(i + 1), bits))
 
 
 class TestBatchedConditionals:
-    @pytest.mark.parametrize("n", range(2, 8))
-    def test_equal_to_scalar_bit_for_bit(self, n):
-        models = [build(n) for build in BUILTINS]
-        space = models[0].space
-        incident = np.array(space._incident_masks, dtype=np.int64)[:, None]
-        for i in range(1, space.m + 1):
-            size = 1 << (space.m - i)
-            degrees = np.bitwise_count((np.arange(size, dtype=np.int64) << i) & incident)
-            for model in models:
-                bits = range(0, size << i, 1 << i)
-                histories = map(SuffixHistory, repeat(space), repeat(i + 1), bits)
-                want = np.fromiter(map(model.conditional, repeat(i), histories), np.float64, size)
-                got = model.conditionals(i, degrees)
-                assert got.dtype == np.float64
-                assert got.tobytes() == want.tobytes(), (model.name, n, i)
+    @pytest.mark.parametrize("n", [*range(2, 13), 30, 64])
+    def test_tables_equal_the_closed_forms(self, n):
+        """Entry k of each table against the closed form in Python floats."""
+        m = n * (n - 1) // 2
+        for model, key, want in [
+            (er_model(n, 0.37), "constant", [0.37]),
+            (global_count_model(n), "count", [1.0 - (k + 1) / n**2 for k in range(m)]),
+            (adjacency_count_model(n), "degree_sum", [0.5 - 1 / (k + 5) for k in range(2 * n - 3)]),
+        ]:
+            assert model.key == key
+            assert len(want) == key_count(key, n)
+            for i in (1, model.space.m):
+                table = model.table(i)
+                assert table.dtype == np.float64 and table.tolist() == want, (model.name, i)
+            assert model.table(1) is model.table(model.space.m)  # one shared array
 
     @pytest.mark.parametrize("n", range(2, 7))
-    def test_level_degrees_are_the_suffix_degrees(self, n):
+    def test_scalar_conditional_reads_the_table(self, n):
+        for model in [build(n) for build in BUILTINS]:
+            reference = bf.ref_conditional(model)
+            for i in range(1, model.space.m + 1):
+                for history in suffix_histories(model.space, i):
+                    assert model.conditional(i, history) == reference(i, history), (n, i, history)
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_level_keys_are_the_suffix_keys(self, n):
         space = EdgeSpace(n)
-        seen = []
+        pairs = bf.ref_pairs(n)
+        for key in KEYS:
+            levels = list(_level_keys(space, key))
+            assert [i for i, _ in levels] == list(range(space.m, 0, -1))
+            for i, keys in levels:
+                suffixes = [s << i for s in range(1 << (space.m - i))]
+                degrees = bf.ref_degrees(n, suffixes)
+                if key == "constant":
+                    assert keys is None
+                elif key == "count":
+                    assert keys.tolist() == (degrees.sum(axis=0) // 2).tolist(), i
+                else:
+                    a, b = pairs[i - 1]
+                    assert keys.tolist() == (degrees[a] + degrees[b]).tolist(), i
 
-        def conditionals(i, degrees):
-            seen.append((i, degrees.copy()))
-            return np.full(degrees.shape[1], 0.5)
+    @pytest.mark.parametrize("n", range(2, 7))
+    @pytest.mark.parametrize("base", [0.0, "floor"])
+    @pytest.mark.parametrize("build", BUILTINS, ids=["er", "globalcount", "adjcount"])
+    def test_level_conditionals_equal_the_scalar_path(self, build, n, base):
+        model = build(n)
+        base = model.floor if base == "floor" else base
+        got = list(_level_conditionals(model, base))
+        want = list(_level_conditionals(scalar_path(model), base))
+        assert [i for i, _ in got] == [i for i, _ in want] == list(range(model.space.m, 0, -1))
+        for (i, q), (_, reference) in zip(got, want):
+            assert q.dtype == np.float64 and q.tobytes() == reference.tobytes(), i
 
-        exact_joint(EdgeModel(space, 0.5, lambda i, h: 0.5, None, conditionals))
-        assert [i for i, _ in seen] == list(range(space.m, 0, -1))
-        for i, degrees in seen:
-            suffixes = [s << i for s in range(1 << (space.m - i))]
-            assert np.array_equal(degrees, bf.ref_degrees(n, suffixes)), i
+    def test_table_of_the_wrong_shape_is_a_contract_error(self):
+        space = EdgeSpace(4)
+        model = EdgeModel(space, 0.5, lambda i, h: 0.5, None, "count", lambda i: np.full(5, 0.5))
+        message = r"table for edge 6 has shape \(5,\), not \(6,\)"
+        with pytest.raises(ModelContractError, match=message):
+            exact_joint(model)
+
+    def test_key_without_a_table_is_refused(self):
+        with pytest.raises(DomainError, match="got key 'count' and no table$"):
+            EdgeModel(EdgeSpace(3), 0.5, lambda i, h: 0.5, None, "count")
+        with pytest.raises(DomainError, match="got key None and table$"):
+            EdgeModel(EdgeSpace(3), 0.5, lambda i, h: 0.5, table=lambda i: None)
+        with pytest.raises(DomainError, match="^a model takes a key out of .*got key 'degrees' and"):
+            EdgeModel(EdgeSpace(3), 0.5, lambda i, h: 0.5, None, "degrees", lambda i: None)
 
     @pytest.mark.parametrize("n", range(2, 7))
     @pytest.mark.parametrize("build", BUILTINS)
@@ -114,7 +160,7 @@ class TestBatchedConditionals:
 
     def test_custom_closure_above_one_is_contract_error(self):
         bad = EdgeModel(EdgeSpace(3), 0.0, lambda i, h: 1.5)
-        assert bad.conditionals is None
+        assert bad.table is None
         with pytest.raises(ModelContractError, match="returned conditional 1.5 for edge 3"):
             exact_joint(bad)
 
@@ -131,6 +177,26 @@ class TestBatchedConditionals:
             exact_joint(model)
         with pytest.raises(ModelContractError, match="conditional 1.5 for edge 2;"):
             robustness_floor_check(model)
+
+    @pytest.mark.parametrize("batched", [True, False])
+    def test_exact_joint_raises_at_the_first_bad_suffix(self, batched):
+        """Edge 2 gets 2.5 after three present higher edges (first at suffix
+        0b0111) and 1.5 after four (0b1111): the ascending scan meets 2.5."""
+        space = EdgeSpace(4)
+        values = {3: 2.5, 4: 1.5}
+
+        def conditional(i, history):
+            return values.get(history.bits.bit_count(), 0.5) if i == 2 else 0.5
+
+        def table(i):
+            q = np.full(space.m, 0.5)
+            if i == 2:
+                q[list(values)] = list(values.values())
+            return q
+
+        model = EdgeModel(space, 0.5, conditional, None, *(("count", table) if batched else ()))
+        with pytest.raises(ModelContractError, match="conditional 2.5 for edge 2;"):
+            exact_joint(model)
 
     @pytest.mark.parametrize("batched", [True, False])
     def test_floor_check_witness_and_evaluations(self, batched):

@@ -119,6 +119,15 @@ class TestAdjacencyCountModel:
         ]
         assert all(a < b for a, b in zip(qs, qs[1:]))
 
+    @pytest.mark.parametrize("build", [adjacency_count_model, conditioned_adjacency_model])
+    def test_building_touches_no_edge_list(self, build):
+        """Building a model at n = 1000 makes nothing per edge: the edge
+        pairs and incidence masks are left to the scalar path's first use."""
+        model = build(1000)
+        assert {"pairs", "endpoints", "_incident_masks"}.isdisjoint(vars(model.space))
+        table_model = getattr(model, "base_model", model)
+        assert len(table_model.table(1)) == 2 * 1000 - 3
+
     def test_floor_exhaustive(self):
         result = robustness_floor_check(adjacency_count_model(4))
         assert result.confirmed
@@ -136,7 +145,7 @@ class TestAdjacencyCountModel:
             k = (suffix & ref[i - 1]).bit_count()
             q = model.conditional(i, SuffixHistory(model.space, i + 1, suffix))
             assert q == 0.5 - 1.0 / (k + 5)
-            assert model.conditionals(i, bf.ref_degrees(n, [suffix]))[0] == q
+            assert model.table(i)[k] == q
 
     @pytest.mark.parametrize("n", [2, 3, 4, 6, 8])
     def test_min_adjacent_event_matches_pairwise_reference(self, n):
@@ -309,6 +318,32 @@ def traced_peak(fn):
         tracemalloc.stop()
 
 
+BASES = [None, 0.0, 0.05, 0.3, "floor"]  # None: the direct kernel
+TABLE_MODELS = {"er": lambda n: er_model(n, 0.37), "globalcount": global_count_model,
+                "adjcount": adjacency_count_model}
+
+
+class TestKernelAgainstFrozenReference:
+    """The block kernel's degrees and decisions against the closed-form
+    kernel it replaced (``bruteforce.ref_decide_block``), bit for bit."""
+
+    @pytest.mark.parametrize("n", [*range(2, 13), 30, 64])
+    @pytest.mark.parametrize("name", TABLE_MODELS)
+    def test_degrees_and_decisions(self, name, n):
+        model = TABLE_MODELS[name](n)
+        m = model.space.m
+        rows = 300 if n <= 12 else 48
+        for base in BASES:
+            base = model.floor if base == "floor" else base
+            coins = models.coin_rows(51, (n,), 0, rows, m if base is None else 2 * m)
+            got = models._decide_block(model, coins, base)
+            want = bf.ref_decide_block(model, coins, base)
+            assert got[0].dtype == want[0].dtype and np.array_equal(got[0], want[0]), base
+            assert len(got[1]) == len(want[1])
+            for a, b in zip(got[1], want[1]):
+                assert a.tobytes() == b.tobytes(), base
+
+
 class TestSampleBlock:
     """The block sampler against the scalar reference, bit for bit."""
 
@@ -316,7 +351,7 @@ class TestSampleBlock:
     def test_builtins_equal_scalar_path(self, n):
         count = 257 if n <= 13 else 5
         for model in builtin_models(n):
-            assert model.conditionals is not None
+            assert model.table is not None
             assert blocked(model, 31, (1,), count) == scalar(model, 31, (1,), count)
 
     @pytest.mark.parametrize("count", [0, 1, 255, 256, 257, 4097])
@@ -352,7 +387,7 @@ class TestSampleBlock:
     def test_closure_model_takes_scalar_path(self):
         space = EdgeSpace(5)
         model = EdgeModel(space, 0.2, lambda i, h: 0.2 + 0.05 * h.present_count())
-        assert model.conditionals is None
+        assert model.table is None
         assert blocked(model, 34, (), 300) == scalar(model, 34, (), 300)
 
     def test_out_of_range_conditional_raises_the_scalar_error(self):
@@ -361,15 +396,58 @@ class TestSampleBlock:
         def conditional(i, h):
             return 1.5 if i == 4 and h.present_count() == 3 else 0.5
 
-        def conditionals(i, degrees):
-            return np.where((i == 4) & (degrees.sum(axis=0) // 2 == 3), 1.5, 0.5)
+        def table(i):  # over the count of present decided edges
+            return np.where((i == 4) & (np.arange(space.m) == 3), 1.5, 0.5)
 
-        batched = EdgeModel(space, 0.5, conditional, conditionals=conditionals)
+        batched = EdgeModel(space, 0.5, conditional, key="count", table=table)
         with pytest.raises(ModelContractError) as block_err:
             blocked(batched, 36, (), 300)
         with pytest.raises(ModelContractError) as scalar_err:
             scalar(batched, 36, (), 300)
         assert str(block_err.value) == str(scalar_err.value)
+        message = "model 'custom' returned conditional 1.5 for edge 4; must be in [0, 1]"
+        assert str(block_err.value) == message
+
+    @pytest.mark.parametrize("value", [1.5, -0.25, float("nan")])
+    def test_one_bad_reachable_entry_raises_at_the_lowest_failing_index(self, value):
+        """Edge 1's table leaves [0, 1] at degree sum 5 only: the samples
+        before the first one to reach it come out, then the scalar error."""
+        space = EdgeSpace(6)
+        good = adjacency_count_model(6)
+        dented = good.table(1).copy()
+        dented[5] = value
+
+        def conditional(i, h):
+            q = good.conditional(i, h)
+            return value if i == 1 and q == good.table(1)[5] else q
+
+        model = EdgeModel(space, 0.3, conditional, key="degree_sum",
+                          table=lambda i: dented if i == 1 else good.table(i))
+        want = []
+        with pytest.raises(ModelContractError) as scalar_err:
+            for idx in range(1000):
+                want.append(sample_direct(model, derive_rng(41, idx)).bits)
+        assert 0 < len(want) < 300
+        got = []
+        with pytest.raises(ModelContractError) as block_err:
+            for bits in sample_block(model, 41, (), 0, 1000):
+                got.append(bits)
+        assert got == want
+        assert str(block_err.value) == str(scalar_err.value)
+        message = f"model 'custom' returned conditional {value} for edge 1;"
+        assert str(scalar_err.value).startswith(message)
+
+    def test_unreached_bad_entry_takes_the_scalar_path(self):
+        """A table entry out of range refuses the kernel even where no sample
+        reaches it; the scalar path then gives every sample and no error."""
+        space = EdgeSpace(6)
+
+        def table(i):  # 1.5 once all 14 higher edges are present
+            return np.where((i == 1) & (np.arange(space.m) == 14), 1.5, 0.5)
+
+        model = EdgeModel(space, 0.5, lambda i, h: 0.5, key="count", table=table)
+        assert models._kernel_masks(model, 42, (), 0, 300) is None
+        assert list(sample_block(model, 42, (), 0, 300)) == scalar(model, 42, (), 300)
 
     def test_conditioned_range_pools_pending_rows(self, kernel_calls):
         model = conditioned_adjacency_model(10)

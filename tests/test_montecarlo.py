@@ -394,10 +394,11 @@ class TestCoupledDominationTest:
         def conditional(i, history):
             return 0.2 if i == 2 and history.present_count() == 13 else 0.6
 
-        def conditionals(i, degrees):
-            return np.where((i == 2) & (degrees.sum(axis=0) // 2 == 13), 0.2, 0.6)
+        def table(i):  # over the count of present decided edges
+            return np.where((i == 2) & (np.arange(space.m) == 13), 0.2, 0.6)
 
-        params = CouplingParams(0.5, EdgeModel(space, 0.5, conditional, conditionals=conditionals))
+        model = EdgeModel(space, 0.5, conditional, key="count", table=table)
+        params = CouplingParams(0.5, model)
         oracle = exactly_edges_oracle(3)
         violations = []
         with pytest.raises(RobustnessViolationError):
@@ -417,10 +418,11 @@ class TestCoupledDominationTest:
         def conditional(i, history):
             return 0.2 if i == 2 and history.present_count() == 8 else 0.6
 
-        def conditionals(i, degrees):
-            return np.where((i == 2) & (degrees.sum(axis=0) // 2 == 8), 0.2, 0.6)
+        def table(i):  # over the count of present decided edges
+            return np.where((i == 2) & (np.arange(space.m) == 8), 0.2, 0.6)
 
-        params = CouplingParams(0.5, EdgeModel(space, 0.5, conditional, conditionals=conditionals))
+        model = EdgeModel(space, 0.5, conditional, key="count", table=table)
+        params = CouplingParams(0.5, model)
         with pytest.raises(RobustnessViolationError) as scalar_err:
             for idx in range(1000):
                 generate_coupled(params, derive_rng(16, idx))

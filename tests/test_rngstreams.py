@@ -127,6 +127,31 @@ class TestStreams:
                 words = [w >> shift & 2**64 - 1 for w in state.values() for shift in (0, 64)]
                 assert row == words
 
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_states_advance_with_each_draw(self, seed):
+        """After draws of widths 0, 1, 45 and 90, on all rows or some, every
+        row's state is its generator's after the same draws, over indices
+        that cross 2^32."""
+        lo, hi = 2**32 - 3, 2**32 + 3
+        streams = Streams(seed, (60,), lo, hi)
+        references = [derive_rng(seed, 60, idx) for idx in range(lo, hi)]
+        for width, rows in [(0, range(6)), (1, range(6)), (45, range(0, 6, 2)), (90, range(6))]:
+            streams.random(np.array(rows), width)
+            for r in rows:
+                references[r].random(width)
+            for row, rng in zip(streams.states.tolist(), references):
+                state = rng.bit_generator.state["state"]
+                assert row == [w >> shift & 2**64 - 1 for w in state.values() for shift in (0, 64)]
+
+    def test_stride_is_the_lcg_stepped_width_times(self):
+        mult = rngstreams._MULT
+        state, inc = 2**128 - 5, 2**64 + 7
+        stepped = state
+        for width in range(70):
+            times, plus = rngstreams._stride(width)
+            assert (state * times + inc * plus) % 2**128 == stepped, width
+            stepped = (stepped * mult + inc) % 2**128
+
     @pytest.mark.parametrize("n", range(4, 11))
     def test_rejection_sampler_rows(self, n):
         source = conditioned_adjacency_model(n)
