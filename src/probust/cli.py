@@ -45,8 +45,8 @@ from .exact import (
     exact_joint,
     tv_distance,
 )
-from .graphs import Realization
-from .models import MODELS, ModelDescriptor, sample_block
+from .graphs import Realization, bits_from_words, hex_from_words
+from .models import MODELS, ModelDescriptor, er_model, sample_block
 from .montecarlo import (
     FORMULAS,
     asymptotic_report,
@@ -135,23 +135,24 @@ def _write(path: str, write) -> None:
         raise DomainError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
-def _records(space, seed: int, keys: tuple, start: int, columns) -> str:
+def _records(space, seed: int, keys: tuple, start: int, columns, count: int) -> str:
     """The lines ``_dumps({"index": i, "n": space.n, "seed": seed, **hexes})``
-    for i = start, start + 1, ..., where ``hexes`` maps ``keys[j]`` to
-    ``columns[j][i - start]`` in ``space.hex_format``.
+    for i = start, ..., start + count - 1, where ``hexes`` maps ``keys[j]``
+    to graph i - start of the batch whose edge words are ``columns[j]``, in
+    ``space.hex_format``.
 
     The constant text is ``_dumps`` of a record whose index and hexes are
     ``#``, split there: keys are sorted, and neither ints nor hex digits need
-    escaping. Each column's hex digits are built once
-    (``EdgeSpace.hex_rows``). The range is cut where the index gains a decimal
-    digit, so each group is one fixed-width uint8 block: the constant texts
-    with the index digits and the hex columns between them."""
+    escaping. Each column's hex digits are built once, straight from its
+    words (``graphs.hex_from_words``). The range is cut where the index
+    gains a decimal digit, so each group is one fixed-width uint8 block: the
+    constant texts with the index digits and the hex columns between them."""
     names = sorted(["index", *keys])
     record = _dumps({"n": space.n, "seed": seed, **dict.fromkeys(names, "#")})
     texts = [text.encode() for text in record.replace('"index":"#"', '"index":#').split("#")]
     texts[-1] += b"\n"
-    hexes = {key: space.hex_rows(col) for key, col in zip(keys, columns)}
-    lo, stop, blocks = start, start + len(columns[0]), []
+    hexes = {key: hex_from_words(space, col, count) for key, col in zip(keys, columns)}
+    lo, stop, blocks = start, start + count, []
     while lo < stop:
         digits = len(str(lo))
         hi = min(stop, 10**digits)
@@ -172,9 +173,11 @@ def cmd_generate(args) -> int:
     check_count(args.samples)
     seed = _resolve_seed(args)
     model = _build_model(args)
-    masks = list(sample_block(model, seed, (), 0, args.samples))
+    words, count, error = sample_block(model, seed, (), 0, args.samples)
+    if error is not None:
+        raise error
     out = _Output(args.output)
-    out.write(_records(model.space, seed, ("g",), 0, [masks]))
+    out.write(_records(model.space, seed, ("g",), 0, [words], count))
     out.close()
     return 0
 
@@ -183,9 +186,11 @@ def cmd_couple(args) -> int:
     seed = _resolve_seed(args)
     model = _build_model(args)
     params = CouplingParams(args.base, model)
-    triples = list(coupled_block(params, seed, 0, check_count(args.samples)))
+    words, count, error = coupled_block(params, seed, 0, check_count(args.samples))
+    if error is not None:
+        raise error
     out = _Output(args.output)
-    out.write(_records(model.space, seed, ("g1", "g2", "u"), 0, list(zip(*triples)) or [()] * 3))
+    out.write(_records(model.space, seed, ("g1", "g2", "u"), 0, words, count))
     out.close()
     return 0
 
@@ -219,8 +224,6 @@ def cmd_exact(args) -> int:
         if args.base is None:
             raise DomainError("--check coupling needs --base")
         joint = exact_coupling_joint(CouplingParams(args.base, model))
-        from .models import er_model
-
         tv_union = tv_distance(joint.union_marginal(), exact_joint(model))
         tv_g1 = tv_distance(
             joint.g1_marginal(), exact_joint(er_model(model.space.n, args.base))
@@ -414,7 +417,10 @@ def _preset_adjacency_bounds(args, seed: int) -> list[dict]:
         check_clique_scale(n)  # before the model is built and sampled
         model = ModelDescriptor("adjacency-count", n).build()
         cliq, chrom, dom, diam = [], [], [], []
-        for bits in sample_block(model, seed, (n,), 0, args.samples):
+        words, count, error = sample_block(model, seed, (n,), 0, args.samples)
+        if error is not None:
+            raise error
+        for bits in bits_from_words(words, count):
             g = Realization(model.space, bits)
             cliq.append(max_clique_size(g))
             chrom.append(greedy_coloring_size(g))

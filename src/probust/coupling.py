@@ -20,12 +20,15 @@ edge instead of clamping, so a model that underruns its declared floor fails
 loudly with the offending edge and history.
 
 :func:`generate_coupled` is the scalar reference. :func:`coupled_block`
-gives the same triples, as (g1, g2, union) bitmasks, for any range of
-indices from the block kernel in :mod:`probust.models`, which decides the
-union on its decided degrees and draws the patch coin with the same float
-operations. Its callers read bitmasks only, so no :class:`CouplingTriple` is
-built per sample: :func:`coupled_stream` builds one per index it yields, and
-the paired test one for a reported violation.
+gives the same triples for any range of indices, as three batches of edge
+words (g1, g2 and the union; see :mod:`probust.graphs`), from the block
+kernel in :mod:`probust.models`, which decides the union on its decided
+degrees and draws the patch coin with the same float operations. A range
+that fails to draw comes out as the batch drawn before its lowest failing
+index and that index's error. Its callers read edge words only, so no
+Python int or :class:`CouplingTriple` is built per sample:
+:func:`coupled_stream` builds one triple per index it yields, and the paired
+test one for a reported violation.
 """
 
 from __future__ import annotations
@@ -36,8 +39,8 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .errors import DomainError, RobustnessViolationError
-from .graphs import Realization, SuffixHistory, union
-from .models import EdgeModel, _checked, _kernel_masks, _part_rows
+from .graphs import Realization, SuffixHistory, bits_from_words, union, words_from_bits
+from .models import EdgeModel, _checked, _kernel_words, _part_rows, _scalar_draws
 from .rngstreams import _bounds, check_count, derive_rng
 
 
@@ -177,26 +180,34 @@ def coupled_stream(
     check_count(count)
     space = params.model.space
     for lo, hi in _bounds(start_index, start_index + count, _part_rows(2 * space.m)):
-        for idx, bits in zip(range(lo, hi), coupled_block(params, master_seed, lo, hi)):
+        words, drawn, error = coupled_block(params, master_seed, lo, hi)
+        for idx, *bits in zip(range(lo, hi), *(bits_from_words(w, drawn) for w in words)):
             yield idx, CouplingTriple(*(Realization(space, b) for b in bits))
+        if error is not None:
+            raise error
 
 
 def coupled_block(params: CouplingParams, master_seed: int, lo: int, hi: int):
-    """The bitmasks ``(t.g1.bits, t.g2.bits, t.u.bits)`` of
-    ``t = generate_coupled(params, derive_rng(master_seed, idx))`` for each
-    idx in lo..hi-1, in order, over any range the caller needs.
+    """``((g1, g2, u), count, error)`` for the triples
+    ``t = generate_coupled(params, derive_rng(master_seed, idx))``, idx in
+    lo..hi-1: the edge words of t.g1, t.g2 and t.u over the batch drawn
+    before the lowest index whose draw fails, its count, and that draw's
+    error, or None when the whole range is drawn.
 
     A model with a conditional table decides the range in the block
     kernel, in parts of ``models._part_rows`` rows, for any n, and gives the
     same bits. Other models, and a model with a table entry that leaves
-    [0, 1] or falls below the base, take the scalar path lazily, so errors
-    are raised where and as the scalar path raises them.
+    [0, 1] or falls below the base, take the scalar path, so the error is
+    exactly the scalar path's.
     """
     model = params.model
-    masks = None if model.table is None else _kernel_masks(
+    words = None if model.table is None else _kernel_words(
         model, master_seed, (), lo, hi, params.base
     )
-    if masks is None:
-        triples = (generate_coupled(params, derive_rng(master_seed, idx)) for idx in range(lo, hi))
-        return ((t.g1.bits, t.g2.bits, t.u.bits) for t in triples)
-    return masks
+    if words is not None:
+        return words, hi - lo, None
+    triples, error = _scalar_draws(
+        lambda idx: generate_coupled(params, derive_rng(master_seed, idx)), lo, hi
+    )
+    graphs = [[getattr(t, key).bits for t in triples] for key in ("g1", "g2", "u")]
+    return tuple(words_from_bits(model.space, bits) for bits in graphs), len(triples), error

@@ -17,7 +17,7 @@ import numpy as np
 
 from .coupling import CouplingParams, _require_floor
 from .errors import CertificationError, DomainError, UnsupportedScaleError
-from .graphs import EdgeSpace, Realization
+from .graphs import EdgeSpace, Realization, words_from_bits
 from .models import EdgeModel, _level_conditionals, _patch_probabilities, er_model
 from .properties import PropertyOracle, decide_bits
 from .rngstreams import _bounds
@@ -76,7 +76,8 @@ class ExactDistribution:
                 width = max(map(len, texts))
                 padded = "".join([text.ljust(width, "\0") for text in texts]).encode()
                 pool = np.frombuffer(padded, dtype=np.uint8).reshape(-1, width)
-                rows = np.hstack([self.space.hex_rows(np.arange(lo, hi)), pool[inverse]])
+                index_bytes = np.arange(lo, hi, dtype="<i8").view(np.uint8).reshape(-1, 8)
+                rows = np.hstack([self.space.hex_rows(index_bytes), pool[inverse]])
                 fh.write(rows[rows != 0])
 
 
@@ -163,10 +164,13 @@ def _event_indicator(
     space: EdgeSpace, oracle: PropertyOracle, support: np.ndarray
 ) -> np.ndarray:
     """The oracle's decision on every realization in ``support``, by
-    :func:`~probust.properties.decide_bits`; False elsewhere."""
+    :func:`~probust.properties.decide_bits` on the edge words of the
+    supported realizations' indices; False elsewhere. The indices are
+    dropped once converted, so they and the decisions are never held at
+    once."""
+    words = words_from_bits(space, np.flatnonzero(support))
     indicator = np.zeros(support.size, dtype=bool)
-    todo = np.flatnonzero(support)
-    indicator[todo] = decide_bits(oracle, space, todo)
+    indicator[support] = decide_bits(oracle, space, words, int(support.sum()))
     return indicator
 
 

@@ -11,6 +11,15 @@ Conversions from a mask to structure go through numpy, starting from
 :meth:`Realization.present_positions`. Neighbor masks of a mask of at most
 ``WORD_BITS`` edges (n <= 11, one signed 64-bit word) are the exception:
 there a Python bit loop beats numpy's per-call overhead.
+
+A batch of B realizations travels as (m, W) uint64 edge words and its count
+B, from the sampling kernel to the block deciders and the record writers:
+W = ceil(B / 64), bit g % 64 of word [e, g // 64] is edge e+1 of graph g,
+and the padding lanes of the last word are zero. This module owns the
+format: words come from the kernel's bool rows (:func:`words_from_rows`) or
+from bitmasks (:func:`words_from_bits`), and leave as bitmasks
+(:func:`bits_from_words`) only where one graph leaves the batch, or as
+record text (:func:`hex_from_words`).
 """
 
 from __future__ import annotations
@@ -94,26 +103,12 @@ class EdgeSpace:
         digits, least-significant bit = edge index 1."""
         return f"0{self.hex_width}x"
 
-    def byte_rows(self, bits) -> np.ndarray:
-        """The (B, w) uint8 little-endian bytes of B realization bitmasks:
-        an int64's 8 bytes while m < 64, ceil(m / 8) bytes of
-        ``int.to_bytes`` above. ``bits`` is an int64 array or a sequence of
-        Python ints."""
-        if self.m < 64:
-            return np.ascontiguousarray(bits, dtype="<i8").view(np.uint8).reshape(-1, 8)
-        if isinstance(bits, np.ndarray):
-            bits = bits.tolist()
-        width = (self.m + 7) // 8
-        joined = b"".join([x.to_bytes(width, "little") for x in bits])
-        return np.frombuffer(joined, dtype=np.uint8).reshape(-1, width)
-
-    def hex_rows(self, bits) -> np.ndarray:
-        """The (B, hex_width) uint8 ASCII text of B realization bitmasks, each
-        row as ``hex_format`` spells it: the rows of :meth:`byte_rows`, most
-        significant byte first, as lowercase hex (``bytes.hex``, which
-        measured several times faster than a nibble table lookup), the last
-        ``hex_width`` digits kept."""
-        rows = self.byte_rows(bits)
+    def hex_rows(self, rows: np.ndarray) -> np.ndarray:
+        """The (B, hex_width) uint8 ASCII text of B realization bitmasks given
+        as (B, k) little-endian byte rows, 2k >= hex_width, each row as
+        ``hex_format`` spells it: the bytes most significant first, as
+        lowercase hex (``bytes.hex``, which measured several times faster
+        than a nibble table lookup), the last ``hex_width`` digits kept."""
         text = np.ascontiguousarray(rows[:, ::-1]).tobytes().hex().encode()
         hexes = np.frombuffer(text, dtype=np.uint8).reshape(len(rows), 2 * rows.shape[1])
         return hexes[:, -self.hex_width :]
@@ -308,3 +303,109 @@ def degree_histogram(g: Realization) -> dict[int, int]:
     for d in degs.tolist():
         hist[d] = hist.get(d, 0) + 1
     return hist
+
+
+# ---------------------------------------------------------------------------
+# batches of realizations as edge words
+
+# edge bits per slice of a batch conversion: each temporary holds about this
+# many bytes (1 MiB), at least one word of 64 graphs
+CONVERT_BITS = 1 << 20
+
+
+def _slice_lanes(m: int) -> int:
+    """Graphs per slice of a batch conversion, a whole number of words."""
+    return 64 * max(1, CONVERT_BITS // (64 * max(m, 1)))
+
+
+def words_from_rows(rows: np.ndarray) -> np.ndarray:
+    """The edge words of the graphs whose edges are the columns of ``rows``,
+    an (m, B) bool array whose row i-1 is edge i.
+
+    A batch of B graphs is (m, W) uint64 edge words and its count B:
+    W = ceil(B / 64), bit g % 64 of word [e, g // 64] is edge e+1 of graph
+    g, and the padding lanes of the last word are zero. Each row is packed
+    along B (``np.packbits``, which pads the last byte with zeros) and its
+    bytes padded with zeros to whole words."""
+    packed = np.packbits(np.ascontiguousarray(rows), axis=1, bitorder="little")
+    return np.pad(packed, ((0, 0), (0, -packed.shape[1] % 8))).view("<u8")
+
+
+def words_from_bits(space: EdgeSpace, bits) -> np.ndarray:
+    """The edge words of the graphs whose realization bitmasks are ``bits``,
+    an int64 array (m < 64) or a sequence of Python ints.
+
+    A slice of graphs at a time, each bitmask becomes a row of little-endian
+    bytes (an int64's 8 while m < 64, ``int.to_bytes`` above), and the
+    slice's bytes are bit-transposed (:func:`_transpose`) into its words, so
+    no temporary grows with the batch."""
+    m, b = space.m, len(bits)
+    width = 8 if m < 64 else (m + 7) // 8
+    words = np.zeros((m, -(-b // 64)), dtype=np.uint64)
+    step = _slice_lanes(m)
+    for lo in range(0, b, step):
+        part = bits[lo : lo + step]
+        if m < 64:
+            raw = np.ascontiguousarray(part, dtype="<i8").view(np.uint8)
+        else:
+            raw = np.frombuffer(b"".join([x.to_bytes(width, "little") for x in part]), np.uint8)
+        packed = _transpose(raw.reshape(-1, width), m)
+        words.view(np.uint8)[:, lo // 8 : lo // 8 + packed.shape[1]] = packed
+    return words
+
+
+def join_words(m: int, batches) -> tuple[np.ndarray, int]:
+    """One batch of the graphs of ``batches``, a sequence of (words, count)
+    over m edges, in order: each batch's words shifted to its first lane."""
+    total = sum(count for _, count in batches)
+    out = np.zeros((m, -(-total // 64)), dtype=np.uint64)
+    lane = 0
+    for words, count in batches:
+        q, r = divmod(lane, 64)
+        out[:, q : q + words.shape[1]] |= words << r
+        if r:  # the padding lanes are zero, so what falls past the end is too
+            spill = out[:, q + 1 : q + 1 + words.shape[1]]
+            spill |= words[:, : spill.shape[1]] >> (64 - r)
+        lane += count
+    return out, total
+
+
+def _transpose(rows: np.ndarray, count: int) -> np.ndarray:
+    """The transpose of the bit matrix whose R rows are the little-endian
+    bytes ``rows``, ``count`` bits each, as (count, max(1, ceil(R / 8)))
+    little-endian bytes. The rows are unpacked to bits, and byte k of every
+    column is the OR of bit rows 8k..8k+7, each shifted by its bit position:
+    eight passes over whole rows, several times faster than ``np.packbits``
+    down the columns."""
+    bits = np.unpackbits(rows, axis=1, count=count, bitorder="little")
+    packed = np.zeros((max(1, -(-len(rows) // 8)), count), dtype=np.uint8)
+    for bit in range(8):
+        part = bits[bit::8]
+        packed[: len(part)] |= part << bit
+    return packed.T
+
+
+def _edge_bytes(words: np.ndarray, count: int) -> np.ndarray:
+    """The (count, max(1, ceil(m / 8))) little-endian bytes of the batch's
+    realization bitmasks: the words bit-transposed a slice at a time."""
+    out = np.empty((count, max(1, -(-len(words) // 8))), dtype=np.uint8)
+    step = _slice_lanes(len(words))
+    for lo in range(0, count, step):
+        hi = min(count, lo + step)
+        out[lo:hi] = _transpose(words[:, lo // 64 : -(-hi // 64)].view(np.uint8), hi - lo)
+    return out
+
+
+def bits_from_words(words: np.ndarray, count: int) -> list:
+    """The realization bitmasks of a batch's graphs as Python ints, in lane
+    order: the way a graph leaves a batch."""
+    rows = _edge_bytes(words, count)
+    if rows.shape[1] <= 8:  # one machine word: .tolist() is far cheaper than from_bytes
+        return np.pad(rows, ((0, 0), (0, 8 - rows.shape[1]))).view("<u8").ravel().tolist()
+    return [int.from_bytes(row, "little") for row in rows]
+
+
+def hex_from_words(space: EdgeSpace, words: np.ndarray, count: int) -> np.ndarray:
+    """The (count, hex_width) uint8 ASCII text of a batch's graphs, each as
+    ``Realization.to_hex`` spells it (:meth:`EdgeSpace.hex_rows`)."""
+    return space.hex_rows(_edge_bytes(words, count))

@@ -25,10 +25,13 @@ scalar values are one set of floats. The block kernel
 edge one key, one ``take`` from the table and one compare, for any n, and
 the exact engine reads the same tables level by level
 (:func:`_level_conditionals`). :func:`sample_block` hands out the kernel's
-realization bitmasks as Python ints, for any index range, and builds no
-:class:`Realization`. The scalar ``conditional`` on a
-:class:`SuffixHistory`, :func:`sample_direct` and the rejection sampler's
-``sample`` stay the bit-for-bit reference.
+realizations for any index range as one batch of edge words (see
+:mod:`probust.graphs`), packed from the kernel's bool rows, and builds no
+Python int or :class:`Realization` per sample. A range that fails to draw
+comes out as the batch drawn before its lowest failing index and that
+index's error. The scalar ``conditional`` on a :class:`SuffixHistory`,
+:func:`sample_direct` and the rejection sampler's ``sample`` stay the
+bit-for-bit reference.
 
 The conditional-given-the-decided-suffix reading is part of each model's
 definition here. A conditional-given-everything-else (Markov-random-field)
@@ -40,7 +43,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Iterable, NoReturn, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -51,7 +54,14 @@ from .errors import (
     SamplingFailureError,
     UnsupportedScaleError,
 )
-from .graphs import EdgeSpace, Realization, SuffixHistory
+from .graphs import (
+    EdgeSpace,
+    Realization,
+    SuffixHistory,
+    join_words,
+    words_from_bits,
+    words_from_rows,
+)
 from .rngstreams import _bounds, block_streams, coin_rows, derive_rng
 
 EXHAUSTIVE_FLOOR_CHECK_MAX_M = 24
@@ -254,47 +264,52 @@ class ConditionedAdjacencyModel:
         return "adjacency-count-conditioned"
 
     def sample(self, rng: np.random.Generator) -> Realization:
-        self._check_event()
+        error = self._empty_event()
+        if error is not None:
+            raise error
         for attempt in range(1, self.budget + 1):
             g = sample_direct(self.base_model, rng)
             if satisfies_min_adjacent(g, self.min_adjacent):
                 return g
-        self._exhausted()
+        raise self._exhausted()
 
-    def _check_event(self) -> None:
+    def _empty_event(self) -> Optional[SamplingFailureError]:
+        """The error for an event that is provably empty at n, else None."""
         n = self.space.n
-        if 2 * (n - 2) < self.min_adjacent:
-            # the adjacent count cannot reach the threshold: event provably empty
-            raise SamplingFailureError(
-                f"conditioning event is empty at n={n}: max adjacent count "
-                f"{2 * (n - 2)} < {self.min_adjacent}",
-                attempts=0,
-            )
+        if 2 * (n - 2) >= self.min_adjacent:
+            return None
+        # the adjacent count cannot reach the threshold
+        return SamplingFailureError(
+            f"conditioning event is empty at n={n}: max adjacent count "
+            f"{2 * (n - 2)} < {self.min_adjacent}",
+            attempts=0,
+        )
 
-    def _exhausted(self) -> NoReturn:
-        raise SamplingFailureError(
+    def _exhausted(self) -> SamplingFailureError:
+        return SamplingFailureError(
             f"no accepted realization in {self.budget} attempts "
             f"(n={self.space.n}, min adjacent {self.min_adjacent}); "
             "the conditioning event may be empty or tiny",
             attempts=self.budget,
         )
 
-    def _sample_rows(self, master_seed: int, branch: tuple, lo: int, hi: int) -> Optional[Iterable]:
-        """Masks of ``sample(derive_rng(master_seed, *branch, idx))`` for idx
-        in lo..hi-1, all rejection rounds batched: every still-pending stream
-        of a part (see :func:`_part_rows`) draws its next m coins, the base
-        model decides them in one block-kernel call, and acceptance is read
-        off the final degrees at once, so a round's few pending rows are
-        pooled over the whole part. None when the kernel refuses a round (see
-        :func:`_decide_block`). If a part's budget runs out, the masks
-        accepted before its first pending row are yielded lazily and then
-        the scalar error is raised, as the scalar path would. An empty range
+    def _sample_rows(self, master_seed: int, branch: tuple, lo: int, hi: int):
+        """:func:`sample_block` for this sampler, all rejection rounds
+        batched: every still-pending stream of a part (see
+        :func:`_part_rows`) draws its next m coins, the base model decides
+        them in one block-kernel call, and acceptance is read off the final
+        degrees at once, so a round's few pending rows are pooled over the
+        whole part. None when the kernel refuses a round (see
+        :func:`_decide_block`). If a part's budget runs out, the batch ends
+        before its first pending row, with the scalar error. An empty range
         checks nothing, as the scalar path draws nothing."""
         m = self.space.m
         u, v = self.space.endpoints
-        masks = []
+        batches, error = [], None
         for start, stop in _bounds(lo, hi, _part_rows(m)):
-            self._check_event()
+            error = self._empty_event()
+            if error is not None:
+                break
             streams = block_streams(master_seed, branch, start, stop)
             out = np.zeros((m, stop - start), dtype=bool)
             pending = np.arange(stop - start)
@@ -311,14 +326,11 @@ class ConditionedAdjacencyModel:
                 out[:, pending[accepted]] = present[:, accepted]
                 pending = pending[~accepted]
             if pending.size:
-                return self._exhausted_after(masks + _mask_ints(out[:, : pending[0]]))
-            masks += _mask_ints(out)
-        return masks
-
-    def _exhausted_after(self, masks: list):
-        """``masks``, then the exhausted budget's error."""
-        yield from masks
-        self._exhausted()
+                batches.append((words_from_rows(out[:, : pending[0]]), int(pending[0])))
+                error = self._exhausted()
+                break
+            batches.append((words_from_rows(out), stop - start))
+        return (*join_words(m, batches), error)
 
 
 def conditioned_adjacency_model(
@@ -542,67 +554,65 @@ def _decide_block(model: EdgeModel, coins: np.ndarray, base: Optional[float] = N
     return degrees, ((u,) if base is None else (g1, g2, u))
 
 
-def _mask_ints(rows: np.ndarray) -> list:
-    """Column c of ``rows``, an (m, B) bool array whose row i-1 is edge i,
-    as a Python int bitmask.
-
-    Byte k of every column is the OR of rows 8k..8k+7, each shifted by its
-    bit position: eight passes over whole rows, several times faster than
-    ``np.packbits(rows, axis=0)``. The (ceil(m / 8), B) bytes are then read
-    by column."""
-    m, b = rows.shape
-    bits = rows.view(np.uint8)
-    packed = np.zeros((-(-m // 8), b), dtype=np.uint8)
-    for bit in range(8):
-        part = bits[bit::8]
-        packed[: len(part)] |= part << bit
-    packed = np.ascontiguousarray(packed.T)
-    if m <= 64:  # one machine word: .tolist() is far cheaper than from_bytes
-        return np.pad(packed, ((0, 0), (0, 8 - packed.shape[1]))).view("<u8").ravel().tolist()
-    return [int.from_bytes(row, "little") for row in packed]
-
-
 def _part_rows(width: int) -> int:
     """Rows of ``width`` coins per block-kernel call: at most ``KERNEL_COINS``
     coins, each row's stream counted as ``STREAM_COINS`` more, and at least one."""
     return max(1, KERNEL_COINS // (width + STREAM_COINS))
 
 
-def _kernel_masks(model: EdgeModel, master_seed: int, branch: tuple, lo: int, hi: int, base=None):
-    """Per index of lo..hi-1, the block kernel's masks as Python ints: (u,),
+def _kernel_words(model: EdgeModel, master_seed: int, branch: tuple, lo: int, hi: int, base=None):
+    """The block kernel's decisions for indices lo..hi-1 as edge words: (u,),
     or (g1, g2, u) for a coupling at ``base``, decided in parts of
-    :func:`_part_rows` rows. None if the kernel refuses a part."""
+    :func:`_part_rows` rows and each part packed as it is decided. None if
+    the kernel refuses a part."""
     width = model.space.m if base is None else 2 * model.space.m
-    masks = []
+    columns = [[] for _ in range(1 if base is None else 3)]
     for start, stop in _bounds(lo, hi, _part_rows(width)):
         decided = _decide_block(model, coin_rows(master_seed, branch, start, stop, width), base)
         if decided is None:
             return None
-        masks += zip(*map(_mask_ints, decided[1]))
-    return masks
+        for column, rows in zip(columns, decided[1]):
+            column.append((words_from_rows(rows), stop - start))
+    return tuple(join_words(model.space.m, column)[0] for column in columns)
+
+
+def _scalar_draws(draw: Callable, lo: int, hi: int) -> tuple[list, Optional[Exception]]:
+    """``draw(idx)`` for idx = lo, lo + 1, ... up to the first that raises,
+    and that error, or None if none does: the scalar path's samples before a
+    failure, then the failure."""
+    drawn = []
+    for idx in range(lo, hi):
+        try:
+            drawn.append(draw(idx))
+        except Exception as exc:  # raised by the caller once the drawn samples are decided
+            return drawn, exc
+    return drawn, None
 
 
 def sample_block(source, master_seed: int, branch: tuple, lo: int, hi: int):
-    """``source.sample(derive_rng(master_seed, *branch, idx)).bits`` for each
-    idx in lo..hi-1, in order: realization bitmasks, over any range the
-    caller needs.
+    """``(words, count, error)`` for the realizations
+    ``source.sample(derive_rng(master_seed, *branch, idx))``, idx in
+    lo..hi-1: the edge words of the batch drawn before the lowest index
+    whose draw fails, its count, and that draw's error, or None when the
+    whole range is drawn.
 
     Built-in models, and the rejection sampler over one, decide the range in
     the block kernel, in parts of :func:`_part_rows` rows, for any n, and
     give the same bits. Any other source, and any range the kernel refuses,
-    takes the scalar path lazily, so it raises exactly where and what the
-    scalar path does; a rejection budget that runs out also raises only
-    after the masks before it are taken.
+    takes the scalar path, so the error is exactly the scalar path's.
     """
-    masks = None
     if isinstance(source, ConditionedAdjacencyModel) and source.base_model.table is not None:
-        masks = source._sample_rows(master_seed, branch, lo, hi)
+        drawn = source._sample_rows(master_seed, branch, lo, hi)
+        if drawn is not None:
+            return drawn
     elif isinstance(source, EdgeModel) and source.table is not None:
-        masks = _kernel_masks(source, master_seed, branch, lo, hi)
-        masks = None if masks is None else [u for (u,) in masks]
-    if masks is None:
-        return (source.sample(derive_rng(master_seed, *branch, idx)).bits for idx in range(lo, hi))
-    return masks
+        words = _kernel_words(source, master_seed, branch, lo, hi)
+        if words is not None:
+            return words[0], hi - lo, None
+    bits, error = _scalar_draws(
+        lambda idx: source.sample(derive_rng(master_seed, *branch, idx)).bits, lo, hi
+    )
+    return words_from_bits(source.space, bits), len(bits), error
 
 
 def sample_direct(model: EdgeModel, rng: np.random.Generator) -> Realization:

@@ -14,15 +14,20 @@ the indices are partitioned over workers.
 
 Both tests decide samples a block at a time: the block samplers
 (:func:`~probust.models.sample_block`,
-:func:`~probust.coupling.coupled_block`) hand out realization bitmasks, and
-each block's bitmasks go straight to
+:func:`~probust.coupling.coupled_block`) hand out each block as edge words
+(see :mod:`probust.graphs`), and the words go straight to
 :func:`~probust.properties.decide_bits`, the decision path the exact sweep
-uses too, so no ``Realization`` is built per sample. At n <= 10 (``chrom``:
-n <= 8) it runs the oracle's block decider on adjacency words built from the
-bitmasks; above that, or for an oracle without one, it calls ``decide``
-graph by graph. A paired violation is found over the block as g1 & ~union;
-the first one, by sample and then by oracle, is raised with its triple, the
-only :class:`~probust.coupling.CouplingTriple` the test builds.
+uses too, so no Python int or ``Realization`` is built per sample. It runs
+the oracle's block decider wherever that takes n: the reach deciders
+(``connected``, ``diam<=k``) up to n = 64, the subset-table ones up to
+n = 10, ``chrom`` up to n = 8. Above that, or for an oracle without one, it
+calls ``decide`` graph by graph. A sampler whose draw fails hands out the
+block drawn before the lowest failing index and that index's error; the
+drawn samples are decided first, so a paired violation or a decision error
+among them is raised ahead of the draw's error. A paired violation is found
+over the block as g1 & ~union; the first one, by sample and then by oracle,
+is raised with its triple, the only
+:class:`~probust.coupling.CouplingTriple` the test builds.
 
 The Wilson interval's z comes from ``_ndtri``, a port of the Cephes routine
 that ``scipy.stats.norm.ppf`` calls, so its bounds carry the same bits as
@@ -37,13 +42,13 @@ import math
 import multiprocessing
 import os
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
 from .coupling import CouplingParams, CouplingTriple, _require_floor, coupled_block
 from .errors import DomainError, PairedViolationError, RobustnessViolationError
-from .graphs import EdgeSpace, Realization, degree_histogram
+from .graphs import EdgeSpace, Realization, bits_from_words, degree_histogram
 from .models import EdgeModel, _part_rows, er_model, sample_block
 from .properties import (
     PropertyOracle,
@@ -266,18 +271,6 @@ def _serve_blocks(work, blocks, conn) -> None:
     conn.close()
 
 
-def _drawn(samples: Iterable) -> tuple[list, Optional[Exception]]:
-    """The samples ``samples`` yields before it raises, and what it raised
-    (None if it ran out)."""
-    drawn = []
-    try:
-        for sample in samples:
-            drawn.append(sample)
-    except Exception as exc:  # raised by the caller once the drawn samples are decided
-        return drawn, exc
-    return drawn, None
-
-
 def check_run(samples: int, workers: int) -> None:
     """Refuse a sample or worker count below 1, as both tests do first."""
     if samples < 1:
@@ -317,8 +310,8 @@ def estimate_property(
     _check_scales([oracle], source.space.n)
 
     def count_hits(lo: int, hi: int) -> int:
-        bits, error = _drawn(sample_block(source, master_seed, branch, lo, hi))
-        hits = int(decide_bits(oracle, source.space, bits).sum())
+        words, drawn, error = sample_block(source, master_seed, branch, lo, hi)
+        hits = int(decide_bits(oracle, source.space, words, drawn).sum())
         if error is not None:
             raise error
         return hits
@@ -438,14 +431,15 @@ def coupled_domination_test(
         """(2, oracles) counts of the block's samples with each property on
         g1 and on the union; the first violation, by sample and then by
         oracle, raises, and then a failed draw."""
-        triples, error = _drawn(coupled_block(params, master_seed, lo, hi))
-        g1_bits, u_bits = [t[0] for t in triples], [t[2] for t in triples]
-        on_g1 = np.array([decide_bits(oracle, space, g1_bits) for oracle in oracle_list])
-        on_union = np.array([decide_bits(oracle, space, u_bits) for oracle in oracle_list])
+        words, drawn, error = coupled_block(params, master_seed, lo, hi)
+        g1, _, union = words
+        on_g1 = np.array([decide_bits(oracle, space, g1, drawn) for oracle in oracle_list])
+        on_union = np.array([decide_bits(oracle, space, union, drawn) for oracle in oracle_list])
         lost = (on_g1 & ~on_union).T  # (samples, oracles)
         if lost.any():
             r, j = divmod(int(np.argmax(lost)), len(oracle_list))
-            triple = CouplingTriple(*(Realization(space, b) for b in triples[r]))
+            bits = (bits_from_words(w, drawn)[r] for w in words)
+            triple = CouplingTriple(*(Realization(space, b) for b in bits))
             raise PairedViolationError(
                 f"sample {lo + r}: embedded layer has {oracle_list[j].name!r} but the union "
                 f"does not (g1={triple.g1.to_hex()}, u={triple.u.to_hex()})",

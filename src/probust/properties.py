@@ -24,8 +24,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DomainError, UnsupportedScaleError
-from .graphs import WORD_BITS, EdgeSpace, Realization
-from .models import _mask_ints, _part_rows
+from .graphs import WORD_BITS, EdgeSpace, Realization, bits_from_words, words_from_rows
+from .models import _part_rows
 from .rngstreams import _bounds
 
 CLIQUE_MAX_N = 512
@@ -933,66 +933,47 @@ def parse_property(text: str) -> PropertyOracle:
 # deciding a batch of graphs
 
 
-def _adjacency_words(space: EdgeSpace, bits) -> np.ndarray:
-    """The (n, n, W) adjacency words of the graphs whose realization bitmasks
-    are ``bits``, W = ceil(B / 64): bit g % 64 of word [v, u, g // 64] is set
-    iff uv is an edge of graph g. The padding lanes of the last word are zero.
-
-    ``bits`` is an int64 array or a sequence of Python ints. Each bitmask
-    becomes a row of little-endian bytes (``EdgeSpace.byte_rows``); the rows
-    are unpacked to m edge bits per graph, and the columns packed into
-    (m, W) edge words."""
-    m, b = space.m, len(bits)
-    w = -(-b // 64)
-    raw = space.byte_rows(bits)
-    rows = np.zeros((64 * w, raw.shape[1]), dtype=np.uint8)
-    rows[:b] = raw
-    edges = np.unpackbits(rows, axis=1, count=m, bitorder="little")
-    # packbits along a contiguous axis is several times faster
-    edge_words = np.packbits(edges.T.copy(), axis=1, bitorder="little").view("<u8")
-    adj = np.zeros((space.n, space.n, w), dtype=np.uint64)
+def _adjacency_words(space: EdgeSpace, words: np.ndarray) -> np.ndarray:
+    """The (n, n, W) adjacency words of a batch's (m, W) edge words: bit
+    g % 64 of word [v, u, g // 64] is set iff uv is an edge of graph g. Each
+    edge's words are stored at [u, v] and [v, u]."""
+    adj = np.zeros((space.n, space.n, words.shape[1]), dtype=np.uint64)
     u, v = (e.astype(np.intp) for e in space.endpoints)
-    adj[u, v] = adj[v, u] = edge_words
+    adj[u, v] = adj[v, u] = words
     return adj
 
 
-def _decide_in_blocks(oracle: PropertyOracle, space: EdgeSpace, bits) -> np.ndarray:
-    """``decide_bits`` through the block decider, in calls of as many words
-    as keep its largest table within BLOCK_WORDS, and at least one."""
-    n = space.n
-    table = oracle.block_words(n) if oracle.block_words is not None else 64 << n
-    step = 64 * max(1, BLOCK_WORDS // table)
-    decided = np.empty(len(bits), dtype=bool)
-    for lo in range(0, len(bits), step):
-        part = bits[lo : lo + step]
-        decided[lo : lo + step] = oracle.decide_block(_adjacency_words(space, part))[: len(part)]
-    return decided
+def decide_bits(
+    oracle: PropertyOracle, space: EdgeSpace, words: np.ndarray, count: int
+) -> np.ndarray:
+    """The oracle's decisions on a batch of ``count`` graphs of ``space``
+    given as (m, W) edge words (see :mod:`probust.graphs`), as a (count,)
+    bool array: the one way the library decides a batch of graphs, sampled
+    or exhaustive.
 
-
-def decide_bits(oracle: PropertyOracle, space: EdgeSpace, bits) -> np.ndarray:
-    """The oracle's decisions on the graphs of ``space`` whose realization
-    bitmasks are ``bits``, as a (B,) bool array: the one way the library
-    decides a batch of graphs, sampled or exhaustive.
-
-    The bitmasks become adjacency words, handed to ``decide_block``, and the
-    decisions of the graphs' lanes are kept. A batch of any size is split
-    into calls of ``max(1, BLOCK_WORDS // block_words(n))`` words of 64
-    graphs each, so that no call's largest table exceeds BLOCK_WORDS (2 MiB)
-    unless a single word's does: 4096 graphs per call for ``chrom`` at n = 6,
-    65 536 for ``match`` at n = 8, 64 for ``diam`` at n = 64.
-    An oracle without ``decide_block``, or one whose block decider refuses n,
-    gets ``decide(Realization(space, b))`` for each b in order, the reference;
-    the shipped deciders refuse through ``block_words``, before any words are
-    built.
+    The batch is handed to ``decide_block`` as adjacency words, in calls of
+    ``max(1, BLOCK_WORDS // block_words(n))`` of its words, so that no
+    call's largest table exceeds BLOCK_WORDS (2 MiB) unless a single word's
+    does: 4096 graphs per call for ``chrom`` at n = 6, 65 536 for ``match``
+    at n = 8, 64 for ``diam`` at n = 64. The decisions of the graphs' lanes
+    are kept. An oracle without ``decide_block``, or one whose block decider
+    refuses n, gets ``decide(Realization(space, b))`` for each graph's
+    bitmask b in order, the reference; the shipped deciders refuse through
+    ``block_words``, before any adjacency words are built.
     """
     if oracle.decide_block is not None:
         try:
-            return _decide_in_blocks(oracle, space, bits)
+            n = space.n
+            step = max(1, BLOCK_WORDS // (oracle.block_words(n) if oracle.block_words else 64 << n))
+            decided = np.empty(64 * words.shape[1], dtype=bool)
+            for lo in range(0, words.shape[1], step):
+                adj = _adjacency_words(space, words[:, lo : lo + step])
+                decided[64 * lo : 64 * (lo + step)] = oracle.decide_block(adj)
+            return decided[:count]
         except UnsupportedScaleError:
             pass
-    if isinstance(bits, np.ndarray):
-        bits = bits.tolist()
-    return np.array([bool(oracle.decide(Realization(space, b))) for b in bits], dtype=bool)
+    graphs = (Realization(space, b) for b in bits_from_words(words, count))
+    return np.array([bool(oracle.decide(g)) for g in graphs], dtype=bool)
 
 
 # ---------------------------------------------------------------------------
@@ -1026,8 +1007,9 @@ def certify_monotone(
     No trial's draws depend on a decision, so the trials are drawn in parts
     of ``models._part_rows(m + 2)`` rows, and each part is decided by two
     :func:`decide_bits` calls, on its graphs and on its productive graphs
-    with their added edges. The part size changes no result, only where a
-    failing call leaves ``rng``: at the end of the part holding the violation.
+    with their added edges, each packed from its bool rows. The part size
+    changes no result, only where a failing call leaves ``rng``: at the end
+    of the part holding the violation.
     An oracle that refuses every graph on n vertices is refused before
     anything is drawn.
     """
@@ -1040,18 +1022,21 @@ def certify_monotone(
     for lo, hi in _bounds(0, trials, _part_rows(space.m + 2)):
         uniforms = rng.random((hi - lo, space.m + 2))
         present = uniforms[:, 2:] < uniforms[:, :1]
-        bits = _mask_ints(present.T)
+        words = words_from_rows(present.T)
         counts = space.m - present.sum(axis=1)
-        rows = np.flatnonzero(decide_bits(oracle, space, bits) & (counts > 0))
+        rows = np.flatnonzero(decide_bits(oracle, space, words, hi - lo) & (counts > 0))
         # the running count of absent edges is nondecreasing, so the pick-th
         # absent edge's position is the number of edges where it is <= pick
         picks = (uniforms[rows, 1] * counts[rows]).astype(np.int64)
         edges = (np.cumsum(~present[rows], axis=1) <= picks[:, None]).sum(axis=1)
-        plus = [bits[r] | 1 << e for r, e in zip(rows.tolist(), edges.tolist())]
-        lost = np.flatnonzero(~decide_bits(oracle, space, plus))
+        plus = present[rows]
+        plus[np.arange(rows.size), edges] = True
+        plus_words = words_from_rows(plus.T)
+        lost = np.flatnonzero(~decide_bits(oracle, space, plus_words, rows.size))
         if lost.size:
             j = int(lost[0])
-            g, g_plus = Realization(space, bits[rows[j]]), Realization(space, plus[j])
+            g = Realization(space, bits_from_words(words, hi - lo)[rows[j]])
+            g_plus = Realization(space, bits_from_words(plus_words, rows.size)[j])
             return CertificationResult(
                 ok=False,
                 trials=lo + int(rows[j]) + 1,

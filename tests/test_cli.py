@@ -33,6 +33,7 @@ from probust import (
 )
 from probust import montecarlo, rngstreams
 from probust.coupling import coupled_block
+from probust.graphs import bits_from_words, words_from_bits
 from probust.models import MODELS
 
 SCHEMA_DIR = Path(cli.__file__).parent / "schemas"
@@ -460,7 +461,8 @@ class TestPinnedBytes:
                     }) + "\n"
                     for i in range(count)
                 )
-                assert cli._records(space, seed, keys, start, columns) == want, (keys, start)
+                words = [words_from_bits(space, col) for col in columns]
+                assert cli._records(space, seed, keys, start, words, count) == want, (keys, start)
 
     @pytest.mark.parametrize("samples", [12, 101])
     @pytest.mark.parametrize("command", ["couple", "generate"])
@@ -476,11 +478,14 @@ class TestPinnedBytes:
         assert path.read_bytes() == stdout.encode()
         space, model = EdgeSpace(10), adjacency_count_model(10)
         if command == "couple":
-            masks = coupled_block(CouplingParams(0.3, model), 7, 0, samples)
+            words, count, error = coupled_block(CouplingParams(0.3, model), 7, 0, samples)
             keys = ("g1", "g2", "u")
         else:
-            masks = [(bits,) for bits in models.sample_block(model, 7, (), 0, samples)]
+            g, count, error = models.sample_block(model, 7, (), 0, samples)
+            words = [g]
             keys = ("g",)
+        assert (count, error) == (samples, None)
+        masks = list(zip(*(bits_from_words(w, count) for w in words)))
         assert stdout == "".join(
             cli._dumps({
                 "index": i, "n": 10, "seed": 7,
@@ -718,7 +723,7 @@ class TestBlockSampledOutput:
         model = conditioned_adjacency_model(10)
         per_block = [
             bits for lo, hi in rngstreams._bounds(0, 1000, 256)
-            for bits in models.sample_block(model, 55, (), lo, hi)
+            for bits in bits_from_words(*models.sample_block(model, 55, (), lo, hi)[:2])
         ]
         records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
         assert [int(r["g"], 16) for r in records] == per_block

@@ -25,6 +25,7 @@ from probust import (
 )
 from probust import models
 from probust.coupling import coupled_block
+from probust.graphs import bits_from_words
 
 probs = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
@@ -190,6 +191,15 @@ def scalar_triples(params, seed, lo, hi):
     return triples_bits(generate_coupled(params, derive_rng(seed, idx)) for idx in range(lo, hi))
 
 
+def block_triples(params, seed, lo, hi):
+    """``coupled_block``'s (g1, g2, u) bitmasks over lo..hi-1, read through
+    the to-bitmasks conversion, once its error, if any, is raised."""
+    words, count, error = coupled_block(params, seed, lo, hi)
+    if error is not None:
+        raise error
+    return list(zip(*(bits_from_words(w, count) for w in words)))
+
+
 class TestCoupledBlock:
     """coupled_stream's block path against generate_coupled, bit for bit."""
 
@@ -218,7 +228,7 @@ class TestCoupledBlock:
         space = EdgeSpace(5)
         model = EdgeModel(space, 0.3, lambda i, h: 0.3 + 0.005 * h.present_count())
         params = CouplingParams(0.3, model)
-        assert list(coupled_block(params, 43, 0, 300)) == scalar_triples(
+        assert block_triples(params, 43, 0, 300) == scalar_triples(
             params, 43, 0, 300
         )
 
@@ -229,7 +239,7 @@ class TestCoupledBlock:
         def traced_block():
             tracemalloc.start()
             try:
-                triples = list(coupled_block(params, 48, 0, 256))
+                triples = block_triples(params, 48, 0, 256)
                 return triples, tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()

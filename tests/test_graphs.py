@@ -15,6 +15,15 @@ from probust import (
     index_to_edge,
     union,
 )
+from probust.graphs import (
+    bits_from_words,
+    hex_from_words,
+    join_words,
+    words_from_bits,
+    words_from_rows,
+)
+from probust import graphs
+from probust.properties import _adjacency_words
 
 
 def bits_strategy(m):
@@ -196,23 +205,17 @@ class TestRealizationSerialization:
         assert Realization.empty(space).to_hex() == "00"
         assert Realization.complete(space).to_hex() == "3f"
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 10, 11, 12, 30, 64])
-    def test_byte_and_hex_rows_spell_each_bitmask(self, n):
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 10, 11])  # an int64 holds at most 63 edges
+    def test_hex_rows_spell_int64_bytes(self, n):
+        """The exact table's CSV reads its row indices' int64 bytes."""
         space = EdgeSpace(n)
         draw = np.random.default_rng(n)
-        bits = [0, space.full_mask] + [
-            int.from_bytes(draw.bytes(space.m // 8 + 1), "little") & space.full_mask
-            for _ in range(9)
-        ]
-        inputs = [bits, tuple(bits)] + ([np.array(bits, dtype=np.int64)] if space.m < 64 else [])
-        for given_bits in inputs:
-            raw = space.byte_rows(given_bits)
-            assert raw.dtype == np.uint8 and raw.shape == (11, 8 if space.m < 64 else -(-space.m // 8))
-            assert [int.from_bytes(row.tobytes(), "little") for row in raw] == bits
-            text = space.hex_rows(given_bits)
-            assert text.shape == (11, space.hex_width)
-            assert [row.tobytes().decode() for row in text] == [format(b, space.hex_format) for b in bits]
-        assert space.hex_rows([]).shape == (0, space.hex_width)
+        bits = [0, space.full_mask] + [int(x) for x in draw.integers(0, 1 << space.m, 9)]
+        raw = np.array(bits, dtype="<i8").view(np.uint8).reshape(-1, 8)
+        text = space.hex_rows(raw)
+        assert text.shape == (11, space.hex_width)
+        assert [row.tobytes().decode() for row in text] == [format(b, space.hex_format) for b in bits]
+        assert space.hex_rows(raw[:0]).shape == (0, space.hex_width)
 
     def test_from_hex_rejects_garbage(self):
         space = EdgeSpace(3)
@@ -242,3 +245,90 @@ class TestSuffixHistory:
         h = SuffixHistory(space, 5, 0)
         with pytest.raises(DomainError):
             h.value(3)
+
+
+def lane_masks(adj, g):
+    """Graph g's neighbour masks, read off (n, n, W) adjacency words."""
+    lanes = (adj[:, :, g // 64] >> np.uint64(g % 64)) & np.uint64(1)
+    return tuple(sum(1 << u for u in np.flatnonzero(row).tolist()) for row in lanes)
+
+
+class TestEdgeWords:
+    """The one batch format, (m, W) edge words and a count, and its
+    conversions, against the single-graph ones."""
+
+    @staticmethod
+    def rows_and_bits(space, count, seed):
+        """(m, count) bool edge rows, each graph at its own density, and the
+        graphs' bitmasks spelt bit by bit."""
+        draw = np.random.default_rng(seed)
+        rows = draw.random((space.m, count)) < draw.random(count)
+        bits = [sum(1 << e for e in np.flatnonzero(rows[:, c]).tolist()) for c in range(count)]
+        return rows, bits
+
+    @pytest.mark.parametrize("n", [*range(1, 13), 30, 63, 64])
+    def test_words_give_the_neighbor_masks(self, n):
+        """Words from bool rows and from bitmasks (Python ints, and int64
+        arrays below 64 edges) are equal, zero in the padding lanes, and
+        scatter to adjacency equal to ``Realization.neighbor_masks``."""
+        space = EdgeSpace(n)
+        rows, bits = self.rows_and_bits(space, 129, n)
+        for b in (0, 1, 63, 64, 65, 129):
+            words = words_from_rows(rows[:, :b])
+            assert words.dtype == np.uint64 and words.shape == (space.m, -(-b // 64)), b
+            assert np.array_equal(words_from_bits(space, bits[:b]), words), b
+            if space.m < 64:
+                int64 = np.array(bits[:b], dtype=np.int64)
+                assert np.array_equal(words_from_bits(space, int64), words), b
+            if b % 64:
+                assert not (words[:, -1] >> np.uint64(b % 64)).any(), b
+            adj = _adjacency_words(space, words)
+            want = [Realization(space, x).neighbor_masks for x in bits[:b]]
+            assert [lane_masks(adj, g) for g in range(b)] == want, b
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 11, 12, 30, 64])
+    def test_hex_rows_are_to_hex(self, n):
+        space = EdgeSpace(n)
+        rows, bits = self.rows_and_bits(space, 129, n)
+        bits[:2] = [0, space.full_mask]
+        words = words_from_bits(space, bits)
+        for b in (0, 1, 63, 64, 65, 129):
+            text = hex_from_words(space, words[:, : -(-b // 64)], b)
+            assert text.shape == (b, space.hex_width), b
+            want = [Realization(space, x).to_hex() for x in bits[:b]]
+            assert [row.tobytes().decode() for row in text] == want, b
+
+    @pytest.mark.parametrize("n", [1, 2, 11, 12, 30, 64])
+    def test_bitmasks_round_trip(self, n):
+        space = EdgeSpace(n)
+        rows, bits = self.rows_and_bits(space, 129, n)
+        for b in (0, 1, 63, 64, 65, 129):
+            words = words_from_rows(rows[:, :b])
+            assert bits_from_words(words, b) == bits[:b], b
+            assert np.array_equal(words_from_bits(space, bits_from_words(words, b)), words), b
+
+    @pytest.mark.parametrize("n", [1, 5, 12])
+    def test_joined_parts_are_one_batch(self, n):
+        """Parts of any size, word-aligned or not, join into the batch of
+        their graphs in order."""
+        space = EdgeSpace(n)
+        rows, _ = self.rows_and_bits(space, 300, n)
+        for cuts in ([], [0], [64], [1], [63, 65], [7, 77, 200, 299], [300]):
+            edges = [0, *cuts, 300]
+            parts = [(words_from_rows(rows[:, a:b]), b - a) for a, b in zip(edges, edges[1:])]
+            words, count = join_words(space.m, parts)
+            assert count == 300 and np.array_equal(words, words_from_rows(rows)), cuts
+        empty, count = join_words(space.m, [])
+        assert empty.shape == (space.m, 0) and count == 0
+
+    def test_conversions_slice_their_temporaries(self, monkeypatch):
+        """A conversion of many words gives the words of one slice at a time."""
+        space = EdgeSpace(12)
+        rows, bits = self.rows_and_bits(space, 1000, 12)
+        words = words_from_rows(rows)
+        monkeypatch.setattr(graphs, "CONVERT_BITS", 64 * space.m)  # one word per slice
+        assert np.array_equal(words_from_bits(space, bits), words)
+        assert bits_from_words(words, 1000) == bits
+        assert [row.tobytes().decode() for row in hex_from_words(space, words, 1000)] == [
+            Realization(space, x).to_hex() for x in bits
+        ]

@@ -24,7 +24,8 @@ from probust import (
     sample_direct,
 )
 from probust import models
-from probust.models import _mask_ints, sample_block, satisfies_min_adjacent
+from probust.graphs import bits_from_words, words_from_rows
+from probust.models import sample_block, satisfies_min_adjacent
 from probust.rngstreams import _bounds
 
 
@@ -296,12 +297,27 @@ def builtin_models(n):
     return models
 
 
+def block_bits(source, seed, branch, lo, hi):
+    """The bitmasks of the batch ``sample_block`` draws over lo..hi-1, read
+    through the to-bitmasks conversion, and its error."""
+    words, count, error = sample_block(source, seed, branch, lo, hi)
+    return bits_from_words(words, count), error
+
+
+def drawn(source, seed, branch, lo, hi):
+    """``block_bits``'s bitmasks, once its error, if any, is raised."""
+    bits, error = block_bits(source, seed, branch, lo, hi)
+    if error is not None:
+        raise error
+    return bits
+
+
 def blocked(source, seed, branch, count):
     """Every sample of 0..count-1 through the block sampler, block by block."""
     return [
         bits
         for lo, hi in _bounds(0, count, 256)
-        for bits in sample_block(source, seed, branch, lo, hi)
+        for bits in drawn(source, seed, branch, lo, hi)
     ]
 
 
@@ -361,25 +377,26 @@ class TestSampleBlock:
 
     def test_blocks_are_index_ranges(self):
         model = global_count_model(7)
-        block = sample_block(model, 33, (4,), 300, 310)
-        assert list(block) == scalar(model, 33, (4,), 310)[300:]
+        block = drawn(model, 33, (4,), 300, 310)
+        assert block == scalar(model, 33, (4,), 310)[300:]
 
-    def test_mask_ints_across_word_boundaries(self):
+    def test_words_from_rows_across_word_boundaries(self):
         draw = np.random.default_rng(5)
         for m in (0, 1, 7, 8, 9, 63, 64, 65, 128, 200):
             for b in (0, 1, 7, 70):
                 rows = draw.random((m, b)) < 0.5
                 want = [sum(1 << j for j in range(m) if rows[j, c]) for c in range(b)]
-                assert _mask_ints(rows) == want
-                assert _mask_ints(np.ascontiguousarray(rows.T).T) == want  # a transposed view
+                assert bits_from_words(words_from_rows(rows), b) == want
+                transposed = np.ascontiguousarray(rows.T).T  # a transposed view
+                assert bits_from_words(words_from_rows(transposed), b) == want
 
     @pytest.mark.parametrize("build", [adjacency_count_model, conditioned_adjacency_model])
     def test_kernel_calls_bound_their_coins(self, build, monkeypatch):
         # n = 30: a whole 256-row block holds 256 x 435 coins per call (870 KiB)
         source = build(30)
-        unsplit = traced_peak(lambda: sample_block(source, 47, (), 0, 256))
+        unsplit = traced_peak(lambda: drawn(source, 47, (), 0, 256))
         monkeypatch.setattr(models, "KERNEL_COINS", 16 * (435 + models.STREAM_COINS))  # 16 rows
-        split = traced_peak(lambda: sample_block(source, 47, (), 0, 256))
+        split = traced_peak(lambda: drawn(source, 47, (), 0, 256))
         assert split[1] < 512 * 1024 < unsplit[1]
         assert split[0] == unsplit[0]
         assert split[0][:40] == scalar(source, 47, (), 40)
@@ -428,12 +445,10 @@ class TestSampleBlock:
             for idx in range(1000):
                 want.append(sample_direct(model, derive_rng(41, idx)).bits)
         assert 0 < len(want) < 300
-        got = []
-        with pytest.raises(ModelContractError) as block_err:
-            for bits in sample_block(model, 41, (), 0, 1000):
-                got.append(bits)
+        got, error = block_bits(model, 41, (), 0, 1000)
         assert got == want
-        assert str(block_err.value) == str(scalar_err.value)
+        assert isinstance(error, ModelContractError)
+        assert str(error) == str(scalar_err.value)
         message = f"model 'custom' returned conditional {value} for edge 1;"
         assert str(scalar_err.value).startswith(message)
 
@@ -446,15 +461,15 @@ class TestSampleBlock:
             return np.where((i == 1) & (np.arange(space.m) == 14), 1.5, 0.5)
 
         model = EdgeModel(space, 0.5, lambda i, h: 0.5, key="count", table=table)
-        assert models._kernel_masks(model, 42, (), 0, 300) is None
-        assert list(sample_block(model, 42, (), 0, 300)) == scalar(model, 42, (), 300)
+        assert models._kernel_words(model, 42, (), 0, 300) is None
+        assert drawn(model, 42, (), 0, 300) == scalar(model, 42, (), 300)
 
     def test_conditioned_range_pools_pending_rows(self, kernel_calls):
         model = conditioned_adjacency_model(10)
         per_block = blocked(model, 40, (), 1000)
         block_calls = len(kernel_calls)
         kernel_calls.clear()
-        assert sample_block(model, 40, (), 0, 1000) == per_block == scalar(model, 40, (), 1000)
+        assert drawn(model, 40, (), 0, 1000) == per_block == scalar(model, 40, (), 1000)
         assert len(kernel_calls) < block_calls
 
     def test_conditioned_model_equals_scalar_path(self):

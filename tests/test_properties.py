@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import bruteforce as bf
 from probust import properties
+from probust.graphs import words_from_bits
 from probust import (
     DomainError,
     EdgeSpace,
@@ -507,6 +508,12 @@ def block_of(space, graphs):
     return np.ascontiguousarray(lanes.transpose(1, 2, 0)).view("<u8")
 
 
+def decide_masks(oracle, space, bits):
+    """``decide_bits`` on the graphs whose bitmasks are ``bits``, read
+    through the from-bitmasks conversion."""
+    return decide_bits(oracle, space, words_from_bits(space, bits), len(bits))
+
+
 class TestDecideBlock:
     """Each shipped oracle's block decider equals its scalar ``decide``."""
 
@@ -537,7 +544,7 @@ class TestDecideBlock:
             if oracle.name.startswith("chrom") and n > CHROMATIC_BLOCK_MAX_N:
                 with pytest.raises(UnsupportedScaleError):
                     oracle.decide_block(blocks[0])
-                got = decide_bits(oracle, space, bits)
+                got = decide_masks(oracle, space, bits)
             else:
                 got = np.concatenate([
                     oracle.decide_block(block)[: len(part)] for block, part in zip(blocks, parts)
@@ -595,12 +602,13 @@ class TestDecideBlock:
         space = EdgeSpace(n)
         bits = random_bits(space, 129, np.random.default_rng(n))
         for b in (0, 1, 63, 64, 65, 129):
-            words = properties._adjacency_words(space, bits[:b])
+            words = properties._adjacency_words(space, words_from_bits(space, bits[:b]))
             graphs = [Realization(space, x) for x in bits[:b]]
             assert words.dtype == np.uint64 and words.shape == (n, n, -(-b // 64)), b
             assert np.array_equal(words, block_of(space, graphs)), b
             if space.m < 64:
-                int64 = properties._adjacency_words(space, np.array(bits[:b], dtype=np.int64))
+                int64 = words_from_bits(space, np.array(bits[:b], dtype=np.int64))
+                int64 = properties._adjacency_words(space, int64)
                 assert np.array_equal(int64, words), b
 
     def test_deciders_refuse_above_their_caps(self):
@@ -630,7 +638,7 @@ class TestDecideBits:
         bits = random_bits(space, 300, rng)
         graphs = [Realization(space, b) for b in bits]
         for oracle in every_shipped_oracle(n):
-            got = decide_bits(oracle, space, bits)
+            got = decide_masks(oracle, space, bits)
             assert got.dtype == bool and got.shape == (len(bits),), oracle.name
             assert got.tolist() == [bool(oracle.decide(g)) for g in graphs], oracle.name
 
@@ -640,7 +648,7 @@ class TestDecideBits:
         bits = [1, 1 << 63, (1 << 63) | 1]
         graphs = [Realization(space, b) for b in bits]
         for oracle in every_shipped_oracle(12):
-            got = decide_bits(oracle, space, bits)
+            got = decide_masks(oracle, space, bits)
             assert got.tolist() == [bool(oracle.decide(g)) for g in graphs], oracle.name
 
     @pytest.mark.parametrize("n", [9, 11, 65])
@@ -667,7 +675,7 @@ class TestDecideBits:
             65: {"connected", "diam<="},
         }[n]
         for oracle in refusing:
-            got = decide_bits(dataclasses.replace(oracle, decide_block=refuse), space, bits)
+            got = decide_masks(dataclasses.replace(oracle, decide_block=refuse), space, bits)
             assert got.tolist() == [bool(oracle.decide(g)) for g in graphs], oracle.name
 
     # graphs per call at n = 8, 64 * max(1, bound // block_words(8)), by family
@@ -698,15 +706,15 @@ class TestDecideBits:
                 return decide_block(adj)
 
             def built(space, part):
-                sizes.append(len(part))
+                sizes.append(part.shape[1])
                 return words(space, part)
 
             monkeypatch.setattr(properties, "_adjacency_words", built)
-            got = decide_bits(dataclasses.replace(oracle, decide_block=counted), space, bits)
+            got = decide_masks(dataclasses.replace(oracle, decide_block=counted), space, bits)
             assert got.tolist() == [bool(oracle.decide(g)) for g in graphs], oracle.name
             step = self.CALL_GRAPHS[bound][oracle.name.split(">")[0].split("<")[0].split("-")[0]]
             want = [step] * (5000 // step) + ([5000 % step] if 5000 % step else [])
-            assert sizes == want, oracle.name
+            assert sizes == [-(-size // 64) for size in want], oracle.name
             assert calls == [(8, 8, -(-size // 64)) for size in want], oracle.name
 
     @pytest.mark.parametrize("n", [6, 10, 30])
@@ -714,10 +722,10 @@ class TestDecideBits:
         space = EdgeSpace(n)
         bits = random_bits(space, 300, np.random.default_rng(n))
         oracles = every_shipped_oracle(n) if n <= SUBSET_BLOCK_MAX_N else reach_oracles(n)
-        default = [decide_bits(oracle, space, bits) for oracle in oracles]
+        default = [decide_masks(oracle, space, bits) for oracle in oracles]
         monkeypatch.setattr(properties, "BLOCK_WORDS", 1)  # one word per call
         for oracle, want in zip(oracles, default):
-            assert np.array_equal(decide_bits(oracle, space, bits), want), oracle.name
+            assert np.array_equal(decide_masks(oracle, space, bits), want), oracle.name
 
     @pytest.mark.parametrize("n,count", [(6, 5000), (10, 5000), (30, 1000), (64, 300)])
     def test_no_call_exceeds_the_bound(self, n, count):
@@ -747,7 +755,7 @@ class TestDecideBits:
 
             tracemalloc.start()
             try:
-                decide_bits(dataclasses.replace(oracle, decide_block=traced), space, bits)
+                decide_masks(dataclasses.replace(oracle, decide_block=traced), space, bits)
             finally:
                 tracemalloc.stop()
             assert calls, oracle.name

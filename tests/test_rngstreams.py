@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from probust import DomainError, conditioned_adjacency_model, derive_rng, rngstreams
 from probust.coupling import CouplingParams, coupled_block, generate_coupled
+from probust.graphs import bits_from_words
 from probust.models import adjacency_count_model, sample_block
 from probust.rngstreams import Streams, block_streams, coin_rows
 
@@ -102,9 +103,11 @@ class TestCoinRows:
         streams = Streams(7, (1,), 5, 5)
         assert streams.states.shape == (0, 4)
         assert streams.random(np.arange(0), width).shape == (0, width)
-        assert list(sample_block(conditioned_adjacency_model(6), 7, (1,), 9, 9)) == []
+        words, count, error = sample_block(conditioned_adjacency_model(6), 7, (1,), 9, 9)
+        assert (words.shape, count, error) == ((15, 0), 0, None)
         params = CouplingParams(0.3, adjacency_count_model(6))
-        assert list(coupled_block(params, 7, 9, 9)) == []
+        words, count, error = coupled_block(params, 7, 9, 9)
+        assert ([w.shape for w in words], count, error) == ([(15, 0)] * 3, 0, None)
 
 
 class TestStreams:
@@ -155,9 +158,9 @@ class TestStreams:
     @pytest.mark.parametrize("n", range(4, 11))
     def test_rejection_sampler_rows(self, n):
         source = conditioned_adjacency_model(n)
-        rows = source._sample_rows(21, (1,), 0, 64)
+        words, count, error = source._sample_rows(21, (1,), 0, 64)
         want = [source.sample(derive_rng(21, 1, idx)).bits for idx in range(64)]
-        assert rows == want
+        assert (bits_from_words(words, count), error) == (want, None)
 
 
 class TestLayoutGuard:
@@ -196,11 +199,15 @@ class TestSelfCheck:
             got = coin_rows(7, (1,), lo, hi, width)
             assert got.tobytes() == reference_rows(7, (1,), lo, hi, width).tobytes()
         source = conditioned_adjacency_model(6)
-        assert list(sample_block(source, 7, (1,), 0, 40)) == [
+        words, count, error = sample_block(source, 7, (1,), 0, 40)
+        assert (count, error) == (40, None)
+        assert bits_from_words(words, count) == [
             source.sample(derive_rng(7, 1, idx)).bits for idx in range(40)
         ]
         params = CouplingParams(0.3, adjacency_count_model(6))
-        assert list(coupled_block(params, 7, 0, 40)) == [
+        words, count, error = coupled_block(params, 7, 0, 40)
+        assert (count, error) == (40, None)
+        assert list(zip(*(bits_from_words(w, count) for w in words))) == [
             (t.g1.bits, t.g2.bits, t.u.bits)
             for t in (generate_coupled(params, derive_rng(7, idx)) for idx in range(40))
         ]
