@@ -18,7 +18,7 @@ import numpy as np
 from .coupling import CouplingParams, _require_floor
 from .errors import CertificationError, DomainError, UnsupportedScaleError
 from .graphs import EdgeSpace, Realization, words_from_bits
-from .models import EdgeModel, _level_conditionals, _patch_probabilities, er_model
+from .models import EdgeModel, _conditionals, _edge_tables, _patch_probabilities, er_model
 from .properties import PropertyOracle, decide_bits
 from .rngstreams import _bounds
 
@@ -26,6 +26,9 @@ MAX_JOINT_M = 21  # n = 7
 MAX_COUPLING_M = 10  # n = 5
 PROB_TOL = 1e-12
 _CSV_SLICE = 1 << 16  # rows per pass of ExactDistribution.to_csv
+# decided suffixes per pass of exact_joint, and entries per pass of
+# _event_mass: the pass's scratch stays in cache (2^12 and 2^16 timed slower)
+_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -40,11 +43,14 @@ class ExactDistribution:
             raise DomainError(
                 f"need 2^{self.space.m} probabilities, got shape {self.probs.shape}"
             )
-        if not np.all(np.isfinite(self.probs)):  # NaN fails both checks below
+        # a NaN or infinite entry makes the sum NaN or infinite, so only then
+        # is each entry looked at; the checks below report what the sum meets
+        with np.errstate(invalid="ignore", over="ignore"):
+            total = float(self.probs.sum())
+        if not np.isfinite(total) and not np.isfinite(self.probs).all():
             raise DomainError("non-finite probability in exact table")
-        if np.any(self.probs < -PROB_TOL):
+        if self.probs.min() < -PROB_TOL:
             raise DomainError("negative probability in exact table")
-        total = float(self.probs.sum())
         if abs(total - 1.0) > PROB_TOL:
             raise DomainError(f"probabilities sum to {total}, not 1")
 
@@ -86,7 +92,11 @@ def exact_joint(model: EdgeModel) -> ExactDistribution:
 
     Level i holds the distribution of the decided edges i..m packed so edge i
     is the low bit; descending from i = m to 1 lands on the full table
-    indexed by the realization bitmask.
+    indexed by the realization bitmask. Each level is computed ``_CHUNK``
+    suffixes at a time, in ascending order: their conditionals
+    (:func:`~probust.models._conditionals`) into one scratch array, and both
+    products into the level's half of two buffers used in turn, of 2^m and
+    2^(m-1) entries. So the first bad suffix, level by level, raises.
     """
     _require_floor(model)
     space = model.space
@@ -95,12 +105,18 @@ def exact_joint(model: EdgeModel) -> ExactDistribution:
         raise UnsupportedScaleError(
             f"exact joint caps at m={MAX_JOINT_M} (n=7), got m={m}"
         )
-    table = np.ones(1, dtype=np.float64)
-    for _, q in _level_conditionals(model):
-        new = np.empty(table.size * 2, dtype=np.float64)
-        new[1::2] = table * q
-        new[0::2] = table * (1.0 - q)
-        table = new
+    tables = None if model.table is None else _edge_tables(model, 0.0)
+    buffers = np.empty(1 << m >> 1), np.empty(1 << m)  # level i writes buffers[i % 2]
+    scratch = np.empty(min(_CHUNK, 1 << m >> 1))
+    table = np.ones(1)
+    for i in range(m, 0, -1):
+        new = buffers[i % 2]
+        for lo, hi in _bounds(0, table.size, _CHUNK):
+            q = _conditionals(model, i, lo, hi, tables=tables, out=scratch[: hi - lo])
+            part = table[lo:hi]
+            np.multiply(part, q, out=new[2 * lo + 1 : 2 * hi : 2])
+            np.multiply(part, np.subtract(1.0, q, out=q), out=new[2 * lo : 2 * hi : 2])
+        table = new[: 2 * table.size]
     return ExactDistribution(space, table)
 
 
@@ -150,7 +166,8 @@ def exact_coupling_joint(params: CouplingParams) -> ExactCouplingJoint:
         )
     weights = np.ones(1, dtype=np.float64)
     g1 = union = np.zeros(1, dtype=np.int64)
-    for _, q in _level_conditionals(model, base):
+    for i in range(m, 0, -1):
+        q = _conditionals(model, i, 0, 1 << (m - i), base)
         patch = _patch_probabilities(base, q)[union]
         outside = weights * (1.0 - base)
         weights = np.concatenate((outside * (1.0 - patch), outside * patch, weights * base))
@@ -172,6 +189,24 @@ def _event_indicator(
     indicator = np.zeros(support.size, dtype=bool)
     indicator[support] = decide_bits(oracle, space, words, int(support.sum()))
     return indicator
+
+
+def _lattice_words(m: int) -> np.ndarray:
+    """The edge words (see :mod:`probust.graphs`) of all 2^m realizations,
+    graph g in lane g, in closed form: row e is bit e of the lane index.
+    Below e = 6 that is one 64-lane pattern in every word; from e = 6 on, word
+    w is all ones iff bit e - 6 of w is set. Below m = 6 the one word's
+    lanes past 2^m are zero."""
+    words = np.arange(max(1, (1 << m) >> 6), dtype=np.uint64)
+    out = np.empty((m, words.size), dtype=np.uint64)
+    for e in range(min(m, 6)):
+        width = 1 << e  # the pattern: runs of `width` zeros, then as many ones
+        out[e] = ((1 << 64) - 1) // ((1 << width) + 1) << width
+    shifts = np.arange(max(m - 6, 0), dtype=np.uint64)[:, None]
+    out[6:] = 0 - ((words >> shifts) & 1)
+    if m < 6:
+        out &= (1 << (1 << m)) - 1
+    return out
 
 
 def _monotonicity_violation(indicator: np.ndarray, m: int) -> Optional[tuple[int, int]]:
@@ -196,8 +231,18 @@ def _monotonicity_violation(indicator: np.ndarray, m: int) -> Optional[tuple[int
 
 def _event_mass(probs: np.ndarray, indicator: np.ndarray) -> float:
     """Sum of probs over the indicator, added one entry at a time in bitmask
-    order; np.sum would add pairwise and change the last bits."""
-    return float(np.cumsum(np.where(indicator, probs, 0.0))[-1])
+    order; np.sum would add pairwise and change the last bits. ``_CHUNK``
+    entries at a time, each pass's ``np.cumsum`` starting from the running
+    total, so the additions are the same."""
+    total = 0.0
+    scratch = np.empty(min(_CHUNK, probs.size) + 1)
+    for lo, hi in _bounds(0, probs.size, _CHUNK):
+        part = scratch[: hi - lo + 1]
+        part[0] = total
+        part[1:] = 0.0
+        np.copyto(part[1:], probs[lo:hi], where=indicator[lo:hi])
+        total = np.cumsum(part, out=part)[-1]
+    return float(total)
 
 
 def exact_probability(dist: ExactDistribution, oracle: PropertyOracle) -> float:
@@ -338,7 +383,7 @@ def exact_domination_check(
         raise UnsupportedScaleError(f"domination check caps at m={MAX_JOINT_M}")
     er_dist = exact_joint(er_model(space.n, base))
     # one decision per realization serves the proof and both tables
-    indicator = _event_indicator(space, oracle, np.ones(1 << space.m, dtype=bool))
+    indicator = decide_bits(oracle, space, _lattice_words(space.m), 1 << space.m)
     violation = _monotonicity_violation(indicator, space.m)
     if violation is not None:
         s, edge = violation

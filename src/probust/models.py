@@ -23,8 +23,8 @@ per key; its scalar ``conditional`` reads the same table, so the batched and
 scalar values are one set of floats. The block kernel
 (:func:`_decide_block`) decides edge i = m..1 for a block of samples, per
 edge one key, one ``take`` from the table and one compare, for any n, and
-the exact engine reads the same tables level by level
-(:func:`_level_conditionals`). :func:`sample_block` hands out the kernel's
+the exact engine reads the same tables over any range of decided suffixes
+(:func:`_conditionals`). :func:`sample_block` hands out the kernel's
 realizations for any index range as one batch of edge words (see
 :mod:`probust.graphs`), packed from the kernel's bool rows, and builds no
 Python int or :class:`Realization` per sample. A range that fails to draw
@@ -413,78 +413,56 @@ def _edge_tables(model: EdgeModel, low: float) -> tuple[list, bool]:
     return [checked[id(table)][0] for table in tables], in_range
 
 
-def _level_keys(space: EdgeSpace, key: str):
-    """Yield (i, keys) for edge i = m down to 1, where keys[s] is edge i's
-    key after decided suffix s (edge i+1 is s's low bit), s < 2^(m-i); keys
-    is None for a constant.
+def _conditionals(
+    model: EdgeModel,
+    i: int,
+    lo: int,
+    hi: int,
+    base: float = 0.0,
+    tables: Optional[tuple[list, bool]] = None,
+    out: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Edge i's conditional after each decided suffix s in lo..hi-1, as
+    float64 (written to ``out`` if given): edge i+1 is s's low bit, so the
+    suffix's mask is ``s << i``.
 
-    Degree sums come from an int8 table of the suffixes' degrees that doubles
-    per level, ``deg[:, 2s + b] = deg[:, s] + b (e_a + e_b)`` for the edge
-    (a, b) just decided, built into two preallocated buffers in turn."""
-    m = space.m
-    if key != "degree_sum":
-        for i in range(m, 0, -1):
-            suffixes = np.arange(1 << (m - i), dtype=np.uint32)
-            yield i, np.bitwise_count(suffixes) if key == "count" else None
-        return
-    # the x257 int16 step below keeps every degree in its byte while the
-    # degree is at most 126; the callers cap m at 21 (exact.MAX_JOINT_M), 10
-    # (exact.MAX_COUPLING_M) and 24 (the exhaustive floor check), so n <= 7
-    # and no degree exceeds 6
-    buffers = np.zeros((2, space.n, 1 << max(m - 1, 0)), dtype=np.int8)
-    degrees = buffers[0, :, :1]
-    for i in range(m, 0, -1):
-        if i < m:
-            # columns 2s and 2s + 1 (edge i+1 absent, present) as one
-            # little-endian int16: deg[:, s] in both bytes, then one more in
-            # the high byte at edge i+1's two ends
-            doubled = buffers[(m - i) % 2, :, : 2 * degrees.shape[1]]
-            np.multiply(degrees, 257, out=doubled.view("<i2"), dtype=np.int16)
-            doubled.view("<i2")[list(space.pairs[i])] += 256
-            degrees = doubled
-        a, b = space.pairs[i - 1]
-        yield i, degrees[a] + degrees[b]
-
-
-def _level_conditionals(model: EdgeModel, base: float = 0.0):
-    """Yield (i, q) for edge i = m down to 1, where q[s] is edge i's
-    conditional after decided suffix s (edge i+1 is s's low bit, so its
-    mask is ``s << i``) for every s < 2^(m-i).
-
-    A model with a table reads a whole level from it through the suffixes'
-    keys (:func:`_level_keys`); other models take one scalar ``conditional``
-    call per suffix, the reference path. Either way the first suffix, in
-    ascending order, whose conditional leaves [0, 1] or falls below ``base``
-    raises as :func:`_checked` does. Tables whose entries all lie in
-    [base, 1] are checked once instead of once per suffix.
+    A model with a table reads it through the suffixes' keys, in closed
+    form: the popcount of s for ``"count"``, of s masked to the edges at
+    either end of edge i for ``"degree_sum"``; a ``"constant"`` reads the
+    table's one entry. ``tables`` is :func:`_edge_tables` at ``base``, for a
+    caller that reads many ranges; by default it is gathered here. Other
+    models take one scalar ``conditional`` call per suffix, the reference
+    path. Either way the first suffix of the range whose conditional leaves
+    [0, 1] or falls below ``base`` raises as :func:`_checked` does, unless
+    every table entry lies in [base, 1].
     """
     space = model.space
-    m = space.m
+    q = np.empty(hi - lo) if out is None else out
     if model.table is None:
         check = True
-        levels = ((i, _scalar_level(model, i)) for i in range(m, 0, -1))
+        histories = (SuffixHistory(space, i + 1, s << i) for s in range(lo, hi))
+        q[:] = [model.conditional(i, h) for h in histories]
     else:
-        tables, in_range = _edge_tables(model, base)
+        edge_tables, in_range = _edge_tables(model, base) if tables is None else tables
         check = not in_range
-        levels = (
-            (i, np.full(1 << (m - i), table[0]) if keys is None else table.take(keys))
-            for (i, keys), table in zip(_level_keys(space, model.key), tables)
-        )
-    for i, q in levels:
-        if check:
-            bad = ~((q >= base) & (q <= 1.0))  # NaN counts as out of range
-            if bad.any():
-                s = int(np.argmax(bad))
-                _checked(float(q[s]), i, model.name, base, SuffixHistory(space, i + 1, s << i))
-        yield i, q
-
-
-def _scalar_level(model: EdgeModel, i: int) -> np.ndarray:
-    """Edge i's conditional after every decided suffix, in ascending order
-    of the suffix bits, one scalar ``conditional`` call each."""
-    space = model.space
-    histories = (SuffixHistory(space, i + 1, s << i) for s in range(1 << (space.m - i)))
-    return np.array([model.conditional(i, h) for h in histories], dtype=np.float64)
+        table = edge_tables[space.m - i]
+        if model.key == "constant":
+            q.fill(table[0])
+        else:
+            suffixes = np.arange(lo, hi, dtype=np.uint32)
+            if model.key == "degree_sum":
+                a, b = space.pairs[i - 1]
+                inc = space._incident_masks
+                suffixes &= (inc[a] | inc[b]) >> i
+            # key_count bounds every key, so "clip" never clips; unlike the
+            # default mode it writes to q without a buffer
+            table.take(np.bitwise_count(suffixes), out=q, mode="clip")
+    if check:
+        bad = ~((q >= base) & (q <= 1.0))  # NaN counts as out of range
+        if bad.any():
+            s = lo + int(np.argmax(bad))
+            _checked(float(q[s - lo]), i, model.name, base, SuffixHistory(space, i + 1, s << i))
+    return q
 
 
 def _patch_probabilities(base: float, q: np.ndarray) -> np.ndarray:
@@ -666,7 +644,8 @@ def robustness_floor_check(
                 f"exhaustive floor check caps at m={EXHAUSTIVE_FLOOR_CHECK_MAX_M}, "
                 f"got m={m}; use exhaustive=False for randomized checking"
             )
-        for i, q in _level_conditionals(model):
+        for i in range(m, 0, -1):
+            q = _conditionals(model, i, 0, 1 << (m - i))
             evaluations += q.size
             s = int(np.argmin(q))  # first minimum, as a strict-< scan would keep
             if q[s] < best:

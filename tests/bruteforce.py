@@ -16,7 +16,7 @@ import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
 
 from probust import EdgeSpace, Realization
-from probust.models import _level_conditionals, _patch_probabilities
+from probust.models import _conditionals, _patch_probabilities
 
 INF = float("inf")
 
@@ -186,8 +186,10 @@ def ref_coupling_marginals(params) -> tuple[np.ndarray, np.ndarray]:
     cell from its union g1 | g2 and multiplied with both coins' weights.
     """
     base = params.base
+    m = params.model.space.m
     table = np.ones((1, 1), dtype=np.float64)
-    for _, q in _level_conditionals(params.model, base):
+    for i in range(m, 0, -1):
+        q = _conditionals(params.model, i, 0, 1 << (m - i), base)
         unions = np.arange(q.size, dtype=np.int64)
         patch = _patch_probabilities(base, q)[np.bitwise_or.outer(unions, unions)]
         g2_weights = (1.0 - patch, patch)

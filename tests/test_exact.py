@@ -37,7 +37,8 @@ from probust import (
 )
 from probust import exact as exact_module
 from probust import properties as properties_module
-from probust.models import KEYS, _level_conditionals, _level_keys, key_count, satisfies_min_adjacent
+from probust.graphs import words_from_bits
+from probust.models import KEYS, _conditionals, key_count, satisfies_min_adjacent
 
 ALWAYS = PropertyOracle("always", lambda g: True)
 BUILTINS = [lambda n: er_model(n, 0.37), global_count_model, adjacency_count_model]
@@ -75,6 +76,11 @@ def dented_model(n, batched, overshoot=True):
     return EdgeModel(space, 0.5, conditional, None, "count", table)
 
 
+def level_ranges(size, step):
+    """The ranges lo..hi that cut ``size`` suffixes into parts of ``step``."""
+    return [(lo, min(size, lo + step)) for lo in range(0, size, step)]
+
+
 def suffix_histories(space, i):
     """Edge i's decided suffixes in ascending order of their bits."""
     bits = range(0, 1 << space.m, 1 << i)
@@ -107,17 +113,23 @@ class TestBatchedConditionals:
                     assert model.conditional(i, history) == reference(i, history), (n, i, history)
 
     @pytest.mark.parametrize("n", range(2, 7))
-    def test_level_keys_are_the_suffix_keys(self, n):
+    @pytest.mark.parametrize("step", [3, None])
+    def test_conditionals_read_the_suffix_keys(self, n, step):
+        """A table with entry k = k / 1024, exact and in [0, 1], reads back
+        each suffix's key, over whole levels and over ranges cut into parts
+        of three."""
         space = EdgeSpace(n)
         pairs = bf.ref_pairs(n)
         for key in KEYS:
-            levels = list(_level_keys(space, key))
-            assert [i for i, _ in levels] == list(range(space.m, 0, -1))
-            for i, keys in levels:
-                suffixes = [s << i for s in range(1 << (space.m - i))]
-                degrees = bf.ref_degrees(n, suffixes)
+            identity = np.arange(key_count(key, n)) / 1024
+            model = EdgeModel(space, 0.0, lambda i, h: 0.0, None, key, lambda i: identity)
+            for i in range(space.m, 0, -1):
+                size = 1 << (space.m - i)
+                parts = level_ranges(size, step or size)
+                keys = 1024 * np.concatenate([_conditionals(model, i, lo, hi) for lo, hi in parts])
+                degrees = bf.ref_degrees(n, [s << i for s in range(size)])
                 if key == "constant":
-                    assert keys is None
+                    assert keys.tolist() == [0.0] * size, i
                 elif key == "count":
                     assert keys.tolist() == (degrees.sum(axis=0) // 2).tolist(), i
                 else:
@@ -126,15 +138,36 @@ class TestBatchedConditionals:
 
     @pytest.mark.parametrize("n", range(2, 7))
     @pytest.mark.parametrize("base", [0.0, "floor"])
+    @pytest.mark.parametrize("step", [3, None])
     @pytest.mark.parametrize("build", BUILTINS, ids=["er", "globalcount", "adjcount"])
-    def test_level_conditionals_equal_the_scalar_path(self, build, n, base):
+    def test_conditionals_equal_the_scalar_path(self, build, step, n, base):
         model = build(n)
         base = model.floor if base == "floor" else base
-        got = list(_level_conditionals(model, base))
-        want = list(_level_conditionals(scalar_path(model), base))
-        assert [i for i, _ in got] == [i for i, _ in want] == list(range(model.space.m, 0, -1))
-        for (i, q), (_, reference) in zip(got, want):
-            assert q.dtype == np.float64 and q.tobytes() == reference.tobytes(), i
+        reference = scalar_path(model)
+        for i in range(model.space.m, 0, -1):
+            size = 1 << (model.space.m - i)
+            for lo, hi in level_ranges(size, step or size):
+                q = _conditionals(model, i, lo, hi, base)
+                want = _conditionals(reference, i, lo, hi, base)
+                assert q.dtype == np.float64 and q.shape == (hi - lo,), i
+                assert q.tobytes() == want.tobytes(), (i, lo)
+
+    @pytest.mark.parametrize("batched", [True, False])
+    def test_conditionals_write_to_out(self, batched):
+        model = dented_model(4, batched, overshoot=False)
+        out = np.full(12, -1.0)
+        q = _conditionals(model, 2, 4, 12, out=out[2:10])  # popcounts 1, 2, 2, 3, 1, 2, 2, 3
+        assert np.shares_memory(q, out)
+        assert out.tolist() == [-1.0] * 2 + [0.5, 0.5, 0.5, 0.1] * 2 + [-1.0] * 2
+
+    @pytest.mark.parametrize("batched", [True, False])
+    @pytest.mark.parametrize("lo,hi,first", [(0, 16, 0b0111), (4, 12, 0b0111), (8, 16, 0b1011)])
+    def test_conditionals_raise_at_the_first_bad_suffix_of_the_range(self, batched, lo, hi, first):
+        model = dented_model(4, batched, overshoot=False)
+        with pytest.raises(RobustnessViolationError) as err:
+            _conditionals(model, 2, lo, hi, 0.5)
+        assert str(err.value) == "conditional 0.1 for edge 2 fell below base 0.5"
+        assert err.value.history == SuffixHistory(model.space, 3, first << 2)
 
     def test_table_of_the_wrong_shape_is_a_contract_error(self):
         space = EdgeSpace(4)
@@ -159,15 +192,54 @@ class TestBatchedConditionals:
         scalar = exact_joint(scalar_path(model)).probs
         assert batched.tobytes() == scalar.tobytes()
 
+    @pytest.mark.parametrize("chunk", [1, 3, 64])
+    @pytest.mark.parametrize("n", range(4, 7))
+    @pytest.mark.parametrize("build", BUILTINS, ids=["er", "globalcount", "adjcount"])
+    def test_exact_joint_in_chunks_matches_scalar_path(self, build, n, chunk, monkeypatch):
+        """Levels wider than one chunk: the bytes of the one-chunk tables."""
+        model = build(n)
+        whole = exact_joint(model).probs
+        monkeypatch.setattr(exact_module, "_CHUNK", chunk)
+        assert exact_joint(model).probs.tobytes() == whole.tobytes()
+        assert exact_joint(scalar_path(model)).probs.tobytes() == whole.tobytes()
+
+    def test_exact_joint_level_by_level(self):
+        """Against the whole-level product of the conditionals, at n = 7."""
+        model = adjacency_count_model(7)
+        m = model.space.m
+        table = np.ones(1)
+        for i in range(m, 0, -1):
+            q = _conditionals(model, i, 0, 1 << (m - i))
+            new = np.empty(2 * table.size)
+            new[1::2] = table * q
+            new[0::2] = table * (1.0 - q)
+            table = new
+        assert exact_joint(model).probs.tobytes() == table.tobytes()
+
+    def test_exact_joint_peak_memory(self):
+        """The table, the level before it and chunk-sized scratch: at n = 7,
+        16 + 8 MiB and a little more (the whole-level engine peaked at 55)."""
+        model = adjacency_count_model(7)
+        tracemalloc.start()
+        try:
+            exact_joint(model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 27 * 2**20
+
     def test_custom_closure_above_one_is_contract_error(self):
         bad = EdgeModel(EdgeSpace(3), 0.0, lambda i, h: 1.5)
         assert bad.table is None
         with pytest.raises(ModelContractError, match="returned conditional 1.5 for edge 3"):
             exact_joint(bad)
 
+    @pytest.mark.parametrize("chunk", [1, 4, 8, 64])
     @pytest.mark.parametrize("batched", [True, False])
-    def test_first_bad_suffix_decides_the_error(self, batched):
-        # at edge 2 the dip (suffix 0b0111) comes before the overshoot (0b1111)
+    def test_first_bad_suffix_decides_the_error(self, batched, chunk, monkeypatch):
+        # at edge 2 the dip (suffix 0b0111) comes before the overshoot (0b1111);
+        # chunks of 1, 4 and 8 suffixes put the two in different chunks
+        monkeypatch.setattr(exact_module, "_CHUNK", chunk)
         model = dented_model(4, batched)
         with pytest.raises(RobustnessViolationError) as err:
             exact_coupling_joint(CouplingParams(0.5, model))
@@ -179,10 +251,12 @@ class TestBatchedConditionals:
         with pytest.raises(ModelContractError, match="conditional 1.5 for edge 2;"):
             robustness_floor_check(model)
 
+    @pytest.mark.parametrize("chunk", [1, 4, 8, 64])
     @pytest.mark.parametrize("batched", [True, False])
-    def test_exact_joint_raises_at_the_first_bad_suffix(self, batched):
+    def test_exact_joint_raises_at_the_first_bad_suffix(self, batched, chunk, monkeypatch):
         """Edge 2 gets 2.5 after three present higher edges (first at suffix
         0b0111) and 1.5 after four (0b1111): the ascending scan meets 2.5."""
+        monkeypatch.setattr(exact_module, "_CHUNK", chunk)
         space = EdgeSpace(4)
         values = {3: 2.5, 4: 1.5}
 
@@ -199,8 +273,12 @@ class TestBatchedConditionals:
         with pytest.raises(ModelContractError, match="conditional 2.5 for edge 2;"):
             exact_joint(model)
 
+    @pytest.mark.parametrize("chunk", [1, 64])
     @pytest.mark.parametrize("batched", [True, False])
-    def test_floor_check_witness_and_evaluations(self, batched):
+    def test_floor_check_witness_and_evaluations(self, batched, chunk, monkeypatch):
+        # the floor check reads whole levels, so exact_joint's chunk size
+        # must not reach its witness or its count
+        monkeypatch.setattr(exact_module, "_CHUNK", chunk)
         model = dented_model(4, batched, overshoot=False)
         result = robustness_floor_check(model)
         assert not result.confirmed
@@ -383,9 +461,11 @@ class TestDomination:
         with pytest.raises(DomainError):
             exact_domination_check(adjacency_count_model(4), 0.31, parse_property("connected"))
 
+    @pytest.mark.parametrize("chunk", [7, 1 << 14])
     @pytest.mark.parametrize("base", [0.0, 0.3])
     @pytest.mark.parametrize("prop", ["clique>=3", "connected", "match>=2", "domset<=2"])
-    def test_probabilities_are_sequential_sums(self, base, prop):
+    def test_probabilities_are_sequential_sums(self, base, prop, chunk, monkeypatch):
+        monkeypatch.setattr(exact_module, "_CHUNK", chunk)
         model = adjacency_count_model(5)
         oracle = parse_property(prop)
         res = exact_domination_check(model, base, oracle)
@@ -494,6 +574,14 @@ class TestEventIndicator:
         finally:
             tracemalloc.stop()
         assert peak <= self.BITMASK_SWEEP_PEAK_MIB[prop] * 2**20
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_lattice_words_are_the_bitmasks_words(n):
+    space = EdgeSpace(n)
+    want = words_from_bits(space, np.arange(1 << space.m))
+    got = exact_module._lattice_words(space.m)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def lowest_violation(indicator, m):
@@ -617,6 +705,24 @@ class TestDistributionTable:
             ExactDistribution(EdgeSpace(2), np.array([0.5, bad]))
         with pytest.raises(DomainError, match="non-finite probability"):
             ExactDistribution(EdgeSpace(1), np.array([bad]))
+
+    @pytest.mark.parametrize(
+        "probs,message",
+        [
+            ([np.nan, 1.0], "non-finite probability"),
+            ([np.inf, -1.0], "non-finite probability"),
+            ([-np.inf, np.inf], "non-finite probability"),  # sums to NaN
+            ([-2.0, np.nan], "non-finite probability"),
+            ([-0.5, 1.5], "negative probability"),
+            ([-1e308, -1e308], "negative probability"),  # sums to -inf
+            ([1e308, 1e308], "probabilities sum to inf, not 1"),  # finite, sum overflows
+            ([0.25, 0.5], "probabilities sum to 0.75, not 1"),
+        ],
+    )
+    def test_checks_run_in_order(self, probs, message):
+        """Non-finite entries first, then negative ones, then the sum."""
+        with pytest.raises(DomainError, match=message):
+            ExactDistribution(EdgeSpace(2), np.array(probs))
 
     def test_csv_export(self, tmp_path):
         dist = exact_joint(er_model(3, 0.25))
