@@ -3,7 +3,9 @@
 A line counts when it holds a code token: blank lines, comment lines and the
 lines of docstrings are left out. Comments are found through ``tokenize``,
 docstrings (the string opening a module, class or function body) through
-``ast``. Directories are searched for ``*.py`` files.
+``ast``. Directories are searched for ``*.py`` files. Given a directory or
+several paths, it prints each file's count and path, then the total; given
+one file, only its count.
 
     python scripts/code_lines.py src/probust
 """
@@ -57,7 +59,12 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("paths", nargs="+", help="Python files or directories")
     args = parser.parse_args(argv)
-    print(sum(code_lines(path.read_text()) for path in python_files(args.paths)))
+    files = python_files(args.paths)
+    counts = [code_lines(path.read_text()) for path in files]
+    if len(args.paths) > 1 or Path(args.paths[0]).is_dir():
+        for path, count in zip(files, counts):
+            print(f"{count:6d} {path}")
+    print(sum(counts))
     return 0
 
 

@@ -28,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from .coupling import CouplingParams, coupled_block
+from .coupling import CouplingParams, coupled_parts
 from .errors import (
     CertificationError,
     DomainError,
@@ -46,7 +46,7 @@ from .exact import (
     tv_distance,
 )
 from .graphs import Realization, bits_from_words, hex_from_words
-from .models import MODELS, ModelDescriptor, er_model, sample_block
+from .models import MODELS, ModelDescriptor, er_model, sample_parts
 from .montecarlo import (
     FORMULAS,
     asymptotic_report,
@@ -173,11 +173,9 @@ def cmd_generate(args) -> int:
     check_count(args.samples)
     seed = _resolve_seed(args)
     model = _build_model(args)
-    words, count, error = sample_block(model, seed, (), 0, args.samples)
-    if error is not None:
-        raise error
     out = _Output(args.output)
-    out.write(_records(model.space, seed, ("g",), 0, [words], count))
+    for start, words, count in sample_parts(model, seed, (), 0, args.samples):
+        out.write(_records(model.space, seed, ("g",), start, [words], count))
     out.close()
     return 0
 
@@ -186,11 +184,9 @@ def cmd_couple(args) -> int:
     seed = _resolve_seed(args)
     model = _build_model(args)
     params = CouplingParams(args.base, model)
-    words, count, error = coupled_block(params, seed, 0, check_count(args.samples))
-    if error is not None:
-        raise error
     out = _Output(args.output)
-    out.write(_records(model.space, seed, ("g1", "g2", "u"), 0, words, count))
+    for start, words, count in coupled_parts(params, seed, 0, check_count(args.samples)):
+        out.write(_records(model.space, seed, ("g1", "g2", "u"), start, words, count))
     out.close()
     return 0
 
@@ -417,15 +413,13 @@ def _preset_adjacency_bounds(args, seed: int) -> list[dict]:
         check_clique_scale(n)  # before the model is built and sampled
         model = ModelDescriptor("adjacency-count", n).build()
         cliq, chrom, dom, diam = [], [], [], []
-        words, count, error = sample_block(model, seed, (n,), 0, args.samples)
-        if error is not None:
-            raise error
-        for bits in bits_from_words(words, count):
-            g = Realization(model.space, bits)
-            cliq.append(max_clique_size(g))
-            chrom.append(greedy_coloring_size(g))
-            dom.append(greedy_dominating_set_size(g))
-            diam.append(diameter(g))
+        for _, words, count in sample_parts(model, seed, (n,), 0, args.samples):
+            for bits in bits_from_words(words, count):
+                g = Realization(model.space, bits)
+                cliq.append(max_clique_size(g))
+                chrom.append(greedy_coloring_size(g))
+                dom.append(greedy_dominating_set_size(g))
+                diam.append(diameter(g))
         logb = math.log(b)
         quantities = [
             ("clique", "at-least", 2.0 * math.log(n) / math.log(1.0 / p), cliq, "exact"),

@@ -19,28 +19,29 @@ model's robustness floor; the generator re-checks it at runtime on every
 edge instead of clamping, so a model that underruns its declared floor fails
 loudly with the offending edge and history.
 
-:func:`generate_coupled` is the scalar reference. :func:`coupled_block`
-gives the same triples for any range of indices, as three batches of edge
-words (g1, g2 and the union; see :mod:`probust.graphs`), from the block
-kernel in :mod:`probust.models`, which decides the union on its decided
-degrees and draws the patch coin with the same float operations. A range
-that fails to draw comes out as the batch drawn before its lowest failing
-index and that index's error. Its callers read edge words only, so no
-Python int or :class:`CouplingTriple` is built per sample:
-:func:`coupled_stream` builds one triple per index it yields, and the paired
-test one for a reported violation.
+:func:`generate_coupled` is the scalar reference. :func:`coupled_parts`
+yields the same triples for any range of indices, one part of
+``models._part_rows`` rows at a time, each part three batches of edge words
+(g1, g2 and the union; see :mod:`probust.graphs`) from the block kernel in
+:mod:`probust.models`, which decides the union on its decided degrees and
+draws the patch coin with the same float operations. A draw that fails ends
+the parts: the samples of its part drawn before it are yielded, then its
+error is raised. Its callers read edge words only, so no Python int or
+:class:`CouplingTriple` is built per sample: :func:`coupled_stream` builds
+one triple per index it yields, and the paired test one for a reported
+violation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator
 
 import numpy as np
 
 from .errors import DomainError, RobustnessViolationError
 from .graphs import Realization, SuffixHistory, bits_from_words, union, words_from_bits
-from .models import EdgeModel, _checked, _kernel_words, _part_rows, _scalar_draws
+from .models import EdgeModel, _checked, _kernel_words, _part_rows, _scalar_part
 from .rngstreams import _bounds, check_count, derive_rng
 
 
@@ -179,35 +180,37 @@ def coupled_stream(
     """
     check_count(count)
     space = params.model.space
-    for lo, hi in _bounds(start_index, start_index + count, _part_rows(2 * space.m)):
-        words, drawn, error = coupled_block(params, master_seed, lo, hi)
-        for idx, *bits in zip(range(lo, hi), *(bits_from_words(w, drawn) for w in words)):
+    for lo, words, drawn in coupled_parts(params, master_seed, start_index, start_index + count):
+        for idx, *bits in zip(range(lo, lo + drawn), *(bits_from_words(w, drawn) for w in words)):
             yield idx, CouplingTriple(*(Realization(space, b) for b in bits))
-        if error is not None:
-            raise error
 
 
-def coupled_block(params: CouplingParams, master_seed: int, lo: int, hi: int):
-    """``((g1, g2, u), count, error)`` for the triples
+def coupled_parts(params: CouplingParams, master_seed: int, lo: int, hi: int):
+    """Yield ``(start, (g1, g2, u), count)`` for the triples
     ``t = generate_coupled(params, derive_rng(master_seed, idx))``, idx in
-    lo..hi-1: the edge words of t.g1, t.g2 and t.u over the batch drawn
-    before the lowest index whose draw fails, its count, and that draw's
-    error, or None when the whole range is drawn.
+    lo..hi-1, one part of ``models._part_rows`` rows at a time: the edge
+    words of t.g1, t.g2 and t.u over the ``count`` samples from index
+    ``start`` on. If a draw fails, the samples of its part drawn before it
+    are yielded, then its error is raised, so a caller decides them first.
 
-    A model with a conditional table decides the range in the block
-    kernel, in parts of ``models._part_rows`` rows, for any n, and gives the
-    same bits. Other models, and a model with a table entry that leaves
-    [0, 1] or falls below the base, take the scalar path, so the error is
-    exactly the scalar path's.
+    A model with a conditional table decides each part in the block kernel,
+    for any n, and gives the same bits. Other models, and a model with a
+    table entry that leaves [0, 1] or falls below the base, take the scalar
+    path, so the error is exactly the scalar path's.
     """
     model = params.model
-    words = None if model.table is None else _kernel_words(
-        model, master_seed, (), lo, hi, params.base
-    )
-    if words is not None:
-        return words, hi - lo, None
-    triples, error = _scalar_draws(
-        lambda idx: generate_coupled(params, derive_rng(master_seed, idx)), lo, hi
-    )
-    graphs = [[getattr(t, key).bits for t in triples] for key in ("g1", "g2", "u")]
-    return tuple(words_from_bits(model.space, bits) for bits in graphs), len(triples), error
+    for start, stop in _bounds(lo, hi, _part_rows(2 * model.space.m)):
+        words = None if model.table is None else _kernel_words(
+            model, master_seed, (), start, stop, params.base
+        )
+        if words is not None:
+            yield start, words, stop - start
+            continue
+        yield from _scalar_part(
+            lambda idx: generate_coupled(params, derive_rng(master_seed, idx)),
+            lambda triples: tuple(
+                words_from_bits(model.space, [getattr(t, key).bits for t in triples])
+                for key in ("g1", "g2", "u")
+            ),
+            start, stop,
+        )

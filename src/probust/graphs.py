@@ -15,9 +15,11 @@ there a Python bit loop beats numpy's per-call overhead.
 A batch of B realizations travels as (m, W) uint64 edge words and its count
 B, from the sampling kernel to the block deciders and the record writers:
 W = ceil(B / 64), bit g % 64 of word [e, g // 64] is edge e+1 of graph g,
-and the padding lanes of the last word are zero. This module owns the
-format: words come from the kernel's bool rows (:func:`words_from_rows`) or
-from bitmasks (:func:`words_from_bits`), and leave as bitmasks
+and the padding lanes of the last word are zero. The samplers yield a range
+as consecutive batches, one per kernel part, and each is decided or written
+as it comes, so batches are never joined. This module owns the format:
+words come from the kernel's bool rows (:func:`words_from_rows`) or from
+bitmasks (:func:`words_from_bits`), and leave as bitmasks
 (:func:`bits_from_words`) only where one graph leaves the batch, or as
 record text (:func:`hex_from_words`).
 """
@@ -352,22 +354,6 @@ def words_from_bits(space: EdgeSpace, bits) -> np.ndarray:
         packed = _transpose(raw.reshape(-1, width), m)
         words.view(np.uint8)[:, lo // 8 : lo // 8 + packed.shape[1]] = packed
     return words
-
-
-def join_words(m: int, batches) -> tuple[np.ndarray, int]:
-    """One batch of the graphs of ``batches``, a sequence of (words, count)
-    over m edges, in order: each batch's words shifted to its first lane."""
-    total = sum(count for _, count in batches)
-    out = np.zeros((m, -(-total // 64)), dtype=np.uint64)
-    lane = 0
-    for words, count in batches:
-        q, r = divmod(lane, 64)
-        out[:, q : q + words.shape[1]] |= words << r
-        if r:  # the padding lanes are zero, so what falls past the end is too
-            spill = out[:, q + 1 : q + 1 + words.shape[1]]
-            spill |= words[:, : spill.shape[1]] >> (64 - r)
-        lane += count
-    return out, total
 
 
 def _transpose(rows: np.ndarray, count: int) -> np.ndarray:

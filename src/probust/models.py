@@ -24,12 +24,13 @@ scalar values are one set of floats. The block kernel
 (:func:`_decide_block`) decides edge i = m..1 for a block of samples, per
 edge one key, one ``take`` from the table and one compare, for any n, and
 the exact engine reads the same tables over any range of decided suffixes
-(:func:`_conditionals`). :func:`sample_block` hands out the kernel's
-realizations for any index range as one batch of edge words (see
-:mod:`probust.graphs`), packed from the kernel's bool rows, and builds no
-Python int or :class:`Realization` per sample. A range that fails to draw
-comes out as the batch drawn before its lowest failing index and that
-index's error. The scalar ``conditional`` on a :class:`SuffixHistory`,
+(:func:`_conditionals`). :func:`sample_parts` yields the kernel's
+realizations for any index range, one part of :func:`_part_rows` rows at a
+time, each part a batch of edge words (see :mod:`probust.graphs`) packed
+from the kernel's bool rows, and builds no Python int or
+:class:`Realization` per sample. A draw that fails ends the parts: the
+samples of its part drawn before it are yielded, then its error is
+raised. The scalar ``conditional`` on a :class:`SuffixHistory`,
 :func:`sample_direct` and the rejection sampler's ``sample`` stay the
 bit-for-bit reference.
 
@@ -43,7 +44,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NoReturn, Optional
 
 import numpy as np
 
@@ -58,7 +59,6 @@ from .graphs import (
     EdgeSpace,
     Realization,
     SuffixHistory,
-    join_words,
     words_from_bits,
     words_from_rows,
 )
@@ -84,7 +84,7 @@ class ModelDescriptor:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in MODELS:
+        if not isinstance(self.kind, str) or self.kind not in MODELS:
             raise DomainError(f"unknown model kind {self.kind!r}; options: {MODEL_KINDS}")
 
     def to_json(self) -> str:
@@ -98,6 +98,9 @@ class ModelDescriptor:
             raise DomainError(f"bad model descriptor JSON: {exc}") from exc
         if not isinstance(obj, dict) or set(obj) - {"kind", "n", "params"}:
             raise DomainError(f"model descriptor must be {{kind, n, params}}, got {obj!r}")
+        for name in ("kind", "n"):
+            if name not in obj:
+                raise DomainError(f"model descriptor needs {name!r}, got {obj!r}")
         return cls(obj["kind"], obj["n"], obj.get("params", {}))
 
     def build(self):
@@ -264,29 +267,26 @@ class ConditionedAdjacencyModel:
         return "adjacency-count-conditioned"
 
     def sample(self, rng: np.random.Generator) -> Realization:
-        error = self._empty_event()
-        if error is not None:
-            raise error
+        self._check_event()
         for attempt in range(1, self.budget + 1):
             g = sample_direct(self.base_model, rng)
             if satisfies_min_adjacent(g, self.min_adjacent):
                 return g
-        raise self._exhausted()
+        self._exhausted()
 
-    def _empty_event(self) -> Optional[SamplingFailureError]:
-        """The error for an event that is provably empty at n, else None."""
+    def _check_event(self) -> None:
+        """Raise if the event is provably empty at n."""
         n = self.space.n
-        if 2 * (n - 2) >= self.min_adjacent:
-            return None
-        # the adjacent count cannot reach the threshold
-        return SamplingFailureError(
-            f"conditioning event is empty at n={n}: max adjacent count "
-            f"{2 * (n - 2)} < {self.min_adjacent}",
-            attempts=0,
-        )
+        if 2 * (n - 2) < self.min_adjacent:
+            # the adjacent count cannot reach the threshold
+            raise SamplingFailureError(
+                f"conditioning event is empty at n={n}: max adjacent count "
+                f"{2 * (n - 2)} < {self.min_adjacent}",
+                attempts=0,
+            )
 
-    def _exhausted(self) -> SamplingFailureError:
-        return SamplingFailureError(
+    def _exhausted(self) -> NoReturn:
+        raise SamplingFailureError(
             f"no accepted realization in {self.budget} attempts "
             f"(n={self.space.n}, min adjacent {self.min_adjacent}); "
             "the conditioning event may be empty or tiny",
@@ -294,43 +294,34 @@ class ConditionedAdjacencyModel:
         )
 
     def _sample_rows(self, master_seed: int, branch: tuple, lo: int, hi: int):
-        """:func:`sample_block` for this sampler, all rejection rounds
-        batched: every still-pending stream of a part (see
-        :func:`_part_rows`) draws its next m coins, the base model decides
-        them in one block-kernel call, and acceptance is read off the final
-        degrees at once, so a round's few pending rows are pooled over the
-        whole part. None when the kernel refuses a round (see
-        :func:`_decide_block`). If a part's budget runs out, the batch ends
-        before its first pending row, with the scalar error. An empty range
-        checks nothing, as the scalar path draws nothing."""
+        """``(words, count)`` for one part of :func:`sample_parts`, all
+        rejection rounds batched: every still-pending stream of lo..hi-1
+        draws its next m coins, the base model decides them in one
+        block-kernel call, and acceptance is read off the final degrees at
+        once, so a round's few pending rows are pooled over the whole part.
+        If the budget runs out, the batch ends before the first pending row,
+        so ``count < hi - lo``. None when the kernel refuses a round (see
+        :func:`_decide_block`)."""
+        self._check_event()
         m = self.space.m
         u, v = self.space.endpoints
-        batches, error = [], None
-        for start, stop in _bounds(lo, hi, _part_rows(m)):
-            error = self._empty_event()
-            if error is not None:
+        streams = block_streams(master_seed, branch, lo, hi)
+        out = np.zeros((m, hi - lo), dtype=bool)
+        pending = np.arange(hi - lo)
+        for _ in range(self.budget):
+            if not pending.size:
                 break
-            streams = block_streams(master_seed, branch, start, stop)
-            out = np.zeros((m, stop - start), dtype=bool)
-            pending = np.arange(stop - start)
-            for _ in range(self.budget):
-                if not pending.size:
-                    break
-                decided = _decide_block(self.base_model, streams.random(pending, m))
-                if decided is None:
-                    return None
-                degrees, (present,) = decided
-                # edge (a, b) counts its own bit once in each endpoint's degree
-                adjacent = degrees[u] + degrees[v] - 2 * present.astype(degrees.dtype)
-                accepted = (adjacent >= self.min_adjacent).all(axis=0)
-                out[:, pending[accepted]] = present[:, accepted]
-                pending = pending[~accepted]
-            if pending.size:
-                batches.append((words_from_rows(out[:, : pending[0]]), int(pending[0])))
-                error = self._exhausted()
-                break
-            batches.append((words_from_rows(out), stop - start))
-        return (*join_words(m, batches), error)
+            decided = _decide_block(self.base_model, streams.random(pending, m))
+            if decided is None:
+                return None
+            degrees, (present,) = decided
+            # edge (a, b) counts its own bit once in each endpoint's degree
+            adjacent = degrees[u] + degrees[v] - 2 * present.astype(degrees.dtype)
+            accepted = (adjacent >= self.min_adjacent).all(axis=0)
+            out[:, pending[accepted]] = present[:, accepted]
+            pending = pending[~accepted]
+        count = int(pending[0]) if pending.size else hi - lo
+        return words_from_rows(out[:, :count]), count
 
 
 def conditioned_adjacency_model(
@@ -540,57 +531,59 @@ def _part_rows(width: int) -> int:
 
 def _kernel_words(model: EdgeModel, master_seed: int, branch: tuple, lo: int, hi: int, base=None):
     """The block kernel's decisions for indices lo..hi-1 as edge words: (u,),
-    or (g1, g2, u) for a coupling at ``base``, decided in parts of
-    :func:`_part_rows` rows and each part packed as it is decided. None if
-    the kernel refuses a part."""
+    or (g1, g2, u) for a coupling at ``base``. None if the kernel refuses."""
     width = model.space.m if base is None else 2 * model.space.m
-    columns = [[] for _ in range(1 if base is None else 3)]
-    for start, stop in _bounds(lo, hi, _part_rows(width)):
-        decided = _decide_block(model, coin_rows(master_seed, branch, start, stop, width), base)
-        if decided is None:
-            return None
-        for column, rows in zip(columns, decided[1]):
-            column.append((words_from_rows(rows), stop - start))
-    return tuple(join_words(model.space.m, column)[0] for column in columns)
+    decided = _decide_block(model, coin_rows(master_seed, branch, lo, hi, width), base)
+    return None if decided is None else tuple(words_from_rows(rows) for rows in decided[1])
 
 
-def _scalar_draws(draw: Callable, lo: int, hi: int) -> tuple[list, Optional[Exception]]:
-    """``draw(idx)`` for idx = lo, lo + 1, ... up to the first that raises,
-    and that error, or None if none does: the scalar path's samples before a
-    failure, then the failure."""
+def _scalar_part(draw: Callable, pack: Callable, lo: int, hi: int):
+    """Yield ``(lo, pack(drawn), len(drawn))`` for drawn = ``draw(idx)``,
+    idx = lo, lo + 1, ... up to hi or the first that raises; then raise
+    that error: the scalar path's samples before a failure, then the
+    failure."""
     drawn = []
     for idx in range(lo, hi):
         try:
             drawn.append(draw(idx))
-        except Exception as exc:  # raised by the caller once the drawn samples are decided
-            return drawn, exc
-    return drawn, None
+        except Exception:  # re-raised once the drawn samples are yielded
+            yield lo, pack(drawn), len(drawn)
+            raise
+    yield lo, pack(drawn), len(drawn)
 
 
-def sample_block(source, master_seed: int, branch: tuple, lo: int, hi: int):
-    """``(words, count, error)`` for the realizations
+def sample_parts(source, master_seed: int, branch: tuple, lo: int, hi: int):
+    """Yield ``(start, words, count)`` for the realizations
     ``source.sample(derive_rng(master_seed, *branch, idx))``, idx in
-    lo..hi-1: the edge words of the batch drawn before the lowest index
-    whose draw fails, its count, and that draw's error, or None when the
-    whole range is drawn.
+    lo..hi-1, one part of :func:`_part_rows` rows at a time: the edge words
+    of the ``count`` samples from index ``start`` on. If a draw fails, the
+    samples of its part drawn before it are yielded, then its error is
+    raised, so a caller decides them first.
 
-    Built-in models, and the rejection sampler over one, decide the range in
-    the block kernel, in parts of :func:`_part_rows` rows, for any n, and
-    give the same bits. Any other source, and any range the kernel refuses,
-    takes the scalar path, so the error is exactly the scalar path's.
+    Built-in models, and the rejection sampler over one, decide each part in
+    the block kernel, for any n, and give the same bits. Any other source,
+    and any part the kernel refuses, takes the scalar path, so the error is
+    exactly the scalar path's.
     """
-    if isinstance(source, ConditionedAdjacencyModel) and source.base_model.table is not None:
-        drawn = source._sample_rows(master_seed, branch, lo, hi)
-        if drawn is not None:
-            return drawn
-    elif isinstance(source, EdgeModel) and source.table is not None:
-        words = _kernel_words(source, master_seed, branch, lo, hi)
-        if words is not None:
-            return words[0], hi - lo, None
-    bits, error = _scalar_draws(
-        lambda idx: source.sample(derive_rng(master_seed, *branch, idx)).bits, lo, hi
-    )
-    return words_from_bits(source.space, bits), len(bits), error
+    conditioned = isinstance(source, ConditionedAdjacencyModel)
+    model = source.base_model if conditioned else source
+    kernel = isinstance(model, EdgeModel) and model.table is not None
+    for start, stop in _bounds(lo, hi, _part_rows(source.space.m)):
+        drawn = None
+        if kernel and conditioned:
+            drawn = source._sample_rows(master_seed, branch, start, stop)
+        elif kernel:
+            words = _kernel_words(model, master_seed, branch, start, stop)
+            drawn = None if words is None else (words[0], stop - start)
+        if drawn is None:
+            yield from _scalar_part(
+                lambda idx: source.sample(derive_rng(master_seed, *branch, idx)).bits,
+                lambda bits: words_from_bits(source.space, bits), start, stop,
+            )
+            continue
+        yield start, *drawn
+        if drawn[1] < stop - start:  # the rejection sampler's budget ran out
+            source._exhausted()
 
 
 def sample_direct(model: EdgeModel, rng: np.random.Generator) -> Realization:

@@ -12,21 +12,21 @@ All sampling derives one RNG stream per sample index from the master seed,
 and aggregation is integer counting, so results are identical no matter how
 the indices are partitioned over workers.
 
-Both tests decide samples a block at a time: the block samplers
-(:func:`~probust.models.sample_block`,
-:func:`~probust.coupling.coupled_block`) hand out each block as edge words
-(see :mod:`probust.graphs`), and the words go straight to
-:func:`~probust.properties.decide_bits`, the decision path the exact sweep
-uses too, so no Python int or ``Realization`` is built per sample. It runs
-the oracle's block decider wherever that takes n: the reach deciders
+Both tests decide samples a part at a time: the samplers
+(:func:`~probust.models.sample_parts`,
+:func:`~probust.coupling.coupled_parts`) yield each part of a worker's
+share as edge words (see :mod:`probust.graphs`), and the words go straight
+to :func:`~probust.properties.decide_bits`, the decision path the exact
+sweep uses too, so no Python int or ``Realization`` is built per sample. It
+runs the oracle's block decider wherever that takes n: the reach deciders
 (``connected``, ``diam<=k``) up to n = 64, the subset-table ones up to
 n = 10, ``chrom`` up to n = 8. Above that, or for an oracle without one, it
-calls ``decide`` graph by graph. A sampler whose draw fails hands out the
-block drawn before the lowest failing index and that index's error; the
-drawn samples are decided first, so a paired violation or a decision error
-among them is raised ahead of the draw's error. A paired violation is found
-over the block as g1 & ~union; the first one, by sample and then by oracle,
-is raised with its triple, the only
+calls ``decide`` graph by graph. A sampler whose draw fails yields the
+samples of its part drawn before it and then raises the draw's error, so
+the drawn samples are decided first: a paired violation or a decision
+error among them is raised ahead of the draw's error. A paired violation
+is found over the part as g1 & ~union; the first one, by sample and then
+by oracle, is raised with its triple, the only
 :class:`~probust.coupling.CouplingTriple` the test builds.
 
 The Wilson interval's z comes from ``_ndtri``, a port of the Cephes routine
@@ -46,10 +46,10 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .coupling import CouplingParams, CouplingTriple, _require_floor, coupled_block
+from .coupling import CouplingParams, CouplingTriple, _require_floor, coupled_parts
 from .errors import DomainError, PairedViolationError, RobustnessViolationError
 from .graphs import EdgeSpace, Realization, bits_from_words, degree_histogram
-from .models import EdgeModel, _part_rows, er_model, sample_block
+from .models import EdgeModel, er_model, sample_parts
 from .properties import (
     PropertyOracle,
     chromatic_number,
@@ -197,77 +197,60 @@ def hoeffding_interval(successes: int, samples: int, confidence: float = DEFAULT
 _INTERVALS = {"wilson": wilson_interval, "hoeffding": hoeffding_interval}
 
 
-def _map_blocks(work: Callable[[int, int], object], count: int, workers: int, width: int) -> list:
-    """``[work(lo, hi) for (lo, hi) in blocks]``, in block order, where the
-    blocks cut 0..count-1 (count >= 1) into runs of
-    ``min(models._part_rows(width), ceil(count / workers))`` indices, with
-    ``workers`` first capped at the CPU count: one block-kernel call of
-    ``width`` coins a row each, and work for every worker.
+def _map_blocks(work: Callable[[int, int], object], count: int, workers: int) -> list:
+    """``[work(lo, hi) for (lo, hi) in shares]``, in order, where the shares
+    cut 0..count-1 (count >= 1) into runs of ``ceil(count / workers)``
+    indices, with ``workers`` first capped at the CPU count: one contiguous
+    share per worker.
 
-    With workers > 1, the blocks are cut into one contiguous share per
-    worker (at most one per block and per CPU). The calling process computes
-    the first share itself and forks one process for each of the others;
-    those inherit ``work`` instead of receiving it pickled, so arbitrary
-    sources and oracles work. Every child's outcomes are received, even when
-    the first share fails, and the shares are joined in order. Every index
-    has its own stream and callers sum counts, so results do not depend on
-    who computes a block or on the cut. A share stops at its first failing
-    block and the first failure in block order is raised, so the error is
-    the one at the lowest failing block, as the serial loop would raise it.
-    Within a block, the callers decide the samples drawn before a draw that
-    fails and raise the draw's error only if none of them fails, so the
-    error raised is the one at the lowest failing index however the range is
-    cut.
+    The calling process computes the first share itself and forks one
+    process for each of the others (none for one worker); those inherit
+    ``work`` instead of receiving it pickled, so arbitrary sources and
+    oracles work. Every child's outcome is received, even when the first
+    share fails, and the first failure in share order is raised, so the
+    error is the one at the lowest failing share, as the serial loop would
+    raise it. Every index has its own stream and callers sum counts, so
+    results do not depend on who computes a share or on the cut. Within a
+    share, the samplers yield the samples drawn before a draw that fails
+    and raise the draw's error only once the callers have decided them, so
+    the error raised is the one at the lowest failing index however the
+    range is cut.
     """
     workers = min(workers, os.cpu_count() or 1)
-    blocks = _bounds(0, count, min(_part_rows(width), -(-count // workers)))
-    workers = min(workers, len(blocks))
-    if workers <= 1:
-        return [work(lo, hi) for lo, hi in blocks]
-    shares = [blocks[w * len(blocks) // workers : (w + 1) * len(blocks) // workers]
-              for w in range(workers)]
+    shares = _bounds(0, count, -(-count // workers))
     ctx = multiprocessing.get_context("fork")
     conns, procs = [], []
     try:
-        for share in shares[1:]:
+        for lo, hi in shares[1:]:
             recv, send = ctx.Pipe(duplex=False)
-            proc = ctx.Process(target=_serve_blocks, args=(work, share, send))
+            proc = ctx.Process(target=_serve_share, args=(work, lo, hi, send))
             proc.start()
             send.close()
             conns.append(recv)
             procs.append(proc)
-        outcomes = _run_share(work, shares[0])
-        for conn in conns:
-            outcomes += conn.recv()
+        outcomes = [_outcome(work, *shares[0]), *(conn.recv() for conn in conns)]
     finally:
         for conn in conns:
             conn.close()
         for proc in procs:
             proc.join()
-    results = []
-    for ok, value in outcomes:  # a share stops at its first failing block
+    for ok, value in outcomes:
         if not ok:
             raise value
-        results.append(value)
-    return results
+    return [value for _, value in outcomes]
 
 
-def _run_share(work, blocks) -> list:
-    """``[(True, result) ..., (False, error)?]``: ``work`` over ``blocks``
-    up to and including the first that raises."""
-    outcomes = []
-    for lo, hi in blocks:
-        try:
-            outcomes.append((True, work(lo, hi)))
-        except Exception as exc:  # raised by _map_blocks in block order
-            outcomes.append((False, exc))
-            break
-    return outcomes
+def _outcome(work, lo: int, hi: int) -> tuple:
+    """``(True, work(lo, hi))``, or ``(False, error)`` if it raises."""
+    try:
+        return True, work(lo, hi)
+    except Exception as exc:  # raised by _map_blocks in share order
+        return False, exc
 
 
-def _serve_blocks(work, blocks, conn) -> None:
-    """Forked worker body: send ``_run_share(work, blocks)`` back."""
-    conn.send(_run_share(work, blocks))
+def _serve_share(work, lo: int, hi: int, conn) -> None:
+    """Forked worker body: send ``_outcome(work, lo, hi)`` back."""
+    conn.send(_outcome(work, lo, hi))
     conn.close()
 
 
@@ -310,13 +293,12 @@ def estimate_property(
     _check_scales([oracle], source.space.n)
 
     def count_hits(lo: int, hi: int) -> int:
-        words, drawn, error = sample_block(source, master_seed, branch, lo, hi)
-        hits = int(decide_bits(oracle, source.space, words, drawn).sum())
-        if error is not None:
-            raise error
-        return hits
+        return sum(
+            int(decide_bits(oracle, source.space, words, drawn).sum())
+            for _, words, drawn in sample_parts(source, master_seed, branch, lo, hi)
+        )
 
-    hits = sum(_map_blocks(count_hits, samples, workers, source.space.m))
+    hits = sum(_map_blocks(count_hits, samples, workers))
     low, high = _INTERVALS[method](hits, samples, confidence)
     estimate = hits / samples
     # at 0 or all hits a Wilson bound can land a few ulps past the estimate
@@ -423,33 +405,35 @@ def coupled_domination_test(
     """
     single = isinstance(oracles, PropertyOracle)
     oracle_list = [oracles] if single else list(oracles)
+    if not oracle_list:
+        raise DomainError("the paired test needs at least one oracle")
     check_run(samples, workers)
     space = params.model.space
     _check_scales(oracle_list, space.n)
 
     def count_pairs(lo: int, hi: int) -> np.ndarray:
-        """(2, oracles) counts of the block's samples with each property on
+        """(2, oracles) counts of the share's samples with each property on
         g1 and on the union; the first violation, by sample and then by
         oracle, raises, and then a failed draw."""
-        words, drawn, error = coupled_block(params, master_seed, lo, hi)
-        g1, _, union = words
-        on_g1 = np.array([decide_bits(oracle, space, g1, drawn) for oracle in oracle_list])
-        on_union = np.array([decide_bits(oracle, space, union, drawn) for oracle in oracle_list])
-        lost = (on_g1 & ~on_union).T  # (samples, oracles)
-        if lost.any():
-            r, j = divmod(int(np.argmax(lost)), len(oracle_list))
-            bits = (bits_from_words(w, drawn)[r] for w in words)
-            triple = CouplingTriple(*(Realization(space, b) for b in bits))
-            raise PairedViolationError(
-                f"sample {lo + r}: embedded layer has {oracle_list[j].name!r} but the union "
-                f"does not (g1={triple.g1.to_hex()}, u={triple.u.to_hex()})",
-                triple=triple,
-            )
-        if error is not None:
-            raise error
-        return np.array([on_g1.sum(axis=1), on_union.sum(axis=1)])
+        counts = np.zeros((2, len(oracle_list)), dtype=np.int64)
+        for start, words, drawn in coupled_parts(params, master_seed, lo, hi):
+            g1, _, union = words
+            on_g1 = np.array([decide_bits(o, space, g1, drawn) for o in oracle_list])
+            on_union = np.array([decide_bits(o, space, union, drawn) for o in oracle_list])
+            lost = (on_g1 & ~on_union).T  # (samples, oracles)
+            if lost.any():
+                r, j = divmod(int(np.argmax(lost)), len(oracle_list))
+                bits = (bits_from_words(w, drawn)[r] for w in words)
+                triple = CouplingTriple(*(Realization(space, b) for b in bits))
+                raise PairedViolationError(
+                    f"sample {start + r}: embedded layer has {oracle_list[j].name!r} but the "
+                    f"union does not (g1={triple.g1.to_hex()}, u={triple.u.to_hex()})",
+                    triple=triple,
+                )
+            counts += [on_g1.sum(axis=1), on_union.sum(axis=1)]
+        return counts
 
-    counts = _map_blocks(count_pairs, samples, workers, 2 * space.m)
+    counts = _map_blocks(count_pairs, samples, workers)
     g1_counts, u_counts = np.sum(counts, axis=0).tolist()
     reports = [
         PairedReport(

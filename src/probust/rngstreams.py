@@ -65,9 +65,17 @@ def check_count(count: int) -> int:
     return count
 
 
+def check_keys(keys: tuple) -> tuple:
+    """``keys``, once no stream key (a branch key or an index) is negative:
+    SeedSequence refuses one, and :func:`_words` would never end on one."""
+    if any(key < 0 for key in keys):
+        raise DomainError(f"stream keys must be >= 0, got {keys}")
+    return keys
+
+
 def derive_rng(master_seed: int, *key: int) -> np.random.Generator:
     """Generator for stream ``key`` under ``master_seed``."""
-    seq = np.random.SeedSequence(entropy=check_seed(master_seed), spawn_key=tuple(key))
+    seq = np.random.SeedSequence(entropy=check_seed(master_seed), spawn_key=check_keys(key))
     return np.random.Generator(np.random.PCG64(seq))
 
 
@@ -185,6 +193,7 @@ def _pcg_states(master_seed: int, branch: tuple, lo: int, hi: int) -> np.ndarray
     ``state = ((inc + w0:w1) * MULT + inc) mod 2^128``, high word first in
     each pair. The sums carry and the product is formed from 64-bit halves.
     """
+    check_keys((*branch, lo))  # the lowest index of the range
     parts = [np.empty((0, 4), dtype=np.uint64)]
     # hash each run of indices whose words past the first agree separately
     while lo < hi:

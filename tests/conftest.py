@@ -56,16 +56,15 @@ def kernel_calls(monkeypatch):
 
 @pytest.fixture
 def set_work_unit(monkeypatch):
-    """A function that makes every block-kernel part, and every block the
-    sampled tests cut their range into, ``unit`` rows; ``None`` keeps the
-    kernel's own part size. It also reports three CPUs, so that three
-    workers really fork."""
-    from probust import coupling, models, montecarlo
+    """A function that makes every part the samplers yield ``unit`` rows;
+    ``None`` keeps the kernel's own part size. It also reports three CPUs,
+    so that three workers really fork."""
+    from probust import coupling, models
 
     def set_unit(unit):
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         if unit is not None:
-            for module in (models, montecarlo, coupling):
+            for module in (models, coupling):
                 monkeypatch.setattr(module, "_part_rows", lambda width: unit)
 
     return set_unit

@@ -32,7 +32,7 @@ from probust import (
     sample_direct,
 )
 from probust import montecarlo, rngstreams
-from probust.coupling import coupled_block
+from probust.coupling import coupled_parts
 from probust.graphs import bits_from_words, words_from_bits
 from probust.models import MODELS
 
@@ -478,13 +478,13 @@ class TestPinnedBytes:
         assert path.read_bytes() == stdout.encode()
         space, model = EdgeSpace(10), adjacency_count_model(10)
         if command == "couple":
-            words, count, error = coupled_block(CouplingParams(0.3, model), 7, 0, samples)
+            [(start, words, count)] = coupled_parts(CouplingParams(0.3, model), 7, 0, samples)
             keys = ("g1", "g2", "u")
         else:
-            g, count, error = models.sample_block(model, 7, (), 0, samples)
+            [(start, g, count)] = models.sample_parts(model, 7, (), 0, samples)
             words = [g]
             keys = ("g",)
-        assert (count, error) == (samples, None)
+        assert (start, count) == (0, samples)
         masks = list(zip(*(bits_from_words(w, count) for w in words)))
         assert stdout == "".join(
             cli._dumps({
@@ -520,9 +520,9 @@ class TestUsage:
             raise AssertionError("sampled before the scale cap refused")
 
         for module, name in [
-            (cli, "sample_block"),
-            (montecarlo, "coupled_block"),
-            (montecarlo, "sample_block"),
+            (cli, "sample_parts"),
+            (montecarlo, "coupled_parts"),
+            (montecarlo, "sample_parts"),
         ]:
             monkeypatch.setattr(module, name, no_sample)
         assert cli.main(argv.split()) == 4
@@ -723,7 +723,8 @@ class TestBlockSampledOutput:
         model = conditioned_adjacency_model(10)
         per_block = [
             bits for lo, hi in rngstreams._bounds(0, 1000, 256)
-            for bits in bits_from_words(*models.sample_block(model, 55, (), lo, hi)[:2])
+            for _, words, count in models.sample_parts(model, 55, (), lo, hi)
+            for bits in bits_from_words(words, count)
         ]
         records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
         assert [int(r["g"], 16) for r in records] == per_block
@@ -754,9 +755,9 @@ class TestBlockSampledOutput:
         seen = []
         map_blocks = montecarlo._map_blocks
 
-        def spy(work, count, workers, width):
+        def spy(work, count, workers):
             seen.append(workers)
-            return map_blocks(work, count, workers, width)
+            return map_blocks(work, count, workers)
 
         monkeypatch.setattr(montecarlo, "_map_blocks", spy)
         outputs = []

@@ -24,7 +24,7 @@ from probust import (
     union_probability_identity,
 )
 from probust import models
-from probust.coupling import coupled_block
+from probust.coupling import coupled_parts
 from probust.graphs import bits_from_words
 
 probs = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -192,12 +192,14 @@ def scalar_triples(params, seed, lo, hi):
 
 
 def block_triples(params, seed, lo, hi):
-    """``coupled_block``'s (g1, g2, u) bitmasks over lo..hi-1, read through
-    the to-bitmasks conversion, once its error, if any, is raised."""
-    words, count, error = coupled_block(params, seed, lo, hi)
-    if error is not None:
-        raise error
-    return list(zip(*(bits_from_words(w, count) for w in words)))
+    """The (g1, g2, u) bitmasks of the parts ``coupled_parts`` yields over
+    lo..hi-1, read through the to-bitmasks conversion; each part starts
+    where the one before it ends."""
+    triples = []
+    for start, words, count in coupled_parts(params, seed, lo, hi):
+        assert start == lo + len(triples)
+        triples += zip(*(bits_from_words(w, count) for w in words))
+    return triples
 
 
 class TestCoupledBlock:
@@ -270,6 +272,36 @@ class TestCoupledBlock:
         assert block_err.value.edge == scalar_err.value.edge == 6
         assert block_err.value.history == scalar_err.value.history
         assert str(block_err.value) == str(scalar_err.value)
+
+    @pytest.mark.parametrize("unit", [1, 7, 64])
+    def test_failing_part_is_yielded_up_to_the_failing_index(self, unit, set_work_unit):
+        """A table entry below the base refuses the kernel; each part takes
+        the scalar path, and the part whose draw fails is yielded up to the
+        failing index before the scalar error is raised."""
+        space = EdgeSpace(5)
+
+        def conditional(i, history):
+            return 0.25 if i == 6 and history.present_count() == 3 else 0.6
+
+        def table(i):  # over the count of present decided edges
+            return np.where((i == 6) & (np.arange(space.m) == 3), 0.25, 0.6)
+
+        params = CouplingParams(0.5, EdgeModel(space, 0.5, conditional, key="count", table=table))
+        want = []
+        with pytest.raises(RobustnessViolationError) as scalar_err:
+            for idx in range(3, 300):
+                want.append(generate_coupled(params, derive_rng(45, idx)))
+        set_work_unit(unit)
+        parts = []
+        with pytest.raises(RobustnessViolationError) as err:
+            for start, words, count in coupled_parts(params, 45, 3, 300):
+                triples = list(zip(*(bits_from_words(w, count) for w in words)))
+                parts.append((start, count, triples))
+        assert str(err.value) == str(scalar_err.value)
+        *whole, (last_start, last_count, _) = parts
+        assert [(s, c) for s, c, _ in whole] == [(s, unit) for s in range(3, last_start, unit)]
+        assert last_start + last_count == 3 + len(want)
+        assert [t for *_, triples in parts for t in triples] == triples_bits(want)
 
     def test_lazy_scalar_fallback_yields_up_to_the_error(self):
         space = EdgeSpace(4)

@@ -18,7 +18,6 @@ from probust import (
 from probust.graphs import (
     bits_from_words,
     hex_from_words,
-    join_words,
     words_from_bits,
     words_from_rows,
 )
@@ -306,20 +305,6 @@ class TestEdgeWords:
             words = words_from_rows(rows[:, :b])
             assert bits_from_words(words, b) == bits[:b], b
             assert np.array_equal(words_from_bits(space, bits_from_words(words, b)), words), b
-
-    @pytest.mark.parametrize("n", [1, 5, 12])
-    def test_joined_parts_are_one_batch(self, n):
-        """Parts of any size, word-aligned or not, join into the batch of
-        their graphs in order."""
-        space = EdgeSpace(n)
-        rows, _ = self.rows_and_bits(space, 300, n)
-        for cuts in ([], [0], [64], [1], [63, 65], [7, 77, 200, 299], [300]):
-            edges = [0, *cuts, 300]
-            parts = [(words_from_rows(rows[:, a:b]), b - a) for a, b in zip(edges, edges[1:])]
-            words, count = join_words(space.m, parts)
-            assert count == 300 and np.array_equal(words, words_from_rows(rows)), cuts
-        empty, count = join_words(space.m, [])
-        assert empty.shape == (space.m, 0) and count == 0
 
     def test_conversions_slice_their_temporaries(self, monkeypatch):
         """A conversion of many words gives the words of one slice at a time."""

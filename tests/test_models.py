@@ -24,8 +24,9 @@ from probust import (
     sample_direct,
 )
 from probust import models
+from probust.coupling import CouplingParams, coupled_parts
 from probust.graphs import bits_from_words, words_from_rows
-from probust.models import sample_block, satisfies_min_adjacent
+from probust.models import sample_parts, satisfies_min_adjacent
 from probust.rngstreams import _bounds
 
 
@@ -288,6 +289,10 @@ class TestModelDescriptor:
             ModelDescriptor.from_json("{not json")
         with pytest.raises(DomainError):
             ModelDescriptor.from_json('{"kind": "er", "n": 3, "extra": 1}')
+        for text, field in [('{"n": 3}', "'kind'"), ('{"kind": "er"}', "'n'"),
+                            ('{"kind": [], "n": 3}', "kind")]:
+            with pytest.raises(DomainError, match=field):
+                ModelDescriptor.from_json(text)
 
 
 def builtin_models(n):
@@ -298,10 +303,19 @@ def builtin_models(n):
 
 
 def block_bits(source, seed, branch, lo, hi):
-    """The bitmasks of the batch ``sample_block`` draws over lo..hi-1, read
-    through the to-bitmasks conversion, and its error."""
-    words, count, error = sample_block(source, seed, branch, lo, hi)
-    return bits_from_words(words, count), error
+    """The bitmasks of the parts ``sample_parts`` yields over lo..hi-1, read
+    through the to-bitmasks conversion, and the error it raises, if any.
+    Each part starts where the one before it ends."""
+    bits = []
+    try:
+        for start, words, count in sample_parts(source, seed, branch, lo, hi):
+            assert start == lo + len(bits)
+            bits += bits_from_words(words, count)
+    except AssertionError:
+        raise
+    except Exception as exc:
+        return bits, exc
+    return bits, None
 
 
 def drawn(source, seed, branch, lo, hi):
@@ -491,3 +505,65 @@ class TestSampleBlock:
         with pytest.raises(SamplingFailureError) as err:
             blocked(conditioned_adjacency_model(3), 39, (), 5)
         assert err.value.attempts == 0
+        assert list(sample_parts(conditioned_adjacency_model(3), 39, (), 5, 5)) == []
+
+
+def bad_count_model(n, count, value=1.5):
+    """A count-keyed model whose edge-1 conditional is ``value`` once
+    ``count`` higher edges are present, 0.5 otherwise; as a table, so the
+    kernel refuses it and each part takes the scalar path, or as a closure."""
+    space = EdgeSpace(n)
+
+    def conditional(i, h):
+        return value if i == 1 and h.present_count() == count else 0.5
+
+    def table(i):
+        return np.where((i == 1) & (np.arange(space.m) == count), value, 0.5)
+
+    return (EdgeModel(space, 0.5, conditional, key="count", table=table),
+            EdgeModel(space, 0.5, conditional))
+
+
+class TestSampleParts:
+    """A part whose draw fails is yielded up to the failing index, then the
+    draw's error is raised; parts before it are whole."""
+
+    def parts_then_error(self, source, seed, lo, hi):
+        parts = []
+        with pytest.raises(Exception) as err:
+            for start, words, count in sample_parts(source, seed, (), lo, hi):
+                parts.append((start, count, bits_from_words(words, count)))
+        return parts, err.value
+
+    @pytest.mark.parametrize("unit", [1, 7, 64])
+    def test_failing_part_is_yielded_up_to_the_failing_index(self, unit, set_work_unit):
+        table_model, closure_model = bad_count_model(6, 12)
+        sources = {
+            "kernel-refused": table_model,
+            "scalar": closure_model,
+            "rejection": conditioned_adjacency_model(10, budget=8),
+        }
+        for name, source in sources.items():
+            want = []
+            with pytest.raises(Exception) as scalar_err:
+                for idx in range(5, 3000):
+                    want.append(source.sample(derive_rng(3, idx)).bits)
+            failing = 5 + len(want)
+            assert 5 < failing < 3000, name
+            set_work_unit(unit)
+            parts, error = self.parts_then_error(source, 3, 5, 3000)
+            assert type(error) is type(scalar_err.value) and str(error) == str(scalar_err.value)
+            *whole, (last_start, last_count, _) = parts
+            assert [(s, c) for s, c, _ in whole] == [(s, unit) for s in range(5, last_start, unit)]
+            assert (last_start, last_start + last_count) == (5 + len(whole) * unit, failing), name
+            assert [b for *_, bits in parts for b in bits] == want, name
+
+    @pytest.mark.parametrize("lo", [0, 9, 2**32])
+    def test_empty_range_yields_nothing(self, lo, kernel_calls):
+        table_model, closure_model = bad_count_model(6, 12)
+        for source in (adjacency_count_model(6), conditioned_adjacency_model(6, budget=0),
+                       table_model, closure_model):
+            assert list(sample_parts(source, 7, (1,), lo, lo)) == []
+        for model in (adjacency_count_model(6), closure_model):
+            assert list(coupled_parts(CouplingParams(0.3, model), 7, lo, lo)) == []
+        assert kernel_calls == []

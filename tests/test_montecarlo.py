@@ -40,7 +40,7 @@ from probust.montecarlo import (
     hoeffding_interval,
     wilson_interval,
 )
-from probust.models import sample_block
+from probust.models import sample_parts
 from probust.properties import exactly_edges_oracle, max_clique_size, min_dominating_set_size
 from probust.rngstreams import _bounds
 
@@ -230,7 +230,7 @@ class TestEstimateProperty:
         pooled = len(kernel_calls)
         kernel_calls.clear()
         for lo, hi in _bounds(0, 1000, 256):
-            sample_block(model, 55, (), lo, hi)
+            list(sample_parts(model, 55, (), lo, hi))
         assert pooled < len(kernel_calls)
 
     @pytest.mark.parametrize("unit", [1, 7, 256, None])  # None: the kernel's own part size
@@ -300,7 +300,7 @@ class TestMapBlocks:
         monkeypatch.setattr(multiprocessing, "get_context", lambda method: fork)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         count = 10 * 256 + 3
-        blocks = _map_blocks(lambda lo, hi: (lo, hi), count, workers=5000, width=10)
+        blocks = _map_blocks(lambda lo, hi: (lo, hi), count, workers=5000)
         assert fork.started == started
         assert blocks == _bounds(0, count, -(-count // (started + 1)))
 
@@ -354,6 +354,12 @@ class TestCoupledDominationTest:
         for report in reports:
             assert report.count_union >= report.count_g1
             assert report.violations == 0
+
+    def test_empty_oracle_list_refused_before_sampling(self, kernel_calls):
+        params = CouplingParams(0.3, adjacency_count_model(5))
+        with pytest.raises(DomainError, match="at least one oracle"):
+            coupled_domination_test(params, [], 10, 1)
+        assert kernel_calls == []
 
     def test_non_monotone_oracle_trips_hard_failure(self):
         params = CouplingParams(0.3, adjacency_count_model(6))

@@ -7,10 +7,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from probust import DomainError, conditioned_adjacency_model, derive_rng, rngstreams
-from probust.coupling import CouplingParams, coupled_block, generate_coupled
+from probust import (
+    DomainError,
+    EdgeModel,
+    EdgeSpace,
+    conditioned_adjacency_model,
+    coupled_stream,
+    derive_rng,
+    estimate_property,
+    parse_property,
+    rngstreams,
+)
+from probust.coupling import CouplingParams, coupled_parts, generate_coupled
 from probust.graphs import bits_from_words
-from probust.models import adjacency_count_model, sample_block
+from probust.models import adjacency_count_model, sample_parts
 from probust.rngstreams import Streams, block_streams, coin_rows
 
 SEEDS = [0, 2**32 - 1, 2**32, 2**64 - 1]
@@ -96,6 +106,18 @@ class TestCoinRows:
         with pytest.raises(DomainError):
             block_streams(-1, (), 0, 3)
 
+    def test_negative_stream_keys_refused(self):
+        """A negative index or branch key is one DomainError, from the block
+        streams and from ``derive_rng`` alike."""
+        closure = EdgeModel(EdgeSpace(5), 0.3, lambda i, h: 0.3)  # the scalar path
+        for model in (adjacency_count_model(5), closure):
+            with pytest.raises(DomainError, match=r"stream keys must be >= 0, got \(-1,\)"):
+                list(coupled_stream(CouplingParams(0.3, model), 7, 2, start_index=-1))
+            with pytest.raises(DomainError, match=r"stream keys must be >= 0, got \(-1, 0\)"):
+                estimate_property(model, parse_property("connected"), 10, 7, branch=(-1,))
+        with pytest.raises(DomainError, match="stream keys must be >= 0"):
+            derive_rng(7, 2, -3)
+
     @pytest.mark.parametrize("width", [0, 3])
     def test_empty_range(self, width):
         for lo in (0, 2**32, 2**64 - 1):
@@ -103,11 +125,9 @@ class TestCoinRows:
         streams = Streams(7, (1,), 5, 5)
         assert streams.states.shape == (0, 4)
         assert streams.random(np.arange(0), width).shape == (0, width)
-        words, count, error = sample_block(conditioned_adjacency_model(6), 7, (1,), 9, 9)
-        assert (words.shape, count, error) == ((15, 0), 0, None)
+        assert list(sample_parts(conditioned_adjacency_model(6), 7, (1,), 9, 9)) == []
         params = CouplingParams(0.3, adjacency_count_model(6))
-        words, count, error = coupled_block(params, 7, 9, 9)
-        assert ([w.shape for w in words], count, error) == ([(15, 0)] * 3, 0, None)
+        assert list(coupled_parts(params, 7, 9, 9)) == []
 
 
 class TestStreams:
@@ -158,9 +178,9 @@ class TestStreams:
     @pytest.mark.parametrize("n", range(4, 11))
     def test_rejection_sampler_rows(self, n):
         source = conditioned_adjacency_model(n)
-        words, count, error = source._sample_rows(21, (1,), 0, 64)
+        words, count = source._sample_rows(21, (1,), 0, 64)
         want = [source.sample(derive_rng(21, 1, idx)).bits for idx in range(64)]
-        assert (bits_from_words(words, count), error) == (want, None)
+        assert (bits_from_words(words, count), count) == (want, 64)
 
 
 class TestLayoutGuard:
@@ -199,14 +219,14 @@ class TestSelfCheck:
             got = coin_rows(7, (1,), lo, hi, width)
             assert got.tobytes() == reference_rows(7, (1,), lo, hi, width).tobytes()
         source = conditioned_adjacency_model(6)
-        words, count, error = sample_block(source, 7, (1,), 0, 40)
-        assert (count, error) == (40, None)
+        [(start, words, count)] = sample_parts(source, 7, (1,), 0, 40)
+        assert (start, count) == (0, 40)
         assert bits_from_words(words, count) == [
             source.sample(derive_rng(7, 1, idx)).bits for idx in range(40)
         ]
         params = CouplingParams(0.3, adjacency_count_model(6))
-        words, count, error = coupled_block(params, 7, 0, 40)
-        assert (count, error) == (40, None)
+        [(start, words, count)] = coupled_parts(params, 7, 0, 40)
+        assert (start, count) == (0, 40)
         assert list(zip(*(bits_from_words(w, count) for w in words))) == [
             (t.g1.bits, t.g2.bits, t.u.bits)
             for t in (generate_coupled(params, derive_rng(7, idx)) for idx in range(40))

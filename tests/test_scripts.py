@@ -49,3 +49,8 @@ def test_script_runs(argv):
         }
         for name, rate in exports.items():
             assert rate > 0 and len(report["export_calibration_s"][name]) == 2, name
+    if argv[0] == "scripts/code_lines.py":
+        *files, total = result.stdout.splitlines()
+        counts = [int(line.split()[0]) for line in files]
+        assert len(counts) == len(list((ROOT / "src/probust").glob("*.py")))
+        assert int(total) == sum(counts) > 0
