@@ -92,6 +92,6 @@ from .properties import (
     min_dominating_set_size,
     parse_property,
 )
-from .rngstreams import derive_rng
+from .rngstreams import derive_rng, window_rng
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"

@@ -28,6 +28,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import __version__
 from .coupling import CouplingParams, coupled_parts
 from .errors import (
     CertificationError,
@@ -66,6 +67,11 @@ from .properties import (
     parse_property,
 )
 from .rngstreams import check_count, check_seed, derive_rng
+
+
+# every sampled record and verify report names the package version and the
+# stream layout its samples were read from (see probust.rngstreams)
+_STAMP = {"version": __version__, "stream_layout": 2}
 
 
 def _dumps(obj) -> str:
@@ -136,7 +142,8 @@ def _write(path: str, write) -> None:
 
 
 def _records(space, seed: int, keys: tuple, start: int, columns, count: int) -> str:
-    """The lines ``_dumps({"index": i, "n": space.n, "seed": seed, **hexes})``
+    """The lines ``_dumps({"index": i, "n": space.n, "seed": seed, **_STAMP,
+    **hexes})``
     for i = start, ..., start + count - 1, where ``hexes`` maps ``keys[j]``
     to graph i - start of the batch whose edge words are ``columns[j]``, in
     ``space.hex_format``.
@@ -148,7 +155,7 @@ def _records(space, seed: int, keys: tuple, start: int, columns, count: int) -> 
     gains a decimal digit, so each group is one fixed-width uint8 block: the
     constant texts with the index digits and the hex columns between them."""
     names = sorted(["index", *keys])
-    record = _dumps({"n": space.n, "seed": seed, **dict.fromkeys(names, "#")})
+    record = _dumps({"n": space.n, "seed": seed, **_STAMP, **dict.fromkeys(names, "#")})
     texts = [text.encode() for text in record.replace('"index":"#"', '"index":#').split("#")]
     texts[-1] += b"\n"
     hexes = {key: hex_from_words(space, col, count) for key, col in zip(keys, columns)}
@@ -282,6 +289,7 @@ def cmd_verify(args) -> int:
         "property": oracle.name,
         "samples": args.samples,
         "seed": seed,
+        **_STAMP,
     }
     if args.mode == "coupled":
         report = coupled_domination_test(

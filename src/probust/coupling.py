@@ -19,7 +19,8 @@ model's robustness floor; the generator re-checks it at runtime on every
 edge instead of clamping, so a model that underruns its declared floor fails
 loudly with the offending edge and history.
 
-:func:`generate_coupled` is the scalar reference. :func:`coupled_parts`
+:func:`generate_coupled` on window idx, 2m coins wide, of the seed's stream
+is the scalar reference for triple idx. :func:`coupled_parts`
 yields the same triples for any range of indices, one part of
 ``models._part_rows`` rows at a time, each part three batches of edge words
 (g1, g2 and the union; see :mod:`probust.graphs`) from the block kernel in
@@ -42,7 +43,7 @@ import numpy as np
 from .errors import DomainError, RobustnessViolationError
 from .graphs import Realization, SuffixHistory, bits_from_words, union, words_from_bits
 from .models import EdgeModel, _checked, _kernel_words, _part_rows, _scalar_part
-from .rngstreams import _bounds, check_count, derive_rng
+from .rngstreams import _bounds, check_count, window_rng
 
 
 def p_prime(p: float, q: float) -> float:
@@ -137,9 +138,9 @@ def generate_coupled(
 ) -> CouplingTriple:
     """Draw one (g1, g2, union) triple.
 
-    RNG consumption order is frozen: for each edge from m down to 1, the g1
-    coin then the g2 coin. Two uniforms per edge are always consumed, so a
-    fixed seed reproduces the triple bit-for-bit.
+    RNG consumption order is frozen: 2m uniforms, the g1 coins of edges m
+    down to 1, then the g2 coins of edges m down to 1. They are always
+    consumed, so a fixed seed reproduces the triple bit-for-bit.
     """
     model = params.model
     base = params.base
@@ -153,8 +154,8 @@ def generate_coupled(
     for j, i in enumerate(range(m, 0, -1)):
         q = _checked(conditional(i, history), i, model.name, base, history)
         residual = q - p_prime(base, q)
-        in_g1 = coins[2 * j] < base
-        in_g2 = coins[2 * j + 1] < residual
+        in_g1 = coins[j] < base
+        in_g2 = coins[m + j] < residual
         bit = 1 << (i - 1)
         if in_g1:
             g1_bits |= bit
@@ -172,7 +173,8 @@ def coupled_stream(
     count: int,
     start_index: int = 0,
 ) -> Iterator[tuple[int, CouplingTriple]]:
-    """Yield (index, triple) pairs with one derived RNG stream per index.
+    """Yield (index, triple) pairs, triple idx drawn from window idx of
+    the seed's stream (see :func:`coupled_parts`).
 
     Triples are independent across indices and depend only on
     (master_seed, index), so any partition of the index range over workers
@@ -187,8 +189,9 @@ def coupled_stream(
 
 def coupled_parts(params: CouplingParams, master_seed: int, lo: int, hi: int):
     """Yield ``(start, (g1, g2, u), count)`` for the triples
-    ``t = generate_coupled(params, derive_rng(master_seed, idx))``, idx in
-    lo..hi-1, one part of ``models._part_rows`` rows at a time: the edge
+    ``t = generate_coupled(params, window_rng(master_seed, (), idx, 2 * m))``
+    (window idx, 2m coins wide, of the seed's stream), idx in lo..hi-1,
+    one part of ``models._part_rows`` rows at a time: the edge
     words of t.g1, t.g2 and t.u over the ``count`` samples from index
     ``start`` on. If a draw fails, the samples of its part drawn before it
     are yielded, then its error is raised, so a caller decides them first.
@@ -198,8 +201,8 @@ def coupled_parts(params: CouplingParams, master_seed: int, lo: int, hi: int):
     table entry that leaves [0, 1] or falls below the base, take the scalar
     path, so the error is exactly the scalar path's.
     """
-    model = params.model
-    for start, stop in _bounds(lo, hi, _part_rows(2 * model.space.m)):
+    model, width = params.model, 2 * params.model.space.m
+    for start, stop in _bounds(lo, hi, _part_rows(width)):
         words = None if model.table is None else _kernel_words(
             model, master_seed, (), start, stop, params.base
         )
@@ -207,7 +210,7 @@ def coupled_parts(params: CouplingParams, master_seed: int, lo: int, hi: int):
             yield start, words, stop - start
             continue
         yield from _scalar_part(
-            lambda idx: generate_coupled(params, derive_rng(master_seed, idx)),
+            lambda idx: generate_coupled(params, window_rng(master_seed, (), idx, width)),
             lambda triples: tuple(
                 words_from_bits(model.space, [getattr(t, key).bits for t in triples])
                 for key in ("g1", "g2", "u")

@@ -359,16 +359,20 @@ def words_from_bits(space: EdgeSpace, bits) -> np.ndarray:
 def _transpose(rows: np.ndarray, count: int) -> np.ndarray:
     """The transpose of the bit matrix whose R rows are the little-endian
     bytes ``rows``, ``count`` bits each, as (count, max(1, ceil(R / 8)))
-    little-endian bytes. The rows are unpacked to bits, and byte k of every
-    column is the OR of bit rows 8k..8k+7, each shifted by its bit position:
-    eight passes over whole rows, several times faster than ``np.packbits``
-    down the columns."""
-    bits = np.unpackbits(rows, axis=1, count=count, bitorder="little")
-    packed = np.zeros((max(1, -(-len(rows) // 8)), count), dtype=np.uint8)
+    little-endian bytes. The rows are unpacked to one byte per bit, and
+    byte k of every column is the OR of bit rows 8k..8k+7, each shifted by
+    its bit position: eight passes over whole rows, several times faster
+    than ``np.packbits`` down the columns. The passes run on uint64 views,
+    eight bit bytes at a time; a byte holds 0 or 1 and is shifted by at
+    most 7, so no bit crosses into its neighbour. Each row is unpacked to
+    whole bytes of ``rows``, ``count`` rounded up to a multiple of 8."""
+    bits = np.unpackbits(rows, axis=1, count=-(-count // 8) * 8, bitorder="little")
+    padded = np.zeros((max(1, -(-len(rows) // 8)), bits.shape[1]), dtype=np.uint8)
+    packed, lanes = padded.view(np.uint64), bits.view(np.uint64)
     for bit in range(8):
-        part = bits[bit::8]
-        packed[: len(part)] |= part << bit
-    return packed.T
+        part = lanes[bit::8]
+        packed[: len(part)] |= part << np.uint64(bit)
+    return padded[:, :count].T
 
 
 def _edge_bytes(words: np.ndarray, count: int) -> np.ndarray:

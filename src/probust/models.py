@@ -30,9 +30,12 @@ time, each part a batch of edge words (see :mod:`probust.graphs`) packed
 from the kernel's bool rows, and builds no Python int or
 :class:`Realization` per sample. A draw that fails ends the parts: the
 samples of its part drawn before it are yielded, then its error is
-raised. The scalar ``conditional`` on a :class:`SuffixHistory`,
-:func:`sample_direct` and the rejection sampler's ``sample`` stay the
-bit-for-bit reference.
+raised. Sample idx reads window idx of the stream of its (seed, branch)
+(stream layout 2, see :mod:`probust.rngstreams`), so each part's coins are
+one draw; the rejection sampler's attempt r reads window idx of its own
+stream, keyed by the branch, ``REJECTION_TAG`` and r. The scalar
+``conditional`` on a :class:`SuffixHistory`, :func:`sample_direct` on one
+window, and :func:`_sample_at` stay the bit-for-bit reference.
 
 The conditional-given-the-decided-suffix reading is part of each model's
 definition here. A conditional-given-everything-else (Markov-random-field)
@@ -42,7 +45,9 @@ first and is out of contract.
 
 from __future__ import annotations
 
+import itertools
 import json
+import numbers
 from dataclasses import asdict, dataclass, field
 from typing import Callable, NoReturn, Optional
 
@@ -62,15 +67,15 @@ from .graphs import (
     words_from_bits,
     words_from_rows,
 )
-from .rngstreams import _bounds, block_streams, coin_rows, derive_rng
+from .rngstreams import _bounds, coin_rows, derive_rng, window_rng
 
 EXHAUSTIVE_FLOOR_CHECK_MAX_M = 24
-# coin floats' worth of memory handed to one block-kernel call (32 MiB),
-# counting each row's stream (its 32-byte PCG64 state) as STREAM_COINS coins:
-# a larger range is decided in parts of whole rows, and rows are independent
-# streams, so the parts give the same bits as one call
+# coin floats' worth of memory handed to one block-kernel call (32 MiB): a
+# larger range is decided in parts of whole rows, and each row reads its own
+# window of the stream, so the parts give the same bits as one call
 KERNEL_COINS = 1 << 22
-STREAM_COINS = 4
+# the stream key, after the branch, of the rejection sampler's attempts
+REJECTION_TAG = 0x7E1EC7
 # the keys a conditional table is read through (see EdgeModel)
 KEYS = ("constant", "count", "degree_sum")
 
@@ -104,12 +109,19 @@ class ModelDescriptor:
         return cls(obj["kind"], obj["n"], obj.get("params", {}))
 
     def build(self):
+        if not isinstance(self.params, dict):
+            raise DomainError(f"model descriptor params must be an object, got {self.params!r}")
         kind = MODELS[self.kind]
         for name in kind.required:
             if name not in self.params:
                 raise DomainError(f"{self.kind} model needs params.{name}")
-        taken = kind.required + kind.optional
-        return kind.build(self.n, **{k: v for k, v in self.params.items() if k in taken})
+        params = {k: v for k, v in self.params.items() if k in kind.required + kind.optional}
+        for name, value in params.items():
+            accepts, wanted = PARAMS[name]
+            if isinstance(value, bool) or not accepts(value):
+                raise DomainError(f"{self.kind} model params.{name} must be {wanted}, "
+                                  f"got {value!r}")
+        return kind.build(self.n, **params)
 
 
 @dataclass(frozen=True)
@@ -267,8 +279,12 @@ class ConditionedAdjacencyModel:
         return "adjacency-count-conditioned"
 
     def sample(self, rng: np.random.Generator) -> Realization:
+        return self._first_accepted(itertools.repeat(rng, self.budget))
+
+    def _first_accepted(self, rngs) -> Realization:
+        """The first base-model draw, one per generator, in the event."""
         self._check_event()
-        for attempt in range(1, self.budget + 1):
+        for rng in rngs:
             g = sample_direct(self.base_model, rng)
             if satisfies_min_adjacent(g, self.min_adjacent):
                 return g
@@ -295,23 +311,27 @@ class ConditionedAdjacencyModel:
 
     def _sample_rows(self, master_seed: int, branch: tuple, lo: int, hi: int):
         """``(words, count)`` for one part of :func:`sample_parts`, all
-        rejection rounds batched: every still-pending stream of lo..hi-1
-        draws its next m coins, the base model decides them in one
-        block-kernel call, and acceptance is read off the final degrees at
-        once, so a round's few pending rows are pooled over the whole part.
-        If the budget runs out, the batch ends before the first pending row,
-        so ``count < hi - lo``. None when the kernel refuses a round (see
-        :func:`_decide_block`)."""
+        rejection rounds batched: in round r every still-pending row of
+        lo..hi-1 takes its window of stream (*branch, ``REJECTION_TAG``, r),
+        drawn in one call over the pending rows' span, the base model decides
+        them in one block-kernel call, and acceptance is read off the final
+        degrees at once, so a round's few pending rows are pooled over the
+        whole part. If the budget runs out, the batch ends before the first
+        pending row, so ``count < hi - lo``. None when the kernel refuses a
+        round (see :func:`_decide_block`)."""
         self._check_event()
         m = self.space.m
         u, v = self.space.endpoints
-        streams = block_streams(master_seed, branch, lo, hi)
         out = np.zeros((m, hi - lo), dtype=bool)
         pending = np.arange(hi - lo)
-        for _ in range(self.budget):
+        for r in range(self.budget):
             if not pending.size:
                 break
-            decided = _decide_block(self.base_model, streams.random(pending, m))
+            first, last = lo + int(pending[0]), lo + int(pending[-1])
+            coins = coin_rows(master_seed, (*branch, REJECTION_TAG, r), first, last + 1, m)
+            if pending.size < len(coins):
+                coins = coins[pending - pending[0]]
+            decided = _decide_block(self.base_model, coins)
             if decided is None:
                 return None
             degrees, (present,) = decided
@@ -350,6 +370,11 @@ class ModelKind:
     optional: tuple[str, ...] = ()
 
 
+# what each descriptor param must be: a test (never passed a bool) and its wording
+PARAMS = {
+    "p": (lambda v: isinstance(v, numbers.Real), "a number"),
+    "budget": (lambda v: isinstance(v, numbers.Integral) and v >= 1, "an integer >= 1"),
+}
 MODELS = {
     "er": ModelKind("er", er_model, required=("p",)),
     "global-count": ModelKind("globalcount", global_count_model),
@@ -468,11 +493,12 @@ def _decide_block(model: EdgeModel, coins: np.ndarray, base: Optional[float] = N
 
     Row r of ``coins`` holds the uniforms one sample's scalar path draws: m
     of them for :func:`sample_direct` (coin j decides edge m-j), or 2m for
-    :func:`~probust.coupling.generate_coupled` when ``base`` is given (the g1
-    coin, then the patch coin, per edge). Per edge the kernel forms each
-    sample's key from its decided degrees (or its running edge count), takes
-    its conditional from the table, or its patch-coin probability from the
-    patch table built once per distinct table, and compares. Returns the
+    :func:`~probust.coupling.generate_coupled` when ``base`` is given (the m
+    g1 coins, then the m patch coins, each in the same edge order). Per edge
+    the kernel forms each sample's key from its decided degrees (or its
+    running edge count), takes its conditional from the table, or its
+    patch-coin probability from the patch table built once per distinct
+    table, and compares. Returns the
     final degrees, shape (n, B), and the decisions as (m, B) bool arrays
     whose row i-1 is edge i: ``(u,)``, or ``(g1, g2, u)`` for a coupling,
     bit for bit those of the scalar samplers; the same strict ``<`` tests
@@ -494,7 +520,7 @@ def _decide_block(model: EdgeModel, coins: np.ndarray, base: Optional[float] = N
     key_out, q_out = np.empty(b, dtype=degrees.dtype), np.empty(b)  # reused by every edge
     u = np.empty((space.m, b), dtype=bool)
     if base is not None:
-        g1 = np.ascontiguousarray((coins[:, 0::2] < base).T[::-1])
+        g1 = np.ascontiguousarray((coins[:, : space.m] < base).T[::-1])
         g2 = np.empty_like(u)
         patches = {}  # id(table): its patch table; _edge_tables keeps the ids unique
     for j, table in enumerate(tables):
@@ -514,7 +540,7 @@ def _decide_block(model: EdgeModel, coins: np.ndarray, base: Optional[float] = N
         if base is None:
             np.less(coins[:, j], q, out=u[i - 1])
         else:
-            np.less(coins[:, 2 * j + 1], q, out=g2[i - 1])
+            np.less(coins[:, space.m + j], q, out=g2[i - 1])
             np.logical_or(g1[i - 1], g2[i - 1], out=u[i - 1])
         vertex_rows[a] += u[i - 1]
         vertex_rows[c] += u[i - 1]
@@ -525,13 +551,14 @@ def _decide_block(model: EdgeModel, coins: np.ndarray, base: Optional[float] = N
 
 def _part_rows(width: int) -> int:
     """Rows of ``width`` coins per block-kernel call: at most ``KERNEL_COINS``
-    coins, each row's stream counted as ``STREAM_COINS`` more, and at least one."""
-    return max(1, KERNEL_COINS // (width + STREAM_COINS))
+    coins, and at least one."""
+    return max(1, KERNEL_COINS // max(1, width))
 
 
 def _kernel_words(model: EdgeModel, master_seed: int, branch: tuple, lo: int, hi: int, base=None):
-    """The block kernel's decisions for indices lo..hi-1 as edge words: (u,),
-    or (g1, g2, u) for a coupling at ``base``. None if the kernel refuses."""
+    """The block kernel's decisions for indices lo..hi-1, from their windows
+    of stream ``branch``, as edge words: (u,), or (g1, g2, u) for a coupling
+    at ``base``. None if the kernel refuses."""
     width = model.space.m if base is None else 2 * model.space.m
     decided = _decide_block(model, coin_rows(master_seed, branch, lo, hi, width), base)
     return None if decided is None else tuple(words_from_rows(rows) for rows in decided[1])
@@ -552,18 +579,35 @@ def _scalar_part(draw: Callable, pack: Callable, lo: int, hi: int):
     yield lo, pack(drawn), len(drawn)
 
 
+def _sample_at(source, master_seed: int, branch: tuple, idx: int) -> Realization:
+    """Sample idx of ``source`` under ``master_seed`` and ``branch``, the
+    scalar reference of :func:`sample_parts`. An :class:`EdgeModel` decides
+    window idx of stream ``branch`` (see
+    :func:`~probust.rngstreams.window_rng`). The rejection sampler's attempt
+    r is a base-model draw from window idx of stream (*branch,
+    ``REJECTION_TAG``, r), the reference of its ``_sample_rows``. Any other
+    source, which need not draw a fixed number of coins, samples
+    ``derive_rng(master_seed, *branch, idx)``."""
+    m = source.space.m
+    if isinstance(source, ConditionedAdjacencyModel):
+        keys = ((*branch, REJECTION_TAG, r) for r in range(source.budget))
+        return source._first_accepted(window_rng(master_seed, key, idx, m) for key in keys)
+    if isinstance(source, EdgeModel):
+        return sample_direct(source, window_rng(master_seed, branch, idx, m))
+    return source.sample(derive_rng(master_seed, *branch, idx))
+
+
 def sample_parts(source, master_seed: int, branch: tuple, lo: int, hi: int):
-    """Yield ``(start, words, count)`` for the realizations
-    ``source.sample(derive_rng(master_seed, *branch, idx))``, idx in
+    """Yield ``(start, words, count)`` for sample idx of ``source``, idx in
     lo..hi-1, one part of :func:`_part_rows` rows at a time: the edge words
     of the ``count`` samples from index ``start`` on. If a draw fails, the
     samples of its part drawn before it are yielded, then its error is
     raised, so a caller decides them first.
 
-    Built-in models, and the rejection sampler over one, decide each part in
-    the block kernel, for any n, and give the same bits. Any other source,
-    and any part the kernel refuses, takes the scalar path, so the error is
-    exactly the scalar path's.
+    Sample idx is :func:`_sample_at`'s. Built-in models, and the rejection
+    sampler over one, decide each part in the block kernel, for any n, and
+    give the same bits. Any other source, and any part the kernel refuses,
+    takes the scalar path, so the error is exactly the scalar path's.
     """
     conditioned = isinstance(source, ConditionedAdjacencyModel)
     model = source.base_model if conditioned else source
@@ -577,7 +621,7 @@ def sample_parts(source, master_seed: int, branch: tuple, lo: int, hi: int):
             drawn = None if words is None else (words[0], stop - start)
         if drawn is None:
             yield from _scalar_part(
-                lambda idx: source.sample(derive_rng(master_seed, *branch, idx)).bits,
+                lambda idx: _sample_at(source, master_seed, branch, idx).bits,
                 lambda bits: words_from_bits(source.space, bits), start, stop,
             )
             continue

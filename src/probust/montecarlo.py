@@ -8,9 +8,10 @@ union by construction, so a single sample with the property on the embedded
 layer but not on the union is a hard bug, not noise. The paired form is the
 default verification.
 
-All sampling derives one RNG stream per sample index from the master seed,
-and aggregation is integer counting, so results are identical no matter how
-the indices are partitioned over workers.
+Sample idx reads its own window of one RNG stream per (master seed,
+branch) (see :mod:`probust.rngstreams`), and aggregation is integer
+counting, so results are identical no matter how the indices are
+partitioned over workers.
 
 Both tests decide samples a part at a time: the samplers
 (:func:`~probust.models.sample_parts`,
@@ -209,7 +210,7 @@ def _map_blocks(work: Callable[[int, int], object], count: int, workers: int) ->
     oracles work. Every child's outcome is received, even when the first
     share fails, and the first failure in share order is raised, so the
     error is the one at the lowest failing share, as the serial loop would
-    raise it. Every index has its own stream and callers sum counts, so
+    raise it. Every index reads its own coins and callers sum counts, so
     results do not depend on who computes a share or on the cut. Within a
     share, the samplers yield the samples drawn before a draw that fails
     and raise the draw's error only once the callers have decided them, so
@@ -282,9 +283,9 @@ def estimate_property(
 ) -> EstimateResult:
     """Frequency estimate of Pr(source sample has the property).
 
-    ``source`` is anything with ``.space`` and ``.sample(rng)``. Stream for
-    sample i is derived from (master_seed, *branch, i); the hit count, and
-    therefore the result, does not depend on ``workers``.
+    ``source`` is anything with ``.space`` and ``.sample(rng)``. Sample i is
+    ``models.sample_parts``' sample i under (master_seed, branch); the hit
+    count, and therefore the result, does not depend on ``workers``.
     """
     check_run(samples, workers)
     if method not in _INTERVALS:

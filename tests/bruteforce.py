@@ -15,8 +15,22 @@ import networkx as nx
 import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
 
-from probust import EdgeSpace, Realization
-from probust.models import _conditionals, _patch_probabilities
+from probust import (
+    ConditionedAdjacencyModel,
+    EdgeModel,
+    EdgeSpace,
+    Realization,
+    derive_rng,
+    generate_coupled,
+    sample_direct,
+    window_rng,
+)
+from probust.models import (
+    REJECTION_TAG,
+    _conditionals,
+    _patch_probabilities,
+    satisfies_min_adjacent,
+)
 
 INF = float("inf")
 
@@ -157,7 +171,7 @@ def ref_decide_block(model, coins, base=None):
     degrees = np.zeros((n, len(coins)), dtype=np.min_scalar_type(-4 * n))
     u = np.empty((m, len(coins)), dtype=bool)
     if base is not None:
-        g1 = np.ascontiguousarray((coins[:, 0::2] < base).T[::-1])
+        g1 = np.ascontiguousarray((coins[:, :m] < base).T[::-1])  # the m g1 coins
         g2 = np.empty_like(u)
     for j, i in enumerate(range(m, 0, -1)):
         q = conditionals(i, degrees)
@@ -166,11 +180,41 @@ def ref_decide_block(model, coins, base=None):
         if base is None:
             np.less(coins[:, j], q, out=u[i - 1])
         else:
-            np.less(coins[:, 2 * j + 1], _patch_probabilities(base, q), out=g2[i - 1])
+            np.less(coins[:, m + j], _patch_probabilities(base, q), out=g2[i - 1])
             np.logical_or(g1[i - 1], g2[i - 1], out=u[i - 1])
         for v in pairs[i - 1]:
             degrees[v] += u[i - 1]
     return degrees, ((u,) if base is None else (g1, g2, u))
+
+
+# ---------------------------------------------------------------------------
+# the samplers' scalar references, one index at a time (stream layout 2)
+
+
+def ref_sample(source, seed: int, branch: tuple, idx: int) -> int:
+    """Sample idx's bitmask as ``sample_parts`` must give it: an EdgeModel
+    decides window idx of stream ``branch``; the rejection sampler's attempt
+    r is an adjacency-count draw from window idx of stream
+    (*branch, REJECTION_TAG, r), and its errors are the sampler's own; any
+    other source draws from ``derive_rng(seed, *branch, idx)``."""
+    m = source.space.m
+    if isinstance(source, ConditionedAdjacencyModel):
+        source._check_event()
+        for r in range(source.budget):
+            rng = window_rng(seed, (*branch, REJECTION_TAG, r), idx, m)
+            g = sample_direct(source.base_model, rng)
+            if satisfies_min_adjacent(g, source.min_adjacent):
+                return g.bits
+        source._exhausted()
+    if isinstance(source, EdgeModel):
+        return sample_direct(source, window_rng(seed, branch, idx, m)).bits
+    return source.sample(derive_rng(seed, *branch, idx)).bits
+
+
+def ref_coupled(params, seed: int, idx: int):
+    """Triple idx as ``coupled_parts`` must give it: ``generate_coupled`` on
+    window idx, 2m coins wide, of the seed's stream."""
+    return generate_coupled(params, window_rng(seed, (), idx, 2 * params.model.space.m))
 
 
 # ---------------------------------------------------------------------------

@@ -13,23 +13,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bruteforce as bf
 from probust import (
     FORMULAS,
     CouplingParams,
     DomainError,
     EdgeSpace,
     ModelDescriptor,
+    Realization,
     SamplingFailureError,
     adjacency_count_model,
     cli,
     conditioned_adjacency_model,
-    derive_rng,
     er_model,
-    generate_coupled,
     is_connected,
     models,
     parse_property,
-    sample_direct,
 )
 from probust import montecarlo, rngstreams
 from probust.coupling import coupled_parts
@@ -47,7 +46,8 @@ GOLDEN_DOMINATION = json.loads(
 # stdout, stderr and exit code of generate, couple, exact, verify and report
 # calls, and library error messages, captured before the model registry and
 # the threshold-family table existed; the 300-sample calls at seeds 0, 2^32
-# and 2^64 - 1 (pinned by stdout digest) before block seeding
+# and 2^64 - 1 (pinned by stdout digest) before block seeding. Every call that
+# samples was re-recorded once for stream layout 2 (version 0.4.0).
 GOLDEN_CLI = json.loads((Path(__file__).parent / "golden" / "cli_bytes.json").read_text())
 
 
@@ -456,8 +456,9 @@ class TestPinnedBytes:
                     columns[0][:2] = [0, full]
                 want = "".join(
                     cli._dumps({
-                        "index": start + i, "n": n, "seed": seed,
-                        **{key: format(col[i], space.hex_format) for key, col in zip(keys, columns)},
+                        "index": start + i, "n": n, "seed": seed, **cli._STAMP,
+                        **{key: format(col[i], space.hex_format)
+                           for key, col in zip(keys, columns)},
                     }) + "\n"
                     for i in range(count)
                 )
@@ -488,7 +489,7 @@ class TestPinnedBytes:
         masks = list(zip(*(bits_from_words(w, count) for w in words)))
         assert stdout == "".join(
             cli._dumps({
-                "index": i, "n": 10, "seed": 7,
+                "index": i, "n": 10, "seed": 7, **cli._STAMP,
                 **{key: format(bits, space.hex_format) for key, bits in zip(keys, triple)},
             }) + "\n"
             for i, triple in enumerate(masks)
@@ -659,8 +660,8 @@ def scalar_records(model, seed, count):
     """The generate records built one scalar sample at a time."""
     return "".join(
         json.dumps(
-            {"index": idx, "n": model.space.n, "seed": seed,
-             "g": model.sample(derive_rng(seed, idx)).to_hex()},
+            {"index": idx, "n": model.space.n, "seed": seed, **cli._STAMP,
+             "g": Realization(model.space, bf.ref_sample(model, seed, (), idx)).to_hex()},
             sort_keys=True, separators=(",", ":"),
         ) + "\n"
         for idx in range(count)
@@ -689,7 +690,7 @@ class TestBlockSampledOutput:
         assert code == 0
         params = CouplingParams(0.3, adjacency_count_model(10))
         for idx, line in enumerate(text.splitlines()):
-            t = generate_coupled(params, derive_rng(52, idx))
+            t = bf.ref_coupled(params, 52, idx)
             record = json.loads(line)
             assert (record["g1"], record["g2"], record["u"]) == (
                 t.g1.to_hex(), t.g2.to_hex(), t.u.to_hex()
@@ -744,7 +745,7 @@ class TestBlockSampledOutput:
             outputs.append(text)
         assert outputs[0] == outputs[1] == outputs[2]
         params = CouplingParams(0.3, adjacency_count_model(n))
-        triples = [generate_coupled(params, derive_rng(53, i)) for i in range(samples)]
+        triples = [bf.ref_coupled(params, 53, i) for i in range(samples)]
         report = json.loads(outputs[0])
         assert report["count_g1"] == sum(is_connected(t.g1) for t in triples)
         assert report["count_union"] == sum(is_connected(t.u) for t in triples)
@@ -785,7 +786,8 @@ class TestBlockSampledOutput:
             ("est_model", adjacency_count_model(8), 1),
         ):
             hits = sum(
-                is_connected(sample_direct(model, derive_rng(54, branch, i))) for i in range(300)
+                is_connected(Realization(model.space, bf.ref_sample(model, 54, (branch,), i)))
+                for i in range(300)
             )
             assert report[key]["successes"] == hits
 
@@ -798,7 +800,7 @@ class TestBlockSampledOutput:
         model = conditioned_adjacency_model(5, budget=2)
         with pytest.raises(SamplingFailureError) as err:
             for idx in range(300):
-                model.sample(derive_rng(55, idx))
+                bf.ref_sample(model, 55, (), idx)
         assert captured.err == f"error: {err.value}\n"
 
     @pytest.mark.parametrize("argv", [

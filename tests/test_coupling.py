@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import bruteforce as bf
 from probust import (
     CouplingParams,
     CouplingTriple,
@@ -15,7 +16,6 @@ from probust import (
     RobustnessViolationError,
     adjacency_count_model,
     coupled_stream,
-    derive_rng,
     er_model,
     generate_coupled,
     global_count_model,
@@ -188,7 +188,7 @@ def triples_bits(triples):
 
 
 def scalar_triples(params, seed, lo, hi):
-    return triples_bits(generate_coupled(params, derive_rng(seed, idx)) for idx in range(lo, hi))
+    return triples_bits(bf.ref_coupled(params, seed, idx) for idx in range(lo, hi))
 
 
 def block_triples(params, seed, lo, hi):
@@ -247,7 +247,7 @@ class TestCoupledBlock:
                 tracemalloc.stop()
 
         unsplit = traced_block()
-        monkeypatch.setattr(models, "KERNEL_COINS", 16 * (870 + models.STREAM_COINS))  # 16 rows
+        monkeypatch.setattr(models, "KERNEL_COINS", 16 * 870)  # 16 rows
         split = traced_block()
         assert split[1] < 512 * 1024 < unsplit[1]
         assert split[0] == unsplit[0]
@@ -290,7 +290,7 @@ class TestCoupledBlock:
         want = []
         with pytest.raises(RobustnessViolationError) as scalar_err:
             for idx in range(3, 300):
-                want.append(generate_coupled(params, derive_rng(45, idx)))
+                want.append(bf.ref_coupled(params, 45, idx))
         set_work_unit(unit)
         parts = []
         with pytest.raises(RobustnessViolationError) as err:
@@ -323,4 +323,4 @@ class TestCoupledBlock:
         assert 0 < first_bad < 256  # the error falls inside the first block
         assert triples_bits(seen) == scalar_triples(params, 46, 0, first_bad)
         with pytest.raises(RobustnessViolationError):
-            generate_coupled(params, derive_rng(46, first_bad))
+            bf.ref_coupled(params, 46, first_bad)

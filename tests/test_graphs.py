@@ -306,6 +306,18 @@ class TestEdgeWords:
             assert bits_from_words(words, b) == bits[:b], b
             assert np.array_equal(words_from_bits(space, bits_from_words(words, b)), words), b
 
+    @pytest.mark.parametrize("count", [0, 1, 7, 8, 9, 63, 64, 65, 200])
+    def test_transpose_equals_packbits_down_the_columns(self, count):
+        """The uint64-lane transpose against ``np.packbits`` of the unpacked
+        bit matrix's columns, for row counts on both sides of 8 and 64."""
+        draw = np.random.default_rng(count)
+        for r in (1, 7, 8, 9, 64, 65):
+            rows = draw.integers(0, 256, (r, -(-count // 8) + 1), dtype=np.uint8)
+            bits = np.unpackbits(rows, axis=1, count=count, bitorder="little")
+            want = np.packbits(bits.T, axis=1, bitorder="little")
+            got = graphs._transpose(rows, count)
+            assert got.shape == (count, max(1, -(-r // 8))) and np.array_equal(got, want), r
+
     def test_conversions_slice_their_temporaries(self, monkeypatch):
         """A conversion of many words gives the words of one slice at a time."""
         space = EdgeSpace(12)

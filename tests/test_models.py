@@ -1,3 +1,4 @@
+import json
 import random
 import tracemalloc
 
@@ -17,7 +18,6 @@ from probust import (
     UnsupportedScaleError,
     adjacency_count_model,
     conditioned_adjacency_model,
-    derive_rng,
     er_model,
     global_count_model,
     robustness_floor_check,
@@ -284,6 +284,25 @@ class TestModelDescriptor:
         with pytest.raises(DomainError):
             ModelDescriptor("nosuch", 4)
 
+    @pytest.mark.parametrize("kind,params,message", [
+        ("er", 3, "model descriptor params must be an object, got 3"),
+        ("er", {"p": "x"}, "er model params.p must be a number, got 'x'"),
+        ("er", {"p": True}, "er model params.p must be a number, got True"),
+        ("adjacency-count-conditioned", {"budget": "x"},
+         "adjacency-count-conditioned model params.budget must be an integer >= 1, got 'x'"),
+        ("adjacency-count-conditioned", {"budget": -3},
+         "adjacency-count-conditioned model params.budget must be an integer >= 1, got -3"),
+        ("adjacency-count-conditioned", {"budget": 2.5},
+         "adjacency-count-conditioned model params.budget must be an integer >= 1, got 2.5"),
+    ], ids=["params-int", "p-string", "p-bool", "budget-string", "budget-negative", "budget-float"])
+    def test_bad_params_name_the_param(self, kind, params, message):
+        """Each param is checked against its kind when the model is built,
+        before a sample is drawn."""
+        text = json.dumps({"kind": kind, "n": 5, "params": params})
+        with pytest.raises(DomainError) as err:
+            ModelDescriptor.from_json(text).build()
+        assert str(err.value) == message
+
     def test_bad_json(self):
         with pytest.raises(DomainError):
             ModelDescriptor.from_json("{not json")
@@ -336,7 +355,7 @@ def blocked(source, seed, branch, count):
 
 
 def scalar(source, seed, branch, count):
-    return [source.sample(derive_rng(seed, *branch, idx)).bits for idx in range(count)]
+    return [bf.ref_sample(source, seed, branch, idx) for idx in range(count)]
 
 
 def traced_peak(fn):
@@ -409,7 +428,7 @@ class TestSampleBlock:
         # n = 30: a whole 256-row block holds 256 x 435 coins per call (870 KiB)
         source = build(30)
         unsplit = traced_peak(lambda: drawn(source, 47, (), 0, 256))
-        monkeypatch.setattr(models, "KERNEL_COINS", 16 * (435 + models.STREAM_COINS))  # 16 rows
+        monkeypatch.setattr(models, "KERNEL_COINS", 16 * 435)  # 16 rows
         split = traced_peak(lambda: drawn(source, 47, (), 0, 256))
         assert split[1] < 512 * 1024 < unsplit[1]
         assert split[0] == unsplit[0]
@@ -457,7 +476,7 @@ class TestSampleBlock:
         want = []
         with pytest.raises(ModelContractError) as scalar_err:
             for idx in range(1000):
-                want.append(sample_direct(model, derive_rng(41, idx)).bits)
+                want.append(bf.ref_sample(model, 41, (), idx))
         assert 0 < len(want) < 300
         got, error = block_bits(model, 41, (), 0, 1000)
         assert got == want
@@ -547,7 +566,7 @@ class TestSampleParts:
             want = []
             with pytest.raises(Exception) as scalar_err:
                 for idx in range(5, 3000):
-                    want.append(source.sample(derive_rng(3, idx)).bits)
+                    want.append(bf.ref_sample(source, 3, (), idx))
             failing = 5 + len(want)
             assert 5 < failing < 3000, name
             set_work_unit(unit)

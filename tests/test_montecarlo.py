@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+import bruteforce as bf
 from probust import (
     CouplingParams,
     DomainError,
@@ -13,6 +14,7 @@ from probust import (
     FORMULAS,
     PairedViolationError,
     PropertyOracle,
+    Realization,
     RobustnessViolationError,
     SamplingFailureError,
     adjacency_count_model,
@@ -23,14 +25,11 @@ from probust import (
     degree_distribution_test,
     domination_test,
     er_model,
-    derive_rng,
     er_realization,
     estimate_property,
     exact_joint,
-    generate_coupled,
     exact_probability,
     parse_property,
-    sample_direct,
 )
 from probust.montecarlo import (
     _map_blocks,
@@ -196,7 +195,8 @@ class TestEstimateProperty:
         model = adjacency_count_model(5)
         oracle = parse_property("connected")
         hits = sum(
-            oracle.decide(sample_direct(model, derive_rng(6, 1, idx))) for idx in range(samples)
+            oracle.decide(Realization(model.space, bf.ref_sample(model, 6, (1,), idx)))
+            for idx in range(samples)
         )
         for workers in (1, 2, 3):
             est = estimate_property(model, oracle, samples, 6, branch=(1,), workers=workers)
@@ -239,7 +239,7 @@ class TestEstimateProperty:
         model = conditioned_adjacency_model(6, budget=1)
         with pytest.raises(SamplingFailureError) as scalar_err:
             for idx in range(300):
-                model.sample(derive_rng(5, idx))
+                bf.ref_sample(model, 5, (), idx)
         set_work_unit(unit)
         with pytest.raises(SamplingFailureError) as err:
             estimate_property(model, parse_property("connected"), 300, 5, workers=workers)
@@ -251,13 +251,13 @@ class TestEstimateProperty:
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_decision_error_before_a_failed_draw_for_any_cut(self, workers, unit, set_work_unit):
         """An oracle that fails on sample 10 is raised ahead of the rejection
-        budget that first runs out at sample 76, whatever the cut."""
+        budget that first runs out at sample 250, whatever the cut."""
         model = conditioned_adjacency_model(10, budget=8)
         drawn = []
         with pytest.raises(SamplingFailureError):
             for idx in range(300):
-                drawn.append(model.sample(derive_rng(3, idx)).bits)
-        assert len(drawn) == 76
+                drawn.append(bf.ref_sample(model, 3, (), idx))
+        assert len(drawn) == 250
         trap = drawn[10]
 
         def decide(g):
@@ -380,7 +380,7 @@ class TestCoupledDominationTest:
         oracle = exactly_edges_oracle(3)
 
         def violates(idx):
-            t = generate_coupled(params, derive_rng(13, idx))
+            t = bf.ref_coupled(params, 13, idx)
             return oracle.decide(t.g1) and not oracle.decide(t.u)
 
         first = next(idx for idx in range(2000) if violates(idx))
@@ -388,12 +388,12 @@ class TestCoupledDominationTest:
         with pytest.raises(PairedViolationError) as err:
             coupled_domination_test(params, oracle, 2000, 13, workers=workers)
         assert str(err.value).startswith(f"sample {first}:")
-        assert err.value.triple == generate_coupled(params, derive_rng(13, first))
+        assert err.value.triple == bf.ref_coupled(params, 13, first)
 
     @pytest.mark.parametrize("unit", [1, 7, 256, None])  # None: the kernel's own part size
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_violation_before_a_failed_draw_for_any_cut(self, workers, unit, set_work_unit):
-        """Sample 144 violates, sample 2067 is the first to fail to draw: the
+        """Sample 56 violates, sample 340 is the first to fail to draw: the
         violation is raised, whatever the cut."""
         space = EdgeSpace(6)
 
@@ -409,12 +409,12 @@ class TestCoupledDominationTest:
         violations = []
         with pytest.raises(RobustnessViolationError):
             for idx in range(4000):
-                t = generate_coupled(params, derive_rng(8, idx))
+                t = bf.ref_coupled(params, 8, idx)
                 if oracle.decide(t.g1) and not oracle.decide(t.u):
                     violations.append(idx)
-        assert (violations[0], idx) == (144, 2067)
+        assert (violations[0], idx) == (56, 340)
         set_work_unit(unit)
-        with pytest.raises(PairedViolationError, match="^sample 144:"):
+        with pytest.raises(PairedViolationError, match="^sample 56:"):
             coupled_domination_test(params, oracle, 4000, 8, workers=workers)
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -431,7 +431,7 @@ class TestCoupledDominationTest:
         params = CouplingParams(0.5, model)
         with pytest.raises(RobustnessViolationError) as scalar_err:
             for idx in range(1000):
-                generate_coupled(params, derive_rng(16, idx))
+                bf.ref_coupled(params, 16, idx)
         with pytest.raises(RobustnessViolationError) as err:
             coupled_domination_test(params, ALWAYS, 1000, 16, workers=workers)
         assert str(err.value) == str(scalar_err.value)

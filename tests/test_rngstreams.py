@@ -1,12 +1,11 @@
-"""Block-seeded streams against the scalar reference ``derive_rng``, bit for bit."""
-
-from types import SimpleNamespace
+"""Stream layout 2: windows of one stream per (seed, branch), bit for bit."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bruteforce as bf
 from probust import (
     DomainError,
     EdgeModel,
@@ -14,19 +13,21 @@ from probust import (
     conditioned_adjacency_model,
     coupled_stream,
     derive_rng,
+    er_model,
     estimate_property,
     parse_property,
-    rngstreams,
+    window_rng,
 )
-from probust.coupling import CouplingParams, coupled_parts, generate_coupled
+from probust import models
+from probust.coupling import CouplingParams, coupled_parts
 from probust.graphs import bits_from_words
-from probust.models import adjacency_count_model, sample_parts
-from probust.rngstreams import Streams, block_streams, coin_rows
+from probust.models import REJECTION_TAG, adjacency_count_model, sample_parts
+from probust.rngstreams import coin_rows
 
 SEEDS = [0, 2**32 - 1, 2**32, 2**64 - 1]
 BRANCHES = [(), (1,), (60,), (3, 5)]
 WIDTHS = [0, 1, 3, 45, 90, 870]
-# first indices near 0 and on both sides of the index's word-count changes
+# first indices near 0 and on both sides of 2^32 and 2^64
 STARTS = st.one_of(
     st.integers(0, 600),
     st.integers(2**32 - 12, 2**32 + 2),
@@ -35,38 +36,24 @@ STARTS = st.one_of(
 
 
 def reference_rows(seed, branch, lo, hi, width):
-    """The per-index loop block seeding replaces."""
+    """One window per index, each from its own advanced generator."""
     coins = np.empty((hi - lo, width))
     for idx, row in zip(range(lo, hi), coins):
-        derive_rng(seed, *branch, idx).random(out=row)
+        window_rng(seed, branch, idx, width).random(out=row)
     return coins
 
 
-@pytest.fixture
-def corrupt_hash(monkeypatch):
-    """Block hashing that gives wrong state words, and the self-check that
-    must notice it."""
-    words = rngstreams._seed_words
-    monkeypatch.setattr(rngstreams, "_seed_words", lambda *args: words(*args) ^ np.uint64(1))
-
-
-@pytest.fixture
-def layout_mismatch(monkeypatch):
-    """A layout guard that reports a PCG64 whose state bytes sit elsewhere."""
-    monkeypatch.setattr(rngstreams, "_layout_matches", lambda bitgen: False)
-
-
-class _OtherInc(np.random.PCG64):
-    """A PCG64 whose public state reports an inc its memory does not hold."""
-
-    @property
-    def state(self):
-        state = super().state
-        state["state"]["inc"] ^= 2
-        return state
-
-
 class TestCoinRows:
+    @settings(max_examples=60)
+    @given(st.sampled_from(SEEDS), st.sampled_from(BRANCHES), st.integers(0, 40),
+           st.sampled_from(WIDTHS[:5]))
+    def test_window_is_the_stream_read_on(self, seed, branch, idx, width):
+        """Window idx is what the stream's generator gives after idx * width
+        uniforms: advancing equals drawing and discarding."""
+        stream = derive_rng(seed, *branch).random(idx * width + width)
+        got = window_rng(seed, branch, idx, width).random(width)
+        assert got.tobytes() == stream[idx * width :].tobytes()
+
     @settings(max_examples=150)
     @given(
         st.sampled_from(SEEDS),
@@ -75,36 +62,29 @@ class TestCoinRows:
         st.integers(0, 16),
         st.sampled_from(WIDTHS),
     )
-    def test_equal_to_derive_rng(self, seed, branch, lo, count, width):
+    def test_equal_to_window_rng(self, seed, branch, lo, count, width):
         got = coin_rows(seed, branch, lo, lo + count, width)
         assert got.tobytes() == reference_rows(seed, branch, lo, lo + count, width).tobytes()
 
     @pytest.mark.parametrize("lo", [2**32 - 128, 2**64 - 128])
     def test_full_block_straddling_a_word(self, lo):
-        """A 256-row range whose indices gain a 32-bit word half-way."""
+        """A 256-row range whose indices gain a 32-bit word half-way, and
+        whose stream positions pass 2^64 at the upper one."""
         hi = lo + 256
         for seed in SEEDS:
             got = coin_rows(seed, (3, 5), lo, hi, 45)
             assert got.tobytes() == reference_rows(seed, (3, 5), lo, hi, 45).tobytes()
 
-    def test_seed_words_equal_seed_sequence(self):
-        lo = 2**32 - 3
-        for seed in SEEDS:
-            got = np.concatenate(
-                [rngstreams._seed_words(seed, (60,), lo, 2**32),
-                 rngstreams._seed_words(seed, (60,), 2**32, 2**32 + 3)]
-            )
-            want = [
-                np.random.SeedSequence(seed, spawn_key=(60, idx)).generate_state(4, np.uint64)
-                for idx in range(lo, 2**32 + 3)
-            ]
-            assert got.tobytes() == np.array(want).tobytes()
+    def test_any_cut_gives_the_same_windows(self):
+        whole = coin_rows(11, (2,), 0, 100, 45)
+        parts = [coin_rows(11, (2,), lo, min(lo + 7, 100), 45) for lo in range(0, 100, 7)]
+        assert np.concatenate(parts).tobytes() == whole.tobytes()
 
     def test_bad_seed_rejected(self):
         with pytest.raises(DomainError):
             coin_rows(2**64, (), 0, 3, 5)
         with pytest.raises(DomainError):
-            block_streams(-1, (), 0, 3)
+            window_rng(-1, (), 0, 3)
 
     def test_negative_stream_keys_refused(self):
         """A negative index or branch key is one DomainError, from the block
@@ -122,112 +102,88 @@ class TestCoinRows:
     def test_empty_range(self, width):
         for lo in (0, 2**32, 2**64 - 1):
             assert coin_rows(7, (1,), lo, lo, width).shape == (0, width)
-        streams = Streams(7, (1,), 5, 5)
-        assert streams.states.shape == (0, 4)
-        assert streams.random(np.arange(0), width).shape == (0, width)
         assert list(sample_parts(conditioned_adjacency_model(6), 7, (1,), 9, 9)) == []
         params = CouplingParams(0.3, adjacency_count_model(6))
         assert list(coupled_parts(params, 7, 9, 9)) == []
 
 
-class TestStreams:
-    def test_draws_continue_each_stream(self):
-        """Consecutive draws read on along each stream, as derive_rng's do,
-        and a draw for some rows leaves the others where they were."""
-        streams = block_streams(9, (2,), 250, 262)
-        references = [derive_rng(9, 2, idx) for idx in range(250, 262)]
-        for width, rows in [(3, range(12)), (0, range(12)), (45, range(1, 12, 2)), (1, range(12))]:
-            got = streams.random(np.array(rows), width)
-            want = [references[r].random(width) for r in rows]
-            assert got.tobytes() == np.array(want).reshape(len(rows), width).tobytes()
+def part_bits(source, seed, branch, lo, hi):
+    """The bitmasks ``sample_parts`` yields over lo..hi-1."""
+    return [
+        bits
+        for _, words, count in sample_parts(source, seed, branch, lo, hi)
+        for bits in bits_from_words(words, count)
+    ]
 
-    def test_states_are_what_numpy_seeds(self):
-        lo = 2**32 - 3
-        for seed in SEEDS:
-            got = Streams(seed, (60,), lo, 2**32 + 3).states
-            for idx, row in zip(range(lo, 2**32 + 3), got.tolist()):
-                state = derive_rng(seed, 60, idx).bit_generator.state["state"]
-                words = [w >> shift & 2**64 - 1 for w in state.values() for shift in (0, 64)]
-                assert row == words
 
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_states_advance_with_each_draw(self, seed):
-        """After draws of widths 0, 1, 45 and 90, on all rows or some, every
-        row's state is its generator's after the same draws, over indices
-        that cross 2^32."""
-        lo, hi = 2**32 - 3, 2**32 + 3
-        streams = Streams(seed, (60,), lo, hi)
-        references = [derive_rng(seed, 60, idx) for idx in range(lo, hi)]
-        for width, rows in [(0, range(6)), (1, range(6)), (45, range(0, 6, 2)), (90, range(6))]:
-            streams.random(np.array(rows), width)
-            for r in rows:
-                references[r].random(width)
-            for row, rng in zip(streams.states.tolist(), references):
-                state = rng.bit_generator.state["state"]
-                assert row == [w >> shift & 2**64 - 1 for w in state.values() for shift in (0, 64)]
+def part_triples(params, seed, lo, hi):
+    """The (g1, g2, u) bitmasks ``coupled_parts`` yields over lo..hi-1."""
+    return [
+        triple
+        for _, words, count in coupled_parts(params, seed, lo, hi)
+        for triple in zip(*(bits_from_words(w, count) for w in words))
+    ]
 
-    def test_stride_is_the_lcg_stepped_width_times(self):
-        mult = rngstreams._MULT
-        state, inc = 2**128 - 5, 2**64 + 7
-        stepped = state
-        for width in range(70):
-            times, plus = rngstreams._stride(width)
-            assert (state * times + inc * plus) % 2**128 == stepped, width
-            stepped = (stepped * mult + inc) % 2**128
 
+class TestBlockEqualsScalar:
+    """Each sampler's parts against its scalar reference, one index at a
+    time, for any part size and for a range that starts mid-stream."""
+
+    @pytest.mark.parametrize("lo", [0, 2**32 - 3])
+    @pytest.mark.parametrize("unit", [1, 7, 64, None])  # None: the kernel's own part size
+    def test_sample_direct(self, unit, lo, set_work_unit):
+        set_work_unit(unit)
+        for model in (er_model(7, 0.3), adjacency_count_model(6), adjacency_count_model(11)):
+            want = [bf.ref_sample(model, 5, (1,), idx) for idx in range(lo, lo + 150)]
+            assert part_bits(model, 5, (1,), lo, lo + 150) == want, model.name
+
+    @pytest.mark.parametrize("lo", [0, 2**32 - 3])
+    @pytest.mark.parametrize("unit", [1, 7, 64, None])
+    def test_generate_coupled(self, unit, lo, set_work_unit):
+        set_work_unit(unit)
+        for n in (6, 11):
+            params = CouplingParams(0.3, adjacency_count_model(n))
+            want = [bf.ref_coupled(params, 5, idx) for idx in range(lo, lo + 150)]
+            assert part_triples(params, 5, lo, lo + 150) == [
+                (t.g1.bits, t.g2.bits, t.u.bits) for t in want
+            ], n
+
+    @pytest.mark.parametrize("lo", [0, 2**32 - 3])
+    @pytest.mark.parametrize("unit", [1, 7, 64, None])
+    def test_conditioned_sampler(self, unit, lo, set_work_unit):
+        set_work_unit(unit)
+        for n in (5, 10):
+            source = conditioned_adjacency_model(n)
+            want = [bf.ref_sample(source, 5, (1,), idx) for idx in range(lo, lo + 150)]
+            assert part_bits(source, 5, (1,), lo, lo + 150) == want, n
+
+
+class TestRejectionStreams:
     @pytest.mark.parametrize("n", range(4, 11))
     def test_rejection_sampler_rows(self, n):
         source = conditioned_adjacency_model(n)
         words, count = source._sample_rows(21, (1,), 0, 64)
-        want = [source.sample(derive_rng(21, 1, idx)).bits for idx in range(64)]
+        want = [bf.ref_sample(source, 21, (1,), idx) for idx in range(64)]
         assert (bits_from_words(words, count), count) == (want, 64)
 
-
-class TestLayoutGuard:
-    def test_passes_on_this_numpy(self):
-        for seed in SEEDS:
-            assert rngstreams._layout_matches(np.random.PCG64(seed))
-
-    def test_rejects_bytes_that_differ_from_the_public_state(self):
-        assert not rngstreams._layout_matches(_OtherInc(5))
-
-    def test_rejects_a_state_address_outside_the_object(self):
-        outside = np.random.PCG64(5).ctypes.state_address
-        fake = SimpleNamespace(ctypes=SimpleNamespace(state_address=outside))
-        assert not rngstreams._layout_matches(fake)
-
-    def test_mismatch_fails_the_self_check(self, layout_mismatch):
-        assert not rngstreams._self_check()
-
-
-class TestSelfCheck:
-    def test_passes_on_this_numpy(self):
-        assert rngstreams.BLOCK_SEEDING and rngstreams._self_check()
-
-    def test_detects_wrong_state_words(self, corrupt_hash):
-        assert not rngstreams._self_check()
-        # the corruption is real: the fast path now gives other coins
-        assert coin_rows(5, (), 0, 4, 3).tobytes() != reference_rows(5, (), 0, 4, 3).tobytes()
-
-    @pytest.mark.parametrize("fault", ["corrupt_hash", "layout_mismatch"])
-    def test_fallback_gives_the_same_bytes(self, fault, request, monkeypatch):
-        request.getfixturevalue(fault)
-        monkeypatch.setattr(rngstreams, "BLOCK_SEEDING", rngstreams._self_check())
-        assert not rngstreams.BLOCK_SEEDING
-        lo, hi = 2**32 - 4, 2**32 + 4
-        for width in (0, 3, 90):
-            got = coin_rows(7, (1,), lo, hi, width)
-            assert got.tobytes() == reference_rows(7, (1,), lo, hi, width).tobytes()
+    def test_scalar_reference_is_the_samplers_own(self):
         source = conditioned_adjacency_model(6)
-        [(start, words, count)] = sample_parts(source, 7, (1,), 0, 40)
-        assert (start, count) == (0, 40)
-        assert bits_from_words(words, count) == [
-            source.sample(derive_rng(7, 1, idx)).bits for idx in range(40)
-        ]
-        params = CouplingParams(0.3, adjacency_count_model(6))
-        [(start, words, count)] = coupled_parts(params, 7, 0, 40)
-        assert (start, count) == (0, 40)
-        assert list(zip(*(bits_from_words(w, count) for w in words))) == [
-            (t.g1.bits, t.g2.bits, t.u.bits)
-            for t in (generate_coupled(params, derive_rng(7, idx)) for idx in range(40))
-        ]
+        for idx in (0, 1, 2**32 - 3):
+            got = models._sample_at(source, 8, (1,), idx).bits
+            assert got == bf.ref_sample(source, 8, (1,), idx)
+
+    def test_tag_keys_are_no_branch_key(self):
+        """No attempt stream (*branch, REJECTION_TAG, r) is seeded like a
+        stream the library reads by branch: ``generate`` and
+        ``estimate_property`` by default (), ``domination_test`` (0,) and
+        (1,), the adjacency-bounds preset (n,), the certification's
+        ``derive_rng(seed, 0, 0)``."""
+
+        def state(key):
+            return np.random.SeedSequence(7, spawn_key=key).generate_state(4).tobytes()
+
+        branches = [(), (0,), (1,), *((n,) for n in range(1, 600))]
+        used = {state(key) for key in [*branches, (0, 0)]}
+        for branch in branches[:3]:
+            for r in range(64):
+                assert state((*branch, REJECTION_TAG, r)) not in used, (branch, r)
