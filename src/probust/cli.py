@@ -29,7 +29,6 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .coupling import CouplingParams, coupled_parts
 from .errors import (
     CertificationError,
     DomainError,
@@ -47,7 +46,7 @@ from .exact import (
     tv_distance,
 )
 from .graphs import Realization, bits_from_words, hex_from_words
-from .models import MODELS, ModelDescriptor, er_model, sample_parts
+from .models import MODELS, CouplingParams, ModelDescriptor, er_model, sample_parts
 from .montecarlo import (
     FORMULAS,
     asymptotic_report,
@@ -176,26 +175,27 @@ def _records(space, seed: int, keys: tuple, start: int, columns, count: int) -> 
     return "".join(blocks)
 
 
+def _write_samples(args, space, source, seed: int, keys: tuple) -> int:
+    """One record per sample of ``source``, its edge-word columns under ``keys``."""
+    out = _Output(args.output)
+    for start, words, count in sample_parts(source, seed, (), 0, check_count(args.samples)):
+        out.write(_records(space, seed, keys, start, words, count))
+    out.close()
+    return 0
+
+
 def cmd_generate(args) -> int:
     check_count(args.samples)
     seed = _resolve_seed(args)
     model = _build_model(args)
-    out = _Output(args.output)
-    for start, words, count in sample_parts(model, seed, (), 0, args.samples):
-        out.write(_records(model.space, seed, ("g",), start, [words], count))
-    out.close()
-    return 0
+    return _write_samples(args, model.space, model, seed, ("g",))
 
 
 def cmd_couple(args) -> int:
     seed = _resolve_seed(args)
     model = _build_model(args)
-    params = CouplingParams(args.base, model)
-    out = _Output(args.output)
-    for start, words, count in coupled_parts(params, seed, 0, check_count(args.samples)):
-        out.write(_records(model.space, seed, ("g1", "g2", "u"), start, words, count))
-    out.close()
-    return 0
+    return _write_samples(args, model.space, CouplingParams(args.base, model), seed,
+                          ("g1", "g2", "u"))
 
 
 def cmd_exact(args) -> int:
@@ -421,7 +421,7 @@ def _preset_adjacency_bounds(args, seed: int) -> list[dict]:
         check_clique_scale(n)  # before the model is built and sampled
         model = ModelDescriptor("adjacency-count", n).build()
         cliq, chrom, dom, diam = [], [], [], []
-        for _, words, count in sample_parts(model, seed, (n,), 0, args.samples):
+        for _, (words,), count in sample_parts(model, seed, (n,), 0, args.samples):
             for bits in bits_from_words(words, count):
                 g = Realization(model.space, bits)
                 cliq.append(max_clique_size(g))

@@ -15,10 +15,17 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .coupling import CouplingParams, _require_floor
 from .errors import CertificationError, DomainError, UnsupportedScaleError
 from .graphs import EdgeSpace, Realization, words_from_bits
-from .models import EdgeModel, _conditionals, _edge_tables, _patch_probabilities, er_model
+from .models import (
+    CouplingParams,
+    EdgeModel,
+    _conditionals,
+    _edge_tables,
+    _patch_probabilities,
+    _require_floor,
+    er_model,
+)
 from .properties import PropertyOracle, decide_bits
 from .rngstreams import _bounds
 

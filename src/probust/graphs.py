@@ -44,7 +44,7 @@ class EdgeSpace:
     n: int
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
+        if isinstance(self.n, bool) or not isinstance(self.n, int) or self.n < 1:
             raise DomainError(f"vertex count must be an integer >= 1, got {self.n!r}")
 
     @property

@@ -24,18 +24,25 @@ scalar values are one set of floats. The block kernel
 (:func:`_decide_block`) decides edge i = m..1 for a block of samples, per
 edge one key, one ``take`` from the table and one compare, for any n, and
 the exact engine reads the same tables over any range of decided suffixes
-(:func:`_conditionals`). :func:`sample_parts` yields the kernel's
-realizations for any index range, one part of :func:`_part_rows` rows at a
-time, each part a batch of edge words (see :mod:`probust.graphs`) packed
-from the kernel's bool rows, and builds no Python int or
-:class:`Realization` per sample. A draw that fails ends the parts: the
-samples of its part drawn before it are yielded, then its error is
+(:func:`_conditionals`).
+
+:class:`CouplingParams` (a model and the base of the independent layer
+embedded in it, see :mod:`probust.coupling`) lives here too, beside the
+kernel that decides a coupling when it is given a base. So
+:func:`sample_parts` is the one sampler for every source: a model, the
+rejection sampler, or a coupling. It yields the kernel's realizations for
+any index range, one part of :func:`_part_rows` rows at a time, each part a
+tuple of edge-word batches (see :mod:`probust.graphs`), ``(u,)`` or
+``(g1, g2, u)``, packed from the kernel's bool rows, and builds no Python
+int or :class:`Realization` per sample. A draw that fails ends the parts:
+the samples of its part drawn before it are yielded, then its error is
 raised. Sample idx reads window idx of the stream of its (seed, branch)
 (stream layout 2, see :mod:`probust.rngstreams`), so each part's coins are
 one draw; the rejection sampler's attempt r reads window idx of its own
 stream, keyed by the branch, ``REJECTION_TAG`` and r. The scalar
-``conditional`` on a :class:`SuffixHistory`, :func:`sample_direct` on one
-window, and :func:`_sample_at` stay the bit-for-bit reference.
+``conditional`` on a :class:`SuffixHistory`, :func:`sample_direct` and
+:func:`sample_coupled` on one window, and :func:`_sample_at` stay the
+bit-for-bit reference.
 
 The conditional-given-the-decided-suffix reading is part of each model's
 definition here. A conditional-given-everything-else (Markov-random-field)
@@ -109,6 +116,8 @@ class ModelDescriptor:
         return cls(obj["kind"], obj["n"], obj.get("params", {}))
 
     def build(self):
+        if isinstance(self.n, bool) or not isinstance(self.n, int):
+            raise DomainError(f"{self.kind} model n must be an integer, got {self.n!r}")
         if not isinstance(self.params, dict):
             raise DomainError(f"model descriptor params must be an object, got {self.params!r}")
         kind = MODELS[self.kind]
@@ -310,7 +319,7 @@ class ConditionedAdjacencyModel:
         )
 
     def _sample_rows(self, master_seed: int, branch: tuple, lo: int, hi: int):
-        """``(words, count)`` for one part of :func:`sample_parts`, all
+        """``((words,), count)`` for one part of :func:`sample_parts`, all
         rejection rounds batched: in round r every still-pending row of
         lo..hi-1 takes its window of stream (*branch, ``REJECTION_TAG``, r),
         drawn in one call over the pending rows' span, the base model decides
@@ -341,7 +350,7 @@ class ConditionedAdjacencyModel:
             out[:, pending[accepted]] = present[:, accepted]
             pending = pending[~accepted]
         count = int(pending[0]) if pending.size else hi - lo
-        return words_from_rows(out[:, :count]), count
+        return (words_from_rows(out[:, :count]),), count
 
 
 def conditioned_adjacency_model(
@@ -384,6 +393,37 @@ MODELS = {
     ),
 }
 MODEL_KINDS = tuple(MODELS)
+
+
+def _require_floor(model) -> None:
+    """Only an EdgeModel carries the sequential conditionals and the floor
+    the embedding is built from; the rejection sampler has neither. A model
+    is named by its ``name``, anything else (a swapped argument) by its type."""
+    if not isinstance(model, EdgeModel):
+        name = getattr(model, "name", None)
+        label = repr(name) if isinstance(name, str) else f"of type {type(model).__name__}"
+        raise DomainError(
+            f"model {label} has no sequential conditionals or floor to "
+            "embed an independent layer under"
+        )
+
+
+@dataclass(frozen=True)
+class CouplingParams:
+    """Base edge probability plus the model whose floor must cover it."""
+
+    base: float
+    model: EdgeModel
+
+    def __post_init__(self):
+        _require_floor(self.model)
+        if not 0.0 <= self.base <= 1.0:
+            raise DomainError(f"base probability must be in [0, 1], got {self.base}")
+        if self.base > self.model.floor:
+            raise RobustnessViolationError(
+                f"base {self.base} exceeds the model's robustness floor "
+                f"{self.model.floor}; the embedding only exists up to the floor"
+            )
 
 
 def _checked(
@@ -493,8 +533,8 @@ def _decide_block(model: EdgeModel, coins: np.ndarray, base: Optional[float] = N
 
     Row r of ``coins`` holds the uniforms one sample's scalar path draws: m
     of them for :func:`sample_direct` (coin j decides edge m-j), or 2m for
-    :func:`~probust.coupling.generate_coupled` when ``base`` is given (the m
-    g1 coins, then the m patch coins, each in the same edge order). Per edge
+    :func:`sample_coupled` when ``base`` is given (the m g1 coins, then the
+    m patch coins, each in the same edge order). Per edge
     the kernel forms each sample's key from its decided degrees (or its
     running edge count), takes its conditional from the table, or its
     patch-coin probability from the patch table built once per distinct
@@ -555,74 +595,84 @@ def _part_rows(width: int) -> int:
     return max(1, KERNEL_COINS // max(1, width))
 
 
-def _kernel_words(model: EdgeModel, master_seed: int, branch: tuple, lo: int, hi: int, base=None):
-    """The block kernel's decisions for indices lo..hi-1, from their windows
-    of stream ``branch``, as edge words: (u,), or (g1, g2, u) for a coupling
-    at ``base``. None if the kernel refuses."""
-    width = model.space.m if base is None else 2 * model.space.m
-    decided = _decide_block(model, coin_rows(master_seed, branch, lo, hi, width), base)
-    return None if decided is None else tuple(words_from_rows(rows) for rows in decided[1])
+def _scalar_part(draw: Callable, space: EdgeSpace, columns: int, lo: int, hi: int):
+    """Yield ``(lo, words, count)``, ``words`` the edge words of each of the
+    ``columns`` bitmasks in the tuples drawn = ``draw(idx)``, idx = lo,
+    lo + 1, ... up to hi or the first that raises; then raise that error:
+    the scalar path's samples before a failure, then the failure."""
+    drawn = [[] for _ in range(columns)]
 
+    def part():
+        return lo, tuple(words_from_bits(space, bits) for bits in drawn), len(drawn[0])
 
-def _scalar_part(draw: Callable, pack: Callable, lo: int, hi: int):
-    """Yield ``(lo, pack(drawn), len(drawn))`` for drawn = ``draw(idx)``,
-    idx = lo, lo + 1, ... up to hi or the first that raises; then raise
-    that error: the scalar path's samples before a failure, then the
-    failure."""
-    drawn = []
     for idx in range(lo, hi):
         try:
-            drawn.append(draw(idx))
+            for column, bits in zip(drawn, draw(idx)):
+                column.append(bits)
         except Exception:  # re-raised once the drawn samples are yielded
-            yield lo, pack(drawn), len(drawn)
+            yield part()
             raise
-    yield lo, pack(drawn), len(drawn)
+    yield part()
 
 
-def _sample_at(source, master_seed: int, branch: tuple, idx: int) -> Realization:
-    """Sample idx of ``source`` under ``master_seed`` and ``branch``, the
-    scalar reference of :func:`sample_parts`. An :class:`EdgeModel` decides
-    window idx of stream ``branch`` (see
-    :func:`~probust.rngstreams.window_rng`). The rejection sampler's attempt
-    r is a base-model draw from window idx of stream (*branch,
-    ``REJECTION_TAG``, r), the reference of its ``_sample_rows``. Any other
-    source, which need not draw a fixed number of coins, samples
-    ``derive_rng(master_seed, *branch, idx)``."""
+def _sample_at(source, master_seed: int, branch: tuple, idx: int) -> tuple:
+    """The bitmasks of sample idx of ``source`` under ``master_seed`` and
+    ``branch``, the scalar reference of :func:`sample_parts`: ``(u,)``, or
+    ``(g1, g2, u)`` for a :class:`CouplingParams`. A model decides window
+    idx of stream ``branch`` (see :func:`~probust.rngstreams.window_rng`),
+    m coins wide, and a coupling the same window 2m coins wide. The
+    rejection sampler's attempt r is a base-model draw from window idx of
+    stream (*branch, ``REJECTION_TAG``, r), the reference of its
+    ``_sample_rows``. Any other source, which need not draw a fixed number
+    of coins, samples ``derive_rng(master_seed, *branch, idx)``."""
+    if isinstance(source, CouplingParams):
+        width = 2 * source.model.space.m
+        return sample_coupled(source, window_rng(master_seed, branch, idx, width))
     m = source.space.m
     if isinstance(source, ConditionedAdjacencyModel):
         keys = ((*branch, REJECTION_TAG, r) for r in range(source.budget))
-        return source._first_accepted(window_rng(master_seed, key, idx, m) for key in keys)
-    if isinstance(source, EdgeModel):
-        return sample_direct(source, window_rng(master_seed, branch, idx, m))
-    return source.sample(derive_rng(master_seed, *branch, idx))
+        g = source._first_accepted(window_rng(master_seed, key, idx, m) for key in keys)
+    elif isinstance(source, EdgeModel):
+        g = sample_direct(source, window_rng(master_seed, branch, idx, m))
+    else:
+        g = source.sample(derive_rng(master_seed, *branch, idx))
+    return (g.bits,)
 
 
 def sample_parts(source, master_seed: int, branch: tuple, lo: int, hi: int):
     """Yield ``(start, words, count)`` for sample idx of ``source``, idx in
-    lo..hi-1, one part of :func:`_part_rows` rows at a time: the edge words
-    of the ``count`` samples from index ``start`` on. If a draw fails, the
-    samples of its part drawn before it are yielded, then its error is
-    raised, so a caller decides them first.
+    lo..hi-1, one part of :func:`_part_rows` rows at a time: ``words`` holds
+    the edge words of the ``count`` samples from index ``start`` on, ``(u,)``
+    for a model or the rejection sampler, ``(g1, g2, u)`` for a
+    :class:`CouplingParams` (the embedded layer, the patch graph and their
+    union). If a draw fails, the samples of its part drawn before it are
+    yielded, then its error is raised, so a caller decides them first.
 
-    Sample idx is :func:`_sample_at`'s. Built-in models, and the rejection
-    sampler over one, decide each part in the block kernel, for any n, and
-    give the same bits. Any other source, and any part the kernel refuses,
-    takes the scalar path, so the error is exactly the scalar path's.
+    Sample idx is :func:`_sample_at`'s. Built-in models, the rejection
+    sampler over one and couplings of one decide each part in the block
+    kernel, for any n, and give the same bits. Any other source, and any
+    part the kernel refuses, takes the scalar path, so the error is exactly
+    the scalar path's.
     """
+    coupled = isinstance(source, CouplingParams)
     conditioned = isinstance(source, ConditionedAdjacencyModel)
-    model = source.base_model if conditioned else source
+    model = source.model if coupled else source.base_model if conditioned else source
+    base = source.base if coupled else None
+    space = model.space
+    width = 2 * space.m if coupled else space.m
     kernel = isinstance(model, EdgeModel) and model.table is not None
-    for start, stop in _bounds(lo, hi, _part_rows(source.space.m)):
+    for start, stop in _bounds(lo, hi, _part_rows(width)):
         drawn = None
         if kernel and conditioned:
             drawn = source._sample_rows(master_seed, branch, start, stop)
         elif kernel:
-            words = _kernel_words(model, master_seed, branch, start, stop)
-            drawn = None if words is None else (words[0], stop - start)
+            decided = _decide_block(model, coin_rows(master_seed, branch, start, stop, width), base)
+            if decided is not None:
+                drawn = tuple(words_from_rows(rows) for rows in decided[1]), stop - start
         if drawn is None:
             yield from _scalar_part(
-                lambda idx: _sample_at(source, master_seed, branch, idx).bits,
-                lambda bits: words_from_bits(source.space, bits), start, stop,
+                lambda idx: _sample_at(source, master_seed, branch, idx),
+                space, 3 if coupled else 1, start, stop,
             )
             continue
         yield start, *drawn
@@ -643,6 +693,36 @@ def sample_direct(model: EdgeModel, rng: np.random.Generator) -> Realization:
         a = 1 if coins[j] < q else 0
         history = history.extend(a)
     return Realization(space, history.bits)
+
+
+def sample_coupled(params: CouplingParams, rng: np.random.Generator) -> tuple[int, int, int]:
+    """Draw one coupled sample as its (g1, g2, union) bitmasks.
+
+    RNG consumption order is frozen: 2m uniforms, the g1 coins of edges m
+    down to 1, then the patch coins of edges m down to 1. They are always
+    consumed, so a fixed seed reproduces the sample bit-for-bit. Edge i
+    enters g1 if its coin is below the base, and g2 if its patch coin is
+    below the patch probability of the union's conditional, computed as
+    :func:`_patch_probabilities` computes it; a conditional below the base
+    raises.
+    """
+    model, base = params.model, params.base
+    space = model.space
+    m = space.m
+    coins = rng.random(2 * m)
+    history = SuffixHistory.empty_for(space)
+    conditional = model.conditional
+    g1 = g2 = 0
+    for j, i in enumerate(range(m, 0, -1)):
+        q = _checked(conditional(i, history), i, model.name, base, history)
+        bit = 1 << (i - 1)
+        if coins[j] < base:
+            g1 |= bit
+        # _patch_probabilities' float operations, on a Python float
+        if coins[m + j] < (q if base == 1.0 else q - min(q, base * (1.0 - q) / (1.0 - base))):
+            g2 |= bit
+        history = history.extend(1 if (g1 | g2) & bit else 0)
+    return g1, g2, history.bits
 
 
 @dataclass(frozen=True)

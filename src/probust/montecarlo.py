@@ -13,16 +13,16 @@ branch) (see :mod:`probust.rngstreams`), and aggregation is integer
 counting, so results are identical no matter how the indices are
 partitioned over workers.
 
-Both tests decide samples a part at a time: the samplers
-(:func:`~probust.models.sample_parts`,
-:func:`~probust.coupling.coupled_parts`) yield each part of a worker's
-share as edge words (see :mod:`probust.graphs`), and the words go straight
-to :func:`~probust.properties.decide_bits`, the decision path the exact
-sweep uses too, so no Python int or ``Realization`` is built per sample. It
-runs the oracle's block decider wherever that takes n: the reach deciders
-(``connected``, ``diam<=k``) up to n = 64, the subset-table ones up to
-n = 10, ``chrom`` up to n = 8. Above that, or for an oracle without one, it
-calls ``decide`` graph by graph. A sampler whose draw fails yields the
+Both tests decide samples a part at a time: the one sampler,
+:func:`~probust.models.sample_parts`, yields each part of a worker's share
+as edge words (see :mod:`probust.graphs`), the model's for the independent
+test and a coupling's g1, g2 and union for the paired one, and the words go
+straight to :func:`~probust.properties.decide_bits`, the decision path the
+exact sweep uses too, so no Python int or ``Realization`` is built per
+sample. It runs the oracle's block decider wherever that takes n: the reach
+deciders (``connected``, ``diam<=k``) up to n = 64, the subset-table ones
+up to n = 10, ``chrom`` up to n = 8. Above that, or for an oracle without
+one, it calls ``decide`` graph by graph. A draw that fails yields the
 samples of its part drawn before it and then raises the draw's error, so
 the drawn samples are decided first: a paired violation or a decision
 error among them is raised ahead of the draw's error. A paired violation
@@ -47,10 +47,10 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .coupling import CouplingParams, CouplingTriple, _require_floor, coupled_parts
+from .coupling import CouplingTriple
 from .errors import DomainError, PairedViolationError, RobustnessViolationError
 from .graphs import EdgeSpace, Realization, bits_from_words, degree_histogram
-from .models import EdgeModel, er_model, sample_parts
+from .models import CouplingParams, EdgeModel, _require_floor, er_model, sample_parts
 from .properties import (
     PropertyOracle,
     chromatic_number,
@@ -296,7 +296,7 @@ def estimate_property(
     def count_hits(lo: int, hi: int) -> int:
         return sum(
             int(decide_bits(oracle, source.space, words, drawn).sum())
-            for _, words, drawn in sample_parts(source, master_seed, branch, lo, hi)
+            for _, (words,), drawn in sample_parts(source, master_seed, branch, lo, hi)
         )
 
     hits = sum(_map_blocks(count_hits, samples, workers))
@@ -417,7 +417,7 @@ def coupled_domination_test(
         g1 and on the union; the first violation, by sample and then by
         oracle, raises, and then a failed draw."""
         counts = np.zeros((2, len(oracle_list)), dtype=np.int64)
-        for start, words, drawn in coupled_parts(params, master_seed, lo, hi):
+        for start, words, drawn in sample_parts(params, master_seed, (), lo, hi):
             g1, _, union = words
             on_g1 = np.array([decide_bits(o, space, g1, drawn) for o in oracle_list])
             on_union = np.array([decide_bits(o, space, union, drawn) for o in oracle_list])

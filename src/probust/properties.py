@@ -629,11 +629,6 @@ def _triple_words(n: int) -> int:
     return n**3
 
 
-def _edge_count_words(n: int) -> int:
-    """``exactly-k-edges``: the words unpacked to one byte per lane."""
-    return 8 * n * n
-
-
 def _lanes(words: np.ndarray) -> np.ndarray:
     """The 64 * W decisions held in the lanes of (W,) words."""
     return np.unpackbits(words.view(np.uint8), bitorder="little").view(bool)
@@ -791,13 +786,6 @@ def _dominating_at_most_block(adj: np.ndarray, k: int) -> np.ndarray:
     return _lanes(np.bitwise_or.reduce(dominated, axis=0))
 
 
-def _edge_count_block(adj: np.ndarray) -> np.ndarray:
-    """Edges per lane: half the set bits of the words, each edge being set at
-    [u, v] and at [v, u]."""
-    bits = np.unpackbits(adj.view(np.uint8), axis=2, bitorder="little")
-    return bits.sum(axis=(0, 1), dtype=np.int64) // 2
-
-
 # ---------------------------------------------------------------------------
 # oracles
 
@@ -837,7 +825,6 @@ class PropertyOracle:
     name: str
     decide: Callable[[Realization], bool]
     threshold: Optional[int] = None
-    direction: str = "increasing"
     decide_block: Optional[Callable[[np.ndarray], np.ndarray]] = None
     check_scale: Optional[Callable[[int], None]] = None
     block_words: Optional[Callable[[int], int]] = None
@@ -894,15 +881,9 @@ def connected_oracle() -> PropertyOracle:
 
 
 def exactly_edges_oracle(k: int) -> PropertyOracle:
-    """Deliberately non-monotone: certification must refute it."""
-    return PropertyOracle(
-        f"exactly-{k}-edges",
-        lambda g: g.edge_count() == k,
-        k,
-        direction="none",
-        decide_block=lambda adj: _edge_count_block(adj) == k,
-        block_words=_edge_count_words,
-    )
+    """Deliberately non-monotone: certification must refute it. It has no
+    block decider, so :func:`decide_bits` decides it graph by graph."""
+    return PropertyOracle(f"exactly-{k}-edges", lambda g: g.edge_count() == k, k)
 
 
 _SPEC_RE = re.compile(

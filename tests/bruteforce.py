@@ -212,7 +212,7 @@ def ref_sample(source, seed: int, branch: tuple, idx: int) -> int:
 
 
 def ref_coupled(params, seed: int, idx: int):
-    """Triple idx as ``coupled_parts`` must give it: ``generate_coupled`` on
+    """Triple idx as ``sample_parts`` must give it: ``generate_coupled`` on
     window idx, 2m coins wide, of the seed's stream."""
     return generate_coupled(params, window_rng(seed, (), idx, 2 * params.model.space.m))
 

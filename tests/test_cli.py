@@ -31,7 +31,6 @@ from probust import (
     parse_property,
 )
 from probust import montecarlo, rngstreams
-from probust.coupling import coupled_parts
 from probust.graphs import bits_from_words, words_from_bits
 from probust.models import MODELS
 
@@ -479,12 +478,10 @@ class TestPinnedBytes:
         assert path.read_bytes() == stdout.encode()
         space, model = EdgeSpace(10), adjacency_count_model(10)
         if command == "couple":
-            [(start, words, count)] = coupled_parts(CouplingParams(0.3, model), 7, 0, samples)
-            keys = ("g1", "g2", "u")
+            source, keys = CouplingParams(0.3, model), ("g1", "g2", "u")
         else:
-            [(start, g, count)] = models.sample_parts(model, 7, (), 0, samples)
-            words = [g]
-            keys = ("g",)
+            source, keys = model, ("g",)
+        [(start, words, count)] = models.sample_parts(source, 7, (), 0, samples)
         assert (start, count) == (0, samples)
         masks = list(zip(*(bits_from_words(w, count) for w in words)))
         assert stdout == "".join(
@@ -522,7 +519,6 @@ class TestUsage:
 
         for module, name in [
             (cli, "sample_parts"),
-            (montecarlo, "coupled_parts"),
             (montecarlo, "sample_parts"),
         ]:
             monkeypatch.setattr(module, name, no_sample)
@@ -724,7 +720,7 @@ class TestBlockSampledOutput:
         model = conditioned_adjacency_model(10)
         per_block = [
             bits for lo, hi in rngstreams._bounds(0, 1000, 256)
-            for _, words, count in models.sample_parts(model, 55, (), lo, hi)
+            for _, (words,), count in models.sample_parts(model, 55, (), lo, hi)
             for bits in bits_from_words(words, count)
         ]
         records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]

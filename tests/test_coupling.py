@@ -24,7 +24,6 @@ from probust import (
     union_probability_identity,
 )
 from probust import models
-from probust.coupling import coupled_parts
 from probust.graphs import bits_from_words
 
 probs = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -56,6 +55,15 @@ class TestPPrime:
     def test_patch_hand_values(self):
         assert patch_probability(0.5, 0.75) == pytest.approx(0.5, abs=1e-15)
         assert patch_probability(0.3, 1.0) == pytest.approx(1.0, abs=1e-15)
+
+    @pytest.mark.parametrize("base", [0.0, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.5, 1.0])
+    def test_kernel_patch_probabilities_are_the_scalar_ones(self, base):
+        """The block kernel's and the exact engine's patch probabilities equal
+        ``patch_probability`` bit for bit, for q from the base up to 1."""
+        q = np.linspace(base, 1.0, 201)
+        assert (q[0], q[-1]) == (base, 1.0)
+        want = np.array([patch_probability(base, x) for x in q.tolist()])
+        assert models._patch_probabilities(base, q).tobytes() == want.tobytes()
 
     @given(st.floats(0.0, 0.99), st.data())
     def test_monotonic_in_q(self, p, data):
@@ -192,11 +200,11 @@ def scalar_triples(params, seed, lo, hi):
 
 
 def block_triples(params, seed, lo, hi):
-    """The (g1, g2, u) bitmasks of the parts ``coupled_parts`` yields over
+    """The (g1, g2, u) bitmasks of the parts ``sample_parts`` yields over
     lo..hi-1, read through the to-bitmasks conversion; each part starts
     where the one before it ends."""
     triples = []
-    for start, words, count in coupled_parts(params, seed, lo, hi):
+    for start, words, count in models.sample_parts(params, seed, (), lo, hi):
         assert start == lo + len(triples)
         triples += zip(*(bits_from_words(w, count) for w in words))
     return triples
@@ -294,7 +302,7 @@ class TestCoupledBlock:
         set_work_unit(unit)
         parts = []
         with pytest.raises(RobustnessViolationError) as err:
-            for start, words, count in coupled_parts(params, 45, 3, 300):
+            for start, words, count in models.sample_parts(params, 45, (), 3, 300):
                 triples = list(zip(*(bits_from_words(w, count) for w in words)))
                 parts.append((start, count, triples))
         assert str(err.value) == str(scalar_err.value)

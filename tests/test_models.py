@@ -24,9 +24,9 @@ from probust import (
     sample_direct,
 )
 from probust import models
-from probust.coupling import CouplingParams, coupled_parts
+from probust.coupling import CouplingParams
 from probust.graphs import bits_from_words, words_from_rows
-from probust.models import sample_parts, satisfies_min_adjacent
+from probust.models import MODEL_KINDS, sample_parts, satisfies_min_adjacent
 from probust.rngstreams import _bounds
 
 
@@ -303,6 +303,20 @@ class TestModelDescriptor:
             ModelDescriptor.from_json(text).build()
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("n", [True, False, 5.0, "5"], ids=["true", "false", "float", "string"])
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_bad_vertex_count_names_n(self, kind, n):
+        """A bool is no vertex count, though Python counts it an int; nor is
+        a float or a string. Each is refused when the model is built, as is
+        a bool edge space."""
+        params = {"p": 0.3} if kind == "er" else {}
+        text = json.dumps({"kind": kind, "n": n, "params": params})
+        with pytest.raises(DomainError) as err:
+            ModelDescriptor.from_json(text).build()
+        assert str(err.value) == f"{kind} model n must be an integer, got {n!r}"
+        with pytest.raises(DomainError, match=f"vertex count must be an integer >= 1, got {n!r}"):
+            EdgeSpace(n)
+
     def test_bad_json(self):
         with pytest.raises(DomainError):
             ModelDescriptor.from_json("{not json")
@@ -327,7 +341,7 @@ def block_bits(source, seed, branch, lo, hi):
     Each part starts where the one before it ends."""
     bits = []
     try:
-        for start, words, count in sample_parts(source, seed, branch, lo, hi):
+        for start, (words,), count in sample_parts(source, seed, branch, lo, hi):
             assert start == lo + len(bits)
             bits += bits_from_words(words, count)
     except AssertionError:
@@ -494,7 +508,7 @@ class TestSampleBlock:
             return np.where((i == 1) & (np.arange(space.m) == 14), 1.5, 0.5)
 
         model = EdgeModel(space, 0.5, lambda i, h: 0.5, key="count", table=table)
-        assert models._kernel_words(model, 42, (), 0, 300) is None
+        assert models._decide_block(model, np.zeros((300, space.m))) is None
         assert drawn(model, 42, (), 0, 300) == scalar(model, 42, (), 300)
 
     def test_conditioned_range_pools_pending_rows(self, kernel_calls):
@@ -550,7 +564,7 @@ class TestSampleParts:
     def parts_then_error(self, source, seed, lo, hi):
         parts = []
         with pytest.raises(Exception) as err:
-            for start, words, count in sample_parts(source, seed, (), lo, hi):
+            for start, (words,), count in sample_parts(source, seed, (), lo, hi):
                 parts.append((start, count, bits_from_words(words, count)))
         return parts, err.value
 
@@ -584,5 +598,5 @@ class TestSampleParts:
                        table_model, closure_model):
             assert list(sample_parts(source, 7, (1,), lo, lo)) == []
         for model in (adjacency_count_model(6), closure_model):
-            assert list(coupled_parts(CouplingParams(0.3, model), 7, lo, lo)) == []
+            assert list(sample_parts(CouplingParams(0.3, model), 7, (1,), lo, lo)) == []
         assert kernel_calls == []

@@ -19,7 +19,7 @@ from probust import (
     window_rng,
 )
 from probust import models
-from probust.coupling import CouplingParams, coupled_parts
+from probust.coupling import CouplingParams
 from probust.graphs import bits_from_words
 from probust.models import REJECTION_TAG, adjacency_count_model, sample_parts
 from probust.rngstreams import coin_rows
@@ -104,23 +104,24 @@ class TestCoinRows:
             assert coin_rows(7, (1,), lo, lo, width).shape == (0, width)
         assert list(sample_parts(conditioned_adjacency_model(6), 7, (1,), 9, 9)) == []
         params = CouplingParams(0.3, adjacency_count_model(6))
-        assert list(coupled_parts(params, 7, 9, 9)) == []
+        assert list(sample_parts(params, 7, (), 9, 9)) == []
 
 
 def part_bits(source, seed, branch, lo, hi):
     """The bitmasks ``sample_parts`` yields over lo..hi-1."""
     return [
         bits
-        for _, words, count in sample_parts(source, seed, branch, lo, hi)
+        for _, (words,), count in sample_parts(source, seed, branch, lo, hi)
         for bits in bits_from_words(words, count)
     ]
 
 
 def part_triples(params, seed, lo, hi):
-    """The (g1, g2, u) bitmasks ``coupled_parts`` yields over lo..hi-1."""
+    """The (g1, g2, u) bitmasks ``sample_parts`` yields for a coupling over
+    lo..hi-1."""
     return [
         triple
-        for _, words, count in coupled_parts(params, seed, lo, hi)
+        for _, words, count in sample_parts(params, seed, (), lo, hi)
         for triple in zip(*(bits_from_words(w, count) for w in words))
     ]
 
@@ -162,14 +163,14 @@ class TestRejectionStreams:
     @pytest.mark.parametrize("n", range(4, 11))
     def test_rejection_sampler_rows(self, n):
         source = conditioned_adjacency_model(n)
-        words, count = source._sample_rows(21, (1,), 0, 64)
+        (words,), count = source._sample_rows(21, (1,), 0, 64)
         want = [bf.ref_sample(source, 21, (1,), idx) for idx in range(64)]
         assert (bits_from_words(words, count), count) == (want, 64)
 
     def test_scalar_reference_is_the_samplers_own(self):
         source = conditioned_adjacency_model(6)
         for idx in (0, 1, 2**32 - 3):
-            got = models._sample_at(source, 8, (1,), idx).bits
+            (got,) = models._sample_at(source, 8, (1,), idx)
             assert got == bf.ref_sample(source, 8, (1,), idx)
 
     def test_tag_keys_are_no_branch_key(self):
